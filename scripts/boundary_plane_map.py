@@ -26,12 +26,11 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--gamma", default="0:1:0.02", help="grid spec lo:hi:step")
     ap.add_argument("--beta", default="-0.35:0.05:0.01", help="grid spec lo:hi:step")
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", default="boundary_plane_map.csv")
     args = ap.parse_args(argv)
 
     points = plane_grid_points(args.gamma, args.beta)
-    result = scan(points, threads=args.threads)
+    result = scan(points)
 
     with open(args.out, "w", encoding="utf-8") as fh:
         for line in result.csv_lines():

@@ -115,6 +115,7 @@ class CommandConfig:
     format: str = "text"
     out: str | None = None
     seed: int = DEFAULT_SEED
+    #: Accepted and validated for compatibility; scans run on one thread.
     threads: int = 1
 
     def __post_init__(self) -> None:
@@ -243,7 +244,7 @@ def _scan_points(cfg: CommandConfig):
 
 def _cmd_scan(cfg: CommandConfig) -> int:
     points = _scan_points(cfg)
-    result = scan(points, threads=cfg.threads)
+    result = scan(points)
     with _open_out(cfg.out) as out:
         if cfg.format == "json":
             gammas = sorted({p.gamma for p in points})
@@ -445,7 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="two-spec grid (gamma,beta) on the positivity facet",
     )
     p_scan.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_scan.add_argument("--threads", type=int, default=1)
+    p_scan.add_argument(
+        "--threads", type=int, default=1, help="accepted for compatibility; scans use one thread"
+    )
     p_scan.add_argument("--out", default=None)
 
     p_lambda = sub.add_parser(

@@ -16,8 +16,9 @@ the signed distance-like slack to the nearest facet.
 Closed-form partial-transpose data is available too: the partial transpose
 splits into three 3x3 blocks with a shared spectrum, giving three
 eigenvalues each of multiplicity three (:func:`pt_block_eigenvalues`).
-These are diagnostics; the authoritative PPT decision in this package is
-always the numeric eigensolver on the full partial transpose.
+Every PPT decision in this package is taken on that closed form; the
+numeric eigensolver on the full partial transpose
+(:func:`pt_min_eigenvalue`) is kept as the oracle it is checked against.
 
 The module also carries two distinguished one- and two-parameter slices:
 the classic Horodecki line of states (:func:`horodecki_point`, parameter
@@ -208,8 +209,9 @@ def pt_block_eigenvalues(
         e0      = w + (alpha + beta) / 3
         e_pm    = w + gamma/6 +- sqrt(gamma^2/36 + y^2/9)
 
-    Diagnostic companion to :func:`pt_min_eigenvalue`; the numeric oracle
-    stays authoritative for classification.
+    The smallest of the three decides PPT in :func:`is_ppt` and in the
+    classifier; :func:`pt_min_eigenvalue` is the numeric oracle it is
+    tested against.
     """
     pt = _point(p)
     a, b, g = pt.alpha, pt.beta, pt.gamma
@@ -307,8 +309,9 @@ def is_ppt(
 ) -> PptResult:
     """PPT decision for a family *state* (raises if ``p`` is not a state).
 
-    The numeric eigenvalue oracle decides; the closed-form block spectrum
-    is logged at DEBUG level for cross-reference.
+    Decided on the smallest closed-form partial-transpose eigenvalue
+    (:func:`pt_block_eigenvalues`), which is logged with the full block
+    spectrum at DEBUG level.
     """
     pt = _point(p)
     margin = pyramid_margin(pt)
@@ -317,14 +320,11 @@ def is_ppt(
             f"point {pt.as_tuple()} is not a state (positivity margin "
             f"{margin:.3e})"
         )
-    smallest = pt_min_eigenvalue(pt)
-    if logger.isEnabledFor(logging.DEBUG):
-        logger.debug(
-            "is_ppt%s: oracle %.3e, block spectrum %s",
-            pt.as_tuple(),
-            smallest,
-            pt_block_eigenvalues(pt),
-        )
+    spectrum = pt_block_eigenvalues(pt)
+    smallest = float(min(spectrum))
+    logger.debug(
+        "is_ppt%s: smallest %.3e, block spectrum %s", pt.as_tuple(), smallest, spectrum
+    )
     return PptResult(smallest >= tol, smallest)
 
 

@@ -3,13 +3,13 @@
 The classifier stacks four certificates, cheapest arguments first:
 
 1. positivity (closed-form facet slacks) -- else ``NotAState``;
-2. the partial-transpose oracle -- negative eigenvalue means
-   ``NptEntangled``;
-3. the deployed witness battery -- a negative expectation on a PPT state
-   certifies ``BoundEntangled``;
-4. membership in an inner polytope of known separable states (convex hull
-   of probed extreme points, tested by non-negative least squares) --
-   membership certifies ``Separable``.
+2. the closed-form partial-transpose spectrum -- a negative eigenvalue
+   means ``NptEntangled``;
+3. the deployed witness battery, evaluated as affine planes -- a negative
+   expectation on a PPT state certifies ``BoundEntangled``;
+4. membership in an inner polytope of known separable states (five
+   half-spaces around certified extreme points) -- membership certifies
+   ``Separable``.
 
 Anything that survives all four is reported ``Undetermined``: the
 certificates are sound but not complete.
@@ -31,41 +31,49 @@ PPT yet detected by the battery (bound entangled), everything at or below
 ``l_b`` is NPT.  :func:`boundary_plane_region` packages that trichotomy;
 it must and does agree with the matrix pipeline pointwise.
 
-The separable polytope is built by probing rays from the maximally mixed
-state inside the ``gamma = 0`` slice against the PPT oracle (the slice's
-PPT region is a convex quadrilateral, recovered edge by edge), plus the
-single off-slice extreme point ``(0, 0, 1)`` where the facet triangle
-closes.  The build restricted to non-negative ``gamma`` is the certified
-default; the mirrored variant exists for reporting only (one of its
-reflected corners is not even a state, so it certifies nothing).
+Every production certificate is a sign test on a closed form of the three
+coordinates: the affine pyramid slacks, the partial-transpose spectrum
+(:func:`~.family.pt_block_eigenvalues`), the affine witness planes and the
+five half-spaces of the separable polytope.  The matrix pipeline (Jacobi
+partial-transpose spectrum, ``Tr(W rho)`` witness expectations, the blind
+slice probe :func:`trapezoid_vertices`) is kept as the oracle the closed
+forms are certified and tested against.
+
+The separable polytope is the pyramid over the ``gamma = 0`` slice's PPT
+quadrilateral (corners :data:`SLICE_CORNERS`, in closed form) with apex
+``(0, 0, 1)``, where the facet triangle closes.  Its vertices are certified
+against the Jacobi oracle when it is built.  The build restricted to
+non-negative ``gamma`` is the certified default; the mirrored variant
+exists for reporting only (its reflected apex is not even a state, so it
+certifies nothing).
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .family import (
     PPT_TOL,
     STATE_TOL,
     FamilyPoint,
-    family_state,
+    pt_block_eigenvalues,
     pt_min_eigenvalue,
     pyramid_margin,
 )
 from .verdicts import Verdict
-from .witness import witness_values
+from .witness import deployed_witnesses
 
 __all__ = [
     "DETECTION_TOL",
+    "MAX_GRID_POINTS",
     "MEMBERSHIP_TOL",
+    "SLICE_CORNERS",
     "Classification",
     "ScanResult",
     "SeparablePolygon",
@@ -87,8 +95,21 @@ logger = logging.getLogger(__name__)
 #: A witness expectation below this fires the bound-entanglement certificate.
 DETECTION_TOL = -1e-10
 
-#: Hull-membership residual accepted by the separability certificate.
+#: Largest facet excess accepted by the separability certificate.
 MEMBERSHIP_TOL = 1e-9
+
+#: Most points a grid spec (or a product of specs) may expand to.
+MAX_GRID_POINTS = 10**7
+
+#: Corners ``(alpha, beta)`` of the PPT region in the ``gamma = 0`` slice,
+#: counter-clockwise from the maximally mixed state.  Each is where two of
+#: the slice's edges meet: pyramid facets and partial-transpose zeros.
+SLICE_CORNERS = (
+    (-1.0 / 6.0, -1.0 / 3.0),
+    (2.0 / 9.0, -2.0 / 9.0),
+    (1.0 / 3.0, 2.0 / 3.0),
+    (-1.0 / 12.0, 1.0 / 3.0),
+)
 
 _FACET_DOMAIN = 2.0 / math.sqrt(3.0)
 
@@ -162,11 +183,15 @@ def classify(p: FamilyPoint | tuple[float, float, float]) -> Classification:
     margin = pyramid_margin(pt)
     if margin < STATE_TOL:
         return Classification(pt, Verdict.NOT_A_STATE, margin)
-    pt_eig = pt_min_eigenvalue(pt)
+    pt_eig = float(min(pt_block_eigenvalues(pt)))
     if pt_eig < PPT_TOL:
         return Classification(pt, Verdict.NPT_ENTANGLED, margin, pt_eig)
-    rho = family_state(pt)
-    name, value = min(witness_values(rho), key=lambda nv: nv[1])
+    # Tr(W rho) is affine in the coordinates, so each witness plane gives
+    # it as trace_scale * residual (to rounding); ties keep battery order.
+    name, value = min(
+        ((w.name, w.plane.trace_scale * w.plane.residual(pt)) for w in deployed_witnesses()),
+        key=lambda nv: nv[1],
+    )
     if value < DETECTION_TOL:
         return Classification(
             pt,
@@ -245,8 +270,8 @@ def trapezoid_vertices(
     Rays from the maximally mixed state are bisected against the combined
     positivity + PPT oracle; maximal collinear runs of boundary hits are
     fitted as edges and consecutive edge lines intersected.  No closed-form
-    geometry enters: this is the independent construction the analytic
-    slice facts are tested against.
+    geometry enters: this is the independent construction
+    :data:`SLICE_CORNERS` is tested against.
     """
     thetas = np.linspace(0.0, 2.0 * math.pi, n_rays, endpoint=False)
     hits = np.empty((n_rays, 2))
@@ -315,9 +340,15 @@ class PolygonVertex:
 
 @dataclass(frozen=True)
 class SeparablePolygon:
-    """Convex hull of known-separable extreme points, queried via NNLS."""
+    """Convex hull of known-separable extreme points, as half-spaces.
+
+    ``halfspaces`` holds one ``(n_alpha, n_beta, n_gamma, offset)`` per
+    facet, with an outward unit normal: a point is inside the facet's
+    half-space when ``n . p <= offset``.
+    """
 
     vertices: tuple[PolygonVertex, ...]
+    halfspaces: tuple[tuple[float, float, float, float], ...]
     mirrored: bool
     certified: bool
 
@@ -325,13 +356,12 @@ class SeparablePolygon:
         return np.array([v.point.as_tuple() for v in self.vertices])
 
     def membership_residual(self, p: FamilyPoint | tuple[float, float, float]) -> float:
+        """Largest distance of ``p`` outside a facet plane; 0 on and inside the hull."""
         if not isinstance(p, FamilyPoint):
             p = FamilyPoint(*p)
-        pts = self.vertex_array()
-        a = np.vstack([pts.T, np.ones((1, len(self.vertices)))])
-        b = np.array([p.alpha, p.beta, p.gamma, 1.0])
-        _, rnorm = nnls(a, b)
-        return float(rnorm)
+        a, b, g = p.alpha, p.beta, p.gamma
+        excess = max(na * a + nb * b + ng * g - c for na, nb, ng, c in self.halfspaces)
+        return float(max(excess, 0.0))
 
     def contains(
         self,
@@ -341,25 +371,55 @@ class SeparablePolygon:
         return self.membership_residual(p) <= tol
 
 
+def _pyramid_halfspaces(
+    base: list[FamilyPoint], apex: FamilyPoint
+) -> tuple[tuple[float, float, float, float], ...]:
+    """Outward unit-normal half-spaces of the pyramid over a convex ``base``.
+
+    ``base`` lists the corners of a planar polygon in cyclic order; the
+    result is the base facet followed by one side facet per base edge.
+    Every vertex must lie inside every half-space (to rounding).
+    """
+    corners = np.array([v.as_tuple() for v in base])
+    top = np.array(apex.as_tuple())
+    inner = (corners.sum(axis=0) + top) / (len(base) + 1)
+    faces = [(corners[0], corners[1], corners[2])]
+    faces += [
+        (corners[i], corners[(i + 1) % len(base)], top) for i in range(len(base))
+    ]
+    halfspaces = []
+    for p0, p1, p2 in faces:
+        normal = np.cross(p1 - p0, p2 - p0)
+        normal /= np.linalg.norm(normal)
+        if normal @ (inner - p0) > 0.0:
+            normal = -normal
+        halfspaces.append((*(float(x) for x in normal), float(normal @ p0)))
+    for v in (*corners, top):
+        excess = max(n[0] * v[0] + n[1] * v[1] + n[2] * v[2] - n[3] for n in halfspaces)
+        if excess > 1e-12:
+            raise ArithmeticError(
+                f"polytope vertex {tuple(v)} lies {excess:.2e} outside a facet"
+            )
+    return tuple(halfspaces)
+
+
 @lru_cache(maxsize=2)
 def build_polygon(mirrored: bool = False) -> SeparablePolygon:
     """Assemble the separable polytope (five vertices, built once).
 
-    Four corners come from the ``gamma = 0`` slice probe; the fifth closes
-    the facet triangle at ``(0, 0, 1)``, where the separability ceiling
-    meets the cone trace.  Every vertex of the default build is verified
-    to be a PPT state; the mirrored build skips that check and is marked
-    uncertified (reporting only).
+    Four corners are the closed-form ``gamma = 0`` slice corners
+    :data:`SLICE_CORNERS`; the fifth closes the facet triangle at
+    ``(0, 0, 1)``, where the separability ceiling meets the cone trace.
+    Every vertex of the default build is verified against the positivity
+    slacks and the Jacobi partial-transpose oracle; the mirrored build
+    skips that check and is marked uncertified (reporting only).
     """
-    sign = -1.0 if mirrored else 1.0
     verts = [
-        PolygonVertex(FamilyPoint(a, b, 0.0), "gamma=0 slice probe")
-        for (a, b) in trapezoid_vertices()
+        PolygonVertex(FamilyPoint(a, b, 0.0), "gamma=0 slice corner")
+        for (a, b) in SLICE_CORNERS
     ]
     verts.append(
-        PolygonVertex(
-            FamilyPoint(0.0, 0.0, sign * 1.0), "facet curve crossing at gamma=1"
-        )
+        PolygonVertex(FamilyPoint(0.0, 0.0, 1.0), "facet curve crossing at gamma=1")
     )
     if mirrored:
         verts = [
@@ -379,11 +439,18 @@ def build_polygon(mirrored: bool = False) -> SeparablePolygon:
                 raise ArithmeticError(
                     f"polytope vertex {v.point.as_tuple()} is NPT ({eig:.2e})"
                 )
+    halfspaces = _pyramid_halfspaces([v.point for v in verts[:-1]], verts[-1].point)
     logger.info(
-        "separable polytope built: %d vertices, mirrored=%s", len(verts), mirrored
+        "separable polytope built: %d vertices, %d facets, mirrored=%s",
+        len(verts),
+        len(halfspaces),
+        mirrored,
     )
     return SeparablePolygon(
-        vertices=tuple(verts), mirrored=mirrored, certified=certified
+        vertices=tuple(verts),
+        halfspaces=halfspaces,
+        mirrored=mirrored,
+        certified=certified,
     )
 
 
@@ -432,64 +499,73 @@ class ScanResult:
             yield row.csv_row()
 
 
-def scan(
-    points: Iterable[FamilyPoint | tuple[float, float, float]],
-    *,
-    threads: int = 1,
-) -> ScanResult:
-    """Classify every point, preserving input order.
-
-    With ``threads > 1`` the battery and polytope caches are warmed first
-    so worker threads only read them; the row order (and hence any CSV
-    output) is identical regardless of thread count.
-    """
+def scan(points: Iterable[FamilyPoint | tuple[float, float, float]]) -> ScanResult:
+    """Classify every point, preserving input order."""
     pts = [p if isinstance(p, FamilyPoint) else FamilyPoint(*p) for p in points]
     if not pts:
         raise ValueError("scan called with an empty grid")
-    if threads > 1:
-        witness_values(family_state(FamilyPoint(0.0, 0.0, 0.0)))
-        build_polygon()
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(classify, pts))
-    else:
-        rows = [classify(p) for p in pts]
-    return ScanResult(rows=rows)
+    return ScanResult(rows=[classify(p) for p in pts])
 
 
-def parse_grid(spec: str) -> list[float]:
-    """``"lo:hi:step"`` (inclusive ends) or a single value ``"x"``."""
+def _grid_axis(spec: str) -> tuple[float, float, int]:
+    """``(lo, step, count)`` of a grid spec, validated but not expanded.
+
+    A single value ``"x"`` has step 0.
+    """
     parts = spec.split(":")
     if len(parts) == 1:
-        return [float(parts[0])]
+        return float(parts[0]), 0.0, 1
     if len(parts) != 3:
         raise ValueError(f"grid spec must be 'lo:hi:step' or 'x', got {spec!r}")
     lo, hi, step = (float(v) for v in parts)
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise ValueError(f"grid spec must be finite, got {spec!r}")
     if step <= 0.0:
         raise ValueError(f"grid step must be positive, got {step}")
     if hi < lo:
         raise ValueError(f"grid range is empty: {spec!r}")
-    n = int(round((hi - lo) / step))
+    span = (hi - lo) / step
+    if span >= MAX_GRID_POINTS:
+        raise ValueError(
+            f"grid spec {spec!r} has more than {MAX_GRID_POINTS} points"
+        )
+    n = int(round(span))
     if abs(lo + n * step - hi) > 1e-9 * max(1.0, abs(hi)):
-        n = int(math.floor((hi - lo) / step + 1e-12))
-    return [lo + k * step for k in range(n + 1)]
+        n = int(math.floor(span + 1e-12))
+    return lo, step, n + 1
+
+
+def _check_grid_size(*counts: int) -> None:
+    total = math.prod(counts)
+    if total > MAX_GRID_POINTS:
+        raise ValueError(f"grid has {total} points (at most {MAX_GRID_POINTS})")
+
+
+def parse_grid(spec: str) -> list[float]:
+    """``"lo:hi:step"`` (inclusive ends) or a single value ``"x"``.
+
+    Raises ``ValueError`` for a malformed spec or one that expands to more
+    than :data:`MAX_GRID_POINTS` values.
+    """
+    lo, step, count = _grid_axis(spec)
+    _check_grid_size(count)
+    if not step:
+        return [lo]
+    return [lo + k * step for k in range(count)]
 
 
 def grid_points(
     alpha_spec: str, beta_spec: str, gamma_spec: str
 ) -> list[FamilyPoint]:
     """Row-major grid: alpha outermost, gamma innermost."""
-    return [
-        FamilyPoint(a, b, g)
-        for a in parse_grid(alpha_spec)
-        for b in parse_grid(beta_spec)
-        for g in parse_grid(gamma_spec)
-    ]
+    specs = (alpha_spec, beta_spec, gamma_spec)
+    _check_grid_size(*(_grid_axis(s)[2] for s in specs))
+    alphas, betas, gammas = (parse_grid(s) for s in specs)
+    return [FamilyPoint(a, b, g) for a in alphas for b in betas for g in gammas]
 
 
 def plane_grid_points(gamma_spec: str, beta_spec: str) -> list[FamilyPoint]:
     """Facet grid: gamma outermost, beta innermost, alpha pinned by the facet."""
-    return [
-        _facet_point(g, b)
-        for g in parse_grid(gamma_spec)
-        for b in parse_grid(beta_spec)
-    ]
+    _check_grid_size(_grid_axis(gamma_spec)[2], _grid_axis(beta_spec)[2])
+    gammas, betas = parse_grid(gamma_spec), parse_grid(beta_spec)
+    return [_facet_point(g, b) for g in gammas for b in betas]

@@ -284,7 +284,8 @@ def lambda_min(start: FamilyPoint, tol: float = 1e-9) -> float | None:
     Bisection against the actual candidate pipeline (matrix build plus
     decomposition each probe), validated two ways: spot checks that
     feasibility is monotone across the final bracket, and agreement with
-    :func:`lambda_min_closed_form` to within the bisection tolerance.
+    :func:`lambda_min_closed_form` to within the bisection tolerance.  A
+    ``tol`` below the float spacing stops at adjacent floats.
     Returns ``None`` when even the endpoint limit is unsafe.  Raises
     ``ValueError`` for a non-positive tolerance or an NPT start.
     """
@@ -311,6 +312,8 @@ def lambda_min(start: FamilyPoint, tol: float = 1e-9) -> float | None:
     lo, hi = 0.0, 1.0  # lo is always infeasible: C_0 has zero identity part
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break  # the bracket is down to adjacent floats
         if feasible_at(mid):
             hi = mid
         else:

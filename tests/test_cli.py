@@ -1,12 +1,21 @@
 """CLI behavior: flag handling, exit codes, formats, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from magicsimplex.cli import CommandConfig, main, run
+
+#: PYTHONPATH for subprocesses: this checkout's sources first, so the
+#: tests pass without installing the package.
+PYTHONPATH = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])
+)
 
 
 def run_cli(capsys, *argv):
@@ -224,6 +233,14 @@ def test_scan_grid_shape_errors(capsys):
     assert code == 2
 
 
+def test_scan_oversized_grid_exits_fast(capsys):
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "scan", "--grid", "0:1:1e-12,0,0")
+    assert code == 2
+    assert "points" in err
+    assert time.perf_counter() - start < 5.0
+
+
 def test_scan_unwritable_output(capsys):
     code, _, err = run_cli(
         capsys, "scan", "--grid", "0:0:1,0:0:1,0:0:1",
@@ -307,7 +324,24 @@ def test_subprocess_logging_env():
         capture_output=True,
         text=True,
         timeout=120,
-        env={"MAGIC_SIMPLEX_LOG": "INFO", "PATH": "/usr/bin:/bin"},
+        env={"MAGIC_SIMPLEX_LOG": "INFO", "PATH": "/usr/bin:/bin", "PYTHONPATH": PYTHONPATH},
     )
     assert proc.returncode == 0
     assert "witness Pl1" in proc.stderr
+
+
+def test_cli_import_leaves_scipy_out():
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, magicsimplex.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=PYTHONPATH),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -229,6 +229,18 @@ def test_parse_grid():
         parse_grid("0:1")
 
 
+def test_grid_size_is_capped_before_expansion():
+    with pytest.raises(ValueError, match="points"):
+        parse_grid("0:1:1e-12")
+    # each axis is small, the product is not
+    with pytest.raises(ValueError, match="points"):
+        grid_points("0:1:0.001", "0:1:0.001", "0:1:0.001")
+    with pytest.raises(ValueError, match="points"):
+        plane_grid_points("0:1:1e-4", "0:1:1e-4")
+    with pytest.raises(ValueError, match="finite"):
+        parse_grid("0:inf:1")
+
+
 def test_grid_points_order():
     pts = grid_points("0:1:1", "0:0:1", "0:1:1")
     assert [p.as_tuple() for p in pts] == [
@@ -242,14 +254,6 @@ def test_grid_points_order():
 def test_scan_rejects_empty():
     with pytest.raises(ValueError, match="empty"):
         scan([])
-
-
-def test_scan_threads_agree():
-    pts = plane_grid_points("0:1:0.1", "-0.3:0.1:0.1")
-    serial = scan(pts, threads=1)
-    threaded = scan(pts, threads=4)
-    assert list(serial.csv_lines()) == list(threaded.csv_lines())
-    assert serial.counts() == threaded.counts()
 
 
 def test_scan_counts():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magicsimplex import witness as witness_module
 from magicsimplex.family import FamilyPoint, family_state, horodecki_point, plane_point
 from magicsimplex.qmat import frobenius_norm, hs_inner
 from magicsimplex.weyl import bell_projector
@@ -152,6 +153,24 @@ def test_lambda_min_argument_errors():
         lambda_min(ORIGIN, tol=0.0)
     with pytest.raises(ValueError, match="NPT"):
         lambda_min(FamilyPoint(1.0, 0.0, 0.0))
+
+
+def test_lambda_min_tolerance_below_float_spacing(monkeypatch):
+    # The bracket cannot shrink below adjacent floats; bisection must stop
+    # there instead of looping forever.
+    probes = 0
+    real = witness_module.witness_candidate
+
+    def counted(matrix):
+        nonlocal probes
+        probes += 1
+        if probes > 200:
+            raise RuntimeError("lambda_min bisection did not terminate")
+        return real(matrix)
+
+    monkeypatch.setattr(witness_module, "witness_candidate", counted)
+    value = lambda_min(optimal_plane_start(), tol=1e-20)
+    assert value == pytest.approx(OPTIMAL_LAMBDA, abs=1e-12)
 
 
 def test_lambda_min_degenerate_line():
