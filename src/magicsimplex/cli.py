@@ -45,8 +45,6 @@ from .family import (
     horodecki_classification,
     horodecki_point,
     plane_point,
-    pt_min_eigenvalue,
-    pyramid_margin,
 )
 from .qmat import matrix_to_json
 from .regions import classify, grid_points, l_a, l_b, parse_grid, plane_grid_points, scan
@@ -338,46 +336,32 @@ def _cmd_witness(cfg: CommandConfig) -> int:
 _HORODECKI_CSV_HEADER = "b,alpha,beta,gamma,pyramid_margin,pt_min_eig,classification"
 
 
-def _horodecki_rows(b_values: Sequence[float]) -> list[tuple[float, FamilyPoint, float, float, str]]:
-    rows = []
-    for b in b_values:
-        p = horodecki_point(b)
-        rows.append(
-            (
-                b,
-                p,
-                pyramid_margin(p),
-                pt_min_eigenvalue(p),
-                classify(p).verdict.value,
-            )
-        )
-    return rows
-
-
 def _cmd_horodecki(cfg: CommandConfig) -> int:
     if (cfg.b is None) == (cfg.grid is None):
         raise ValueError("give exactly one of --b or --grid b0:b1:step")
     b_values = [cfg.b] if cfg.b is not None else parse_grid(cfg.grid)
-    rows = _horodecki_rows(b_values)
+    # Points on the line are states, so every row carries its PT minimum.
+    rows = [(b, classify(horodecki_point(b))) for b in b_values]
     with _open_out(cfg.out) as out:
         if cfg.format == "json":
             payload = [
                 {
                     "b": b,
-                    "alpha": p.alpha,
-                    "beta": p.beta,
-                    "gamma": p.gamma,
-                    "pyramid_margin": margin,
-                    "pt_min_eig": eig,
-                    "classification": verdict,
+                    "alpha": c.point.alpha,
+                    "beta": c.point.beta,
+                    "gamma": c.point.gamma,
+                    "pyramid_margin": c.pyramid_margin,
+                    "pt_min_eig": c.pt_min_eig,
+                    "classification": c.verdict.value,
                     "published": horodecki_classification(b).value,
                 }
-                for b, p, margin, eig, verdict in rows
+                for b, c in rows
             ]
             _emit(out, json.dumps(_json_round(payload), indent=2))
         else:
             _emit(out, _HORODECKI_CSV_HEADER)
-            for b, p, margin, eig, verdict in rows:
+            for b, c in rows:
+                p = c.point
                 _emit(
                     out,
                     ",".join(
@@ -386,9 +370,9 @@ def _cmd_horodecki(cfg: CommandConfig) -> int:
                             _fmt(p.alpha),
                             _fmt(p.beta),
                             _fmt(p.gamma),
-                            _fmt(margin),
-                            _fmt(eig),
-                            verdict,
+                            _fmt(c.pyramid_margin),
+                            _fmt(c.pt_min_eig),
+                            c.verdict.value,
                         )
                     ),
                 )

@@ -1,10 +1,10 @@
 """Small dense complex-matrix kernel.
 
 Everything in this package acts on Hilbert spaces of dimension at most nine
-(two qutrits), so the kernel favours determinism and transparency over
-asymptotic speed: the eigensolver is a hand-rolled cyclic Jacobi iteration,
-partial transposition is a pure index reshuffle, and the JSON wire format
-stores entries verbatim.
+(two qutrits), so the kernel favours transparency over asymptotic speed:
+the eigensolver is LAPACK's ``eigvalsh`` wrapped in input checks and
+trace-moment posts, partial transposition is a pure index reshuffle, and
+the JSON wire format stores entries verbatim.
 
 Conventions
 -----------
@@ -28,7 +28,6 @@ Array = np.ndarray
 __all__ = [
     "Array",
     "HERMITICITY_TOL",
-    "OFFDIAG_TARGET",
     "frobenius_norm",
     "hermitian_eigenvalues",
     "hermiticity_defect",
@@ -43,11 +42,6 @@ __all__ = [
 
 #: Max tolerated entry-wise asymmetry ``|M - M^H|`` for eigensolver input.
 HERMITICITY_TOL = 1e-10
-
-#: The Jacobi sweep stops once the off-diagonal Frobenius mass is below this.
-OFFDIAG_TARGET = 1e-13
-
-_MAX_SWEEPS = 64
 
 
 def _as_matrix(m: Any) -> Array:
@@ -99,106 +93,18 @@ def partial_transpose(m: Array, dim_a: int = 3, dim_b: int = 3) -> Array:
     )
 
 
-def _offdiag_norm_sq(a: Array) -> float:
-    # Summed directly with the diagonal masked out: subtracting the diagonal
-    # mass from the total cancels catastrophically near convergence.
-    sq = np.abs(a) ** 2
-    np.fill_diagonal(sq, 0.0)
-    return float(np.sum(sq))
-
-
-def _jacobi_diagonalize(a: Array, scale: float) -> Array:
-    """Cyclic Jacobi sweep on an exactly-Hermitian matrix; returns the diag."""
-    n = a.shape[0]
-    if n == 1:
-        return np.array([a[0, 0].real])
-    target_sq = (OFFDIAG_TARGET * max(scale, 1.0)) ** 2
-    # Rotations on pivots below this leave the off-diagonal mass within
-    # target even if every pair is skipped: n^2 * skip^2 <= target^2 / 4.
-    skip = OFFDIAG_TARGET * max(scale, 1.0) / (2.0 * n)
-
-    for _ in range(_MAX_SWEEPS):
-        if _offdiag_norm_sq(a) < target_sq:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                absq = abs(apq)
-                if absq <= skip:
-                    continue
-                app = a[p, p].real
-                aqq = a[q, q].real
-                phase = apq / absq
-                tau = (aqq - app) / (2.0 * absq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                cp = c * phase
-                sp = s * phase
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = cp * col_p - s * col_q
-                a[:, q] = sp * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = np.conj(cp) * row_p - s * row_q
-                a[q, :] = np.conj(sp) * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-    else:
-        raise ArithmeticError(
-            f"Jacobi iteration did not converge in {_MAX_SWEEPS} sweeps"
-        )
-    return np.diagonal(a).real.copy()
-
-
-def _zero_pattern_blocks(a: Array) -> list[np.ndarray]:
-    """Index groups connected through *exactly* non-zero entries.
-
-    Splitting on exact zeros is always sound: the discarded couplings are
-    identically zero, so the spectrum is the union of the block spectra.
-    Operators assembled from the tensor constructions in this package
-    (and their partial transposes) carry exact zero patterns that cut the
-    9x9 problem into 3x3 pieces.
-    """
-    n = a.shape[0]
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in np.argwhere(a != 0):
-        if i != j:
-            ri, rj = find(int(i)), find(int(j))
-            if ri != rj:
-                parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return [np.array(g) for g in groups.values()]
-
-
 def hermitian_eigenvalues(m: Array, *, hermiticity_tol: float = HERMITICITY_TOL) -> Array:
-    """All eigenvalues of a Hermitian matrix, ascending, via cyclic Jacobi.
+    """All eigenvalues of a Hermitian matrix, ascending, via LAPACK.
 
-    Each sweep visits every upper-triangle pair (p, q) once and applies a
-    complex Jacobi rotation: the phase of the pivot entry is absorbed into a
-    diagonal unitary so the remaining 2x2 problem is real symmetric, then
-    the rotation angle follows the usual stable half-angle formula.
-    Convergence is quadratic; nine-dimensional inputs settle in a handful of
-    sweeps.  Exactly-zero sparsity is exploited by splitting into
-    disconnected blocks first.
+    The input is checked, symmetrised and handed to ``np.linalg.eigvalsh``;
+    the returned spectrum must then reproduce the trace moments ``Tr M``
+    and ``Tr M^2`` of the input.
 
     Raises ``ValueError`` for non-Hermitian input (with the max asymmetry in
-    the message) and ``ArithmeticError`` if the sweep fails to converge or
-    the eigenvalue sums fail to reproduce the trace moments of the input.
+    the message) or non-finite entries, and ``ArithmeticError`` if the
+    eigenvalue sums fail to reproduce the trace moments of the input.
     """
-    a = _as_matrix(m).copy()
+    a = _as_matrix(m)
     n = a.shape[0]
     defect = float(np.max(np.abs(a - a.conj().T))) if n else 0.0
     if defect > hermiticity_tol:
@@ -208,21 +114,9 @@ def hermitian_eigenvalues(m: Array, *, hermiticity_tol: float = HERMITICITY_TOL)
 
     tr_in = float(np.trace(a).real)
     tr2_in = float(np.sum(np.abs(a) ** 2))  # Tr M^2 for Hermitian M
-
-    # Symmetrise once so the iteration below may assume exact Hermiticity.
-    a = 0.5 * (a + a.conj().T)
     scale = math.sqrt(tr2_in) if tr2_in > 0 else 1.0
 
-    blocks = _zero_pattern_blocks(a)
-    if len(blocks) == 1:
-        eigs = _jacobi_diagonalize(a, scale)
-    else:
-        pieces = [
-            _jacobi_diagonalize(a[np.ix_(idx, idx)].copy(), scale)
-            for idx in blocks
-        ]
-        eigs = np.concatenate(pieces)
-    eigs = np.sort(eigs)
+    eigs = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
 
     # Consistency posts: eigenvalues must reproduce Tr M and Tr M^2.
     tol = 1e-9 * max(1.0, scale)

@@ -34,18 +34,17 @@ it must and does agree with the matrix pipeline pointwise.
 Every production certificate is a sign test on a closed form of the three
 coordinates: the affine pyramid slacks, the partial-transpose spectrum
 (:func:`~.family.pt_block_eigenvalues`), the affine witness planes and the
-five half-spaces of the separable polytope.  The matrix pipeline (Jacobi
-partial-transpose spectrum, ``Tr(W rho)`` witness expectations, the blind
-slice probe :func:`trapezoid_vertices`) is kept as the oracle the closed
-forms are certified and tested against.
+five half-spaces of the separable polytope.  The matrix pipeline (the
+spectrum of the partial-transposed 9x9 state, ``Tr(W rho)`` witness
+expectations, the blind slice probe :func:`trapezoid_vertices`) is kept as
+the oracle the closed forms are certified and tested against.
 
 The separable polytope is the pyramid over the ``gamma = 0`` slice's PPT
 quadrilateral (corners :data:`SLICE_CORNERS`, in closed form) with apex
 ``(0, 0, 1)``, where the facet triangle closes.  Its vertices are certified
-against the Jacobi oracle when it is built.  The build restricted to
-non-negative ``gamma`` is the certified default; the mirrored variant
-exists for reporting only (its reflected apex is not even a state, so it
-certifies nothing).
+against the matrix oracle when it is built.  It lies in ``gamma >= 0``;
+on the ``gamma < 0`` side, points that no witness detects are left
+``Undetermined``.
 """
 
 from __future__ import annotations
@@ -83,7 +82,6 @@ __all__ = [
     "grid_points",
     "l_a",
     "l_b",
-    "mirrored_polygon_report",
     "parse_grid",
     "plane_grid_points",
     "scan",
@@ -349,8 +347,6 @@ class SeparablePolygon:
 
     vertices: tuple[PolygonVertex, ...]
     halfspaces: tuple[tuple[float, float, float, float], ...]
-    mirrored: bool
-    certified: bool
 
     def vertex_array(self) -> np.ndarray:
         return np.array([v.point.as_tuple() for v in self.vertices])
@@ -403,16 +399,15 @@ def _pyramid_halfspaces(
     return tuple(halfspaces)
 
 
-@lru_cache(maxsize=2)
-def build_polygon(mirrored: bool = False) -> SeparablePolygon:
+@lru_cache(maxsize=1)
+def build_polygon() -> SeparablePolygon:
     """Assemble the separable polytope (five vertices, built once).
 
     Four corners are the closed-form ``gamma = 0`` slice corners
     :data:`SLICE_CORNERS`; the fifth closes the facet triangle at
     ``(0, 0, 1)``, where the separability ceiling meets the cone trace.
-    Every vertex of the default build is verified against the positivity
-    slacks and the Jacobi partial-transpose oracle; the mirrored build
-    skips that check and is marked uncertified (reporting only).
+    Every vertex is verified against the positivity slacks and the
+    matrix partial-transpose oracle; the build raises if one fails.
     """
     verts = [
         PolygonVertex(FamilyPoint(a, b, 0.0), "gamma=0 slice corner")
@@ -421,61 +416,20 @@ def build_polygon(mirrored: bool = False) -> SeparablePolygon:
     verts.append(
         PolygonVertex(FamilyPoint(0.0, 0.0, 1.0), "facet curve crossing at gamma=1")
     )
-    if mirrored:
-        verts = [
-            PolygonVertex(v.point.mirrored(), v.provenance + " (mirrored)")
-            for v in verts
-        ]
-    certified = not mirrored
-    if certified:
-        for v in verts:
-            margin = pyramid_margin(v.point)
-            if margin < -1e-9:
-                raise ArithmeticError(
-                    f"polytope vertex {v.point.as_tuple()} is not a state"
-                )
-            eig = pt_min_eigenvalue(v.point)
-            if eig < -1e-6:
-                raise ArithmeticError(
-                    f"polytope vertex {v.point.as_tuple()} is NPT ({eig:.2e})"
-                )
+    for v in verts:
+        margin = pyramid_margin(v.point)
+        if margin < -1e-9:
+            raise ArithmeticError(f"polytope vertex {v.point.as_tuple()} is not a state")
+        eig = pt_min_eigenvalue(v.point)
+        if eig < -1e-6:
+            raise ArithmeticError(
+                f"polytope vertex {v.point.as_tuple()} is NPT ({eig:.2e})"
+            )
     halfspaces = _pyramid_halfspaces([v.point for v in verts[:-1]], verts[-1].point)
     logger.info(
-        "separable polytope built: %d vertices, %d facets, mirrored=%s",
-        len(verts),
-        len(halfspaces),
-        mirrored,
+        "separable polytope built: %d vertices, %d facets", len(verts), len(halfspaces)
     )
-    return SeparablePolygon(
-        vertices=tuple(verts),
-        halfspaces=halfspaces,
-        mirrored=mirrored,
-        certified=certified,
-    )
-
-
-def mirrored_polygon_report() -> dict:
-    """Validity report for the mirrored polytope (never used as evidence)."""
-    poly = build_polygon(mirrored=True)
-    entries = []
-    for v in poly.vertices:
-        margin = pyramid_margin(v.point)
-        entry: dict = {
-            "point": v.point.as_tuple(),
-            "provenance": v.provenance,
-            "pyramid_margin": margin,
-            "is_state": margin >= STATE_TOL,
-        }
-        if entry["is_state"]:
-            eig = pt_min_eigenvalue(v.point)
-            entry["pt_min_eig"] = eig
-            entry["is_ppt"] = eig >= PPT_TOL
-        entries.append(entry)
-    return {
-        "certified": poly.certified,
-        "all_vertices_states": all(e["is_state"] for e in entries),
-        "vertices": entries,
-    }
+    return SeparablePolygon(vertices=tuple(verts), halfspaces=halfspaces)
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,6 @@ __all__ = [
     "pl1_cone_start",
     "plane_tip_start",
     "product_state_vectors",
-    "random_product_state",
     "witness_candidate",
     "witness_plane",
 ]
@@ -617,12 +616,6 @@ def product_state_vectors(
     raw = rng.standard_normal((count, 2, 3)) + 1j * rng.standard_normal((count, 2, 3))
     raw /= np.linalg.norm(raw, axis=2, keepdims=True)
     return np.einsum("ni,nj->nij", raw[:, 0, :], raw[:, 1, :]).reshape(count, 9)
-
-
-def random_product_state(seed: int | np.random.Generator = DEFAULT_SEED) -> Array:
-    """One Haar-random product state as a 9x9 projector."""
-    v = product_state_vectors(1, seed)[0]
-    return np.outer(v, v.conj())
 
 
 def min_product_expectation(

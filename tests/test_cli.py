@@ -190,6 +190,21 @@ def test_horodecki_json_includes_published_label(capsys):
     assert rows[0]["classification"] == "BoundEntangled"
 
 
+@pytest.mark.parametrize("b", ["1", "4"])
+def test_horodecki_pt_min_eig_matches_classify(capsys, b):
+    # At the published NPT edges the PT minimum is exactly 0 in closed form;
+    # both subcommands must report the same number for the same point.
+    code, out, _ = run_cli(capsys, "horodecki", "--b", b)
+    assert code == 0
+    line_eig = out.strip().splitlines()[1].split(",")[5]
+    code, out, _ = run_cli(capsys, "classify", "--b", b)
+    assert code == 0
+    point_eig = next(
+        ln.split(": ")[1] for ln in out.splitlines() if ln.startswith("pt_min_eig:")
+    )
+    assert line_eig == point_eig == "0"
+
+
 def test_horodecki_requires_exactly_one_selector(capsys):
     code, _, err = run_cli(capsys, "horodecki")
     assert code == 2

@@ -1,9 +1,9 @@
 """The closed-form classifier against the matrix pipeline it replaces.
 
 The oracle verdict is rebuilt here from the matrix route: the pyramid
-slacks, the Jacobi partial-transpose spectrum, ``Tr(W rho)`` for every
-deployed witness and a non-negative least-squares hull test on the
-polytope's vertices.  ``classify`` must reproduce it on every point, and
+slacks, the spectrum of the partial-transposed 9x9 state (LAPACK through
+``qmat.hermitian_eigenvalues``), ``Tr(W rho)`` for every deployed witness
+and a non-negative least-squares hull test on the polytope's vertices.  ``classify`` must reproduce it on every point, and
 its evidence must match the oracle's numbers to 1e-12.
 """
 

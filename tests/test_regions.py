@@ -18,7 +18,6 @@ from magicsimplex.regions import (
     grid_points,
     l_a,
     l_b,
-    mirrored_polygon_report,
     parse_grid,
     plane_grid_points,
     scan,
@@ -78,7 +77,6 @@ def test_trapezoid_corners_match_closed_forms():
 
 def test_polygon_membership_examples():
     poly = build_polygon()
-    assert poly.certified
     assert poly.contains(FamilyPoint(0.0, 0.0, 0.0))
     assert poly.contains(FamilyPoint(0.0, 0.0, 1.0))  # a vertex
     assert not poly.contains(FamilyPoint(1.0, 0.0, 0.0))  # NPT point
@@ -109,12 +107,6 @@ def test_membership_residual_scales():
     outside = poly.membership_residual(FamilyPoint(1.0, 0.0, 0.0))
     assert inside <= 1e-9
     assert outside > 1e-3
-
-
-def test_mirrored_polygon_is_reported_not_certified():
-    report = mirrored_polygon_report()
-    assert report["certified"] is False
-    assert len(report["vertices"]) == 5
 
 
 # ---------------------------------------------------------------------------
