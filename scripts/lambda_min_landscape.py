@@ -25,11 +25,10 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--epsilon", default="-0.05:0.3:0.01", help="grid spec lo:hi:step")
     ap.add_argument("--gamma", default="0.05:0.6:0.01", help="grid spec lo:hi:step")
-    ap.add_argument("--tol", type=float, default=1e-9)
     ap.add_argument("--out", default=None, help="CSV path (default: stdout)")
     args = ap.parse_args(argv)
 
-    def onset(eps: float, gam: float, tol: float) -> float | None:
+    def onset(eps: float, gam: float) -> float | None:
         """lambda_min at the patch point, or None off the PPT cone."""
         start = plane_point(eps, gam)
         try:
@@ -37,7 +36,7 @@ def main(argv=None) -> int:
                 return None
         except ValueError:  # not even a state at this grid point
             return None
-        return lambda_min(start, tol=tol)
+        return lambda_min(start)
 
     rows = []
     best = (math.inf, None)
@@ -45,14 +44,14 @@ def main(argv=None) -> int:
     skipped = 0
     for eps in parse_grid(args.epsilon):
         for gam in parse_grid(args.gamma):
-            lam = onset(eps, gam, args.tol)
+            lam = onset(eps, gam)
             if lam is None:
                 skipped += 1
                 continue
             rows.append((eps, gam, lam))
             if lam < best[0]:
                 best = (lam, (eps, gam))
-            lam_m = onset(eps, -gam, args.tol)
+            lam_m = onset(eps, -gam)
             if lam_m is not None:
                 mirror_dev = max(mirror_dev, abs(lam - lam_m))
 

@@ -2,7 +2,7 @@
 
 The package classifies family members as separable, bound entangled, NPT
 entangled, or undetermined, using stacked sound certificates: closed-form
-positivity, a partial-transpose eigenvalue oracle, a battery of
+positivity, the closed-form partial-transpose spectrum, a battery of
 constructed entanglement witnesses, and an inner polytope of separable
 states.  See :mod:`magicsimplex.regions` for the pipeline and
 :mod:`magicsimplex.witness` for the witness constructions.

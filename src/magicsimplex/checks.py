@@ -95,7 +95,7 @@ def _ppt_starts(rng: np.random.Generator, count: int) -> list[FamilyPoint]:
 
 def _check_deepest_line(seed: int) -> CheckResult:
     expected = (3.0 + math.sqrt(13.0)) / 8.0
-    computed = lambda_min(optimal_plane_start(), tol=1e-9)
+    computed = lambda_min(optimal_plane_start())
     if computed is None:
         computed = math.inf
     return CheckResult(
@@ -115,7 +115,7 @@ def _check_deepest_line(seed: int) -> CheckResult:
 def _check_cone_edge_line(seed: int) -> CheckResult:
     expected = 7.0 * (2328.0 + 331.0 * math.sqrt(39.0)) / 32763.0
     start = pl1_cone_start()
-    computed = lambda_min(start, tol=1e-9)
+    computed = lambda_min(start)
     if computed is None:
         computed = math.inf
     return CheckResult(

@@ -47,10 +47,8 @@ from .family import (
     plane_point,
 )
 from .qmat import matrix_to_json
-from .regions import classify, grid_points, l_a, l_b, parse_grid, plane_grid_points, scan
+from .regions import FACET_DOMAIN, classify, grid_points, l_a, l_b, parse_grid, plane_grid_points, scan
 from .witness import DEFAULT_SEED, deployed_witnesses, lambda_min
-
-_FACET_DOMAIN_LIMIT = 2.0 / 3.0**0.5
 
 
 def _fmt(x: float) -> str:
@@ -68,6 +66,11 @@ def _json_round(value: Any) -> Any:
     return value
 
 
+#: The one stderr handler :func:`main` attaches, however often it runs.
+_LOG_HANDLER = logging.StreamHandler()
+_LOG_HANDLER.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+
+
 def _configure_logging() -> None:
     level_name = os.environ.get("MAGIC_SIMPLEX_LOG")
     if not level_name:
@@ -76,10 +79,10 @@ def _configure_logging() -> None:
     if not isinstance(level, int):
         print(f"ignoring unknown MAGIC_SIMPLEX_LOG level {level_name!r}", file=sys.stderr)
         return
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    # In-process callers may have swapped sys.stderr since the last call.
+    _LOG_HANDLER.stream = sys.stderr
     pkg_logger = logging.getLogger("magicsimplex")
-    pkg_logger.addHandler(handler)
+    pkg_logger.addHandler(_LOG_HANDLER)  # no-op when already attached
     pkg_logger.setLevel(level)
 
 
@@ -109,7 +112,6 @@ class CommandConfig:
     plane: bool = False
     name: str | None = None
     only: str | None = None
-    tol: float = 1e-8
     format: str = "text"
     out: str | None = None
     seed: int = DEFAULT_SEED
@@ -249,7 +251,7 @@ def _cmd_scan(cfg: CommandConfig) -> int:
             samples = [
                 {"gamma": g, "l_a": l_a(g), "l_b": l_b(g)}
                 for g in gammas
-                if abs(g) <= _FACET_DOMAIN_LIMIT
+                if abs(g) <= FACET_DOMAIN
             ]
             payload = {
                 "rows": len(result.rows),
@@ -267,14 +269,13 @@ def _cmd_scan(cfg: CommandConfig) -> int:
 
 def _cmd_lambda_min(cfg: CommandConfig) -> int:
     point = _resolve_point(cfg)
-    value = lambda_min(point, tol=cfg.tol)
+    value = lambda_min(point)
     with _open_out(cfg.out) as out:
         if cfg.format == "json":
             payload = {
                 "alpha": point.alpha,
                 "beta": point.beta,
                 "gamma": point.gamma,
-                "tol": cfg.tol,
                 "lambda_min": value,
             }
             _emit(out, json.dumps(_json_round(payload), indent=2))
@@ -439,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
         "lambda-min", help="first safe-witness parameter along the line to the center"
     )
     _add_point_flags(p_lambda)
-    p_lambda.add_argument("--tol", type=float, default=1e-8)
     p_lambda.add_argument("--format", choices=("text", "json"), default="text")
     p_lambda.add_argument("--out", default=None)
 

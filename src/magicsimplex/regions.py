@@ -109,7 +109,8 @@ SLICE_CORNERS = (
     (-1.0 / 12.0, 1.0 / 3.0),
 )
 
-_FACET_DOMAIN = 2.0 / math.sqrt(3.0)
+#: Largest ``|gamma|`` on which the facet curves :func:`l_a`/:func:`l_b` are defined.
+FACET_DOMAIN = 2.0 / math.sqrt(3.0)
 
 
 def l_a(gamma: float) -> float:
@@ -225,7 +226,7 @@ def boundary_plane_region(gamma: float, beta: float) -> Classification:
     if margin < STATE_TOL:
         return Classification(pt, Verdict.NOT_A_STATE, margin)
     ceiling = l_a(gamma)
-    cone = l_b(gamma) if abs(gamma) <= _FACET_DOMAIN else None
+    cone = l_b(gamma) if abs(gamma) <= FACET_DOMAIN else None
     if 0.0 <= gamma <= 1.0 and beta <= ceiling:
         return Classification(
             pt,

@@ -27,9 +27,12 @@ e.g. an entangled-basis projector is positive yet fails it.)
 Along a fixed line, feasibility of ``C_l`` is monotone in ``l`` (the
 identity coefficient grows affinely while the off-identity table is
 ``l``-independent up to a common positive factor), so the smallest
-witness-yielding parameter ``lambda_min`` is found by bisection and has a
-closed form used as a cross-check.  The ``l -> 1`` limit of
+witness-yielding parameter ``lambda_min`` is where the identity
+coefficient reaches twice the largest off-identity one; it is computed in
+closed form from the start's coefficient table.  The ``l -> 1`` limit of
 ``C_l / (l (1 - l))`` is the tangent-plane witness ``purity * 1 - rho``.
+The start of ``Pl3`` -- where the ``Pl1`` plane meets the PPT cone -- is a
+closed form too (:func:`pl1_cone_start`).
 
 Geometrically each witness is an affine functional of the family
 coordinates, i.e. a plane ``alpha = b * beta + g * gamma + c``;
@@ -50,14 +53,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .family import (
-    FamilyPoint,
-    family_state,
-    is_ppt,
-    plane_point,
-    pt_min_eigenvalue,
-    pyramid_margin,
-)
+from .family import FamilyPoint, family_state, is_ppt, plane_point
 from .qmat import Array, hs_inner
 from .weyl import WeylCoefficients, weyl_tensor_decompose, weyl_tensor_reconstruct
 
@@ -74,7 +70,6 @@ __all__ = [
     "c_limit",
     "deployed_witnesses",
     "lambda_min",
-    "lambda_min_closed_form",
     "lemma_feasible",
     "line_state",
     "min_product_expectation",
@@ -100,8 +95,6 @@ FEASIBLE_SLACK = 1e-12
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 NOT_IN_SPAN = "not-in-span"
-
-_MAX_ENTANGLED_PURITY_GAP = 1.0 / 9.0  # purity of the maximally mixed state
 
 
 @dataclass(frozen=True)
@@ -172,6 +165,21 @@ def lemma_feasible(matrix: Array) -> tuple[bool, tuple[float, float] | None]:
     return cand.feasible, cand.a_interval
 
 
+def _require_ppt(start: FamilyPoint | tuple[float, float, float]) -> None:
+    """Raise ``ValueError`` unless ``start`` is a PPT state.
+
+    The line construction hunts entanglement the partial transpose cannot
+    see, so every entry point that takes a start checks it here.
+    """
+    point = start if isinstance(start, FamilyPoint) else FamilyPoint(*start)
+    result = is_ppt(point)  # raises for a point that is not a state
+    if not result.is_ppt:
+        raise ValueError(
+            f"start {point.as_tuple()} is NPT (smallest partial-transpose "
+            f"eigenvalue {result.pt_min_eigenvalue:.3e}); use a PPT start"
+        )
+
+
 def _candidate_from_coefficients(coeffs: WeylCoefficients) -> WitnessCandidate:
     matrix = weyl_tensor_reconstruct(coeffs)
     status, interval = _analyze_coefficients(coeffs)
@@ -200,13 +208,7 @@ class LineSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"line parameter must lie in [0, 1], got {self.lam}")
-        result = is_ppt(self.start)
-        if not result.is_ppt:
-            raise ValueError(
-                f"line start {self.start.as_tuple()} is NPT (smallest partial-"
-                f"transpose eigenvalue {result.pt_min_eigenvalue:.3e}); "
-                "use a PPT start"
-            )
+        _require_ppt(self.start)
 
 
 def _mixed_with_center(rho: Array, lam: float) -> Array:
@@ -223,6 +225,17 @@ def _c_lambda_matrix(rho: Array, lam: float) -> Array:
     diff = rho_l - rho
     shift = hs_inner(rho_l, diff).real
     return diff - shift * np.eye(9, dtype=complex)
+
+
+def _scaled_line_operator(rho: Array, lam: float) -> Array:
+    """``C_l / (1 - l) = (l * purity + (1 - l) / 9) * 1 - rho``.
+
+    A positive multiple of ``C_l``, hence the same safety verdict, without
+    the cancellation in ``rho_l - rho`` as ``l -> 1``; at ``l = 1`` it is
+    the endpoint limit ``purity * 1 - rho``.
+    """
+    purity = hs_inner(rho, rho).real
+    return (lam * purity + (1.0 - lam) / 9.0) * np.eye(9, dtype=complex) - rho
 
 
 def c_lambda(spec: LineSpec) -> WitnessCandidate:
@@ -246,93 +259,45 @@ def c_limit(start: FamilyPoint) -> WitnessCandidate:
 
     Tangent to the line at its far end: ``Tr(C rho) = 0`` exactly.
     """
-    result = is_ppt(start)
-    if not result.is_ppt:
-        raise ValueError(
-            f"start {start.as_tuple()} is NPT "
-            f"({result.pt_min_eigenvalue:.3e}); use a PPT start"
-        )
-    rho = family_state(start)
-    purity = hs_inner(rho, rho).real
-    return witness_candidate(purity * np.eye(9, dtype=complex) - rho)
+    _require_ppt(start)
+    return witness_candidate(_scaled_line_operator(family_state(start), 1.0))
 
 
-def lambda_min_closed_form(start: FamilyPoint) -> float | None:
-    """Smallest feasible line parameter, via the coefficient algebra.
-
-    Along the line the identity coefficient of ``C_l / (1 - l)`` is
-    ``l * (purity - 1/9)`` while every off-identity coefficient is the
-    negated table of ``rho``; the safety threshold is therefore crossed at
-    ``l = 2 * max|t| / (purity - 1/9)``.  Returns ``None`` when this
-    exceeds one (no point of the segment yields a witness).
-    """
-    rho = family_state(start)
-    slope = hs_inner(rho, rho).real - _MAX_ENTANGLED_PURITY_GAP
-    if slope <= 1e-15:
-        return None
-    t_max = weyl_tensor_decompose(rho).max_off_identity()
-    lam = 2.0 * t_max / slope
-    if lam > 1.0 + 1e-9:
-        return None
-    return min(lam, 1.0)
-
-
-def lambda_min(start: FamilyPoint, tol: float = 1e-9) -> float | None:
+def lambda_min(start: FamilyPoint) -> float | None:
     """Smallest ``l`` in ``[0, 1]`` whose line operator is product-safe.
 
-    Bisection against the actual candidate pipeline (matrix build plus
-    decomposition each probe), validated two ways: spot checks that
-    feasibility is monotone across the final bracket, and agreement with
-    :func:`lambda_min_closed_form` to within the bisection tolerance.  A
-    ``tol`` below the float spacing stops at adjacent floats.
-    Returns ``None`` when even the endpoint limit is unsafe.  Raises
-    ``ValueError`` for a non-positive tolerance or an NPT start.
+    Along the line ``C_l / (1 - l)`` has identity coefficient
+    ``l * (purity - 1/9)`` while its off-identity coefficients are the
+    negated table ``t`` of ``rho``, so the safety threshold is crossed at
+
+        l = 2 * max|t| / (purity - 1/9),
+
+    with ``purity - 1/9 = 9 * sum |t|^2`` over the off-identity entries
+    (Parseval), summed rather than subtracted so that starts near the
+    maximally mixed state cannot cancel it to rounding noise.  Returns
+    ``None`` when this exceeds ``1 + FEASIBLE_SLACK``, which is exactly
+    where the endpoint operator ``purity * 1 - rho`` fails the criterion.
+    As a post, the operator at the returned ``l`` must pass
+    :func:`witness_candidate`, else ``ArithmeticError``.  Raises
+    ``ValueError`` for a start that is not a PPT state.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    result = is_ppt(start)
-    if not result.is_ppt:
-        raise ValueError(
-            f"start {start.as_tuple()} is NPT "
-            f"({result.pt_min_eigenvalue:.3e}); use a PPT start"
-        )
+    _require_ppt(start)
     rho = family_state(start)
-
-    def feasible_at(lam: float) -> bool:
-        if lam >= 1.0:
-            purity = hs_inner(rho, rho).real
-            mat = purity * np.eye(9, dtype=complex) - rho
-        else:
-            mat = _c_lambda_matrix(rho, lam)
-        return witness_candidate(mat).feasible
-
-    if not feasible_at(1.0):
+    coeffs = weyl_tensor_decompose(rho)
+    slope = 9.0 * sum(
+        abs(v) ** 2 for key, v in coeffs.coeffs.items() if key != (0, 0)
+    )
+    if slope <= 0.0:
+        return None  # the maximally mixed state: every line operator vanishes
+    lam = 2.0 * coeffs.max_off_identity() / slope
+    if lam > 1.0 + FEASIBLE_SLACK:
         return None
-    lo, hi = 0.0, 1.0  # lo is always infeasible: C_0 has zero identity part
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break  # the bracket is down to adjacent floats
-        if feasible_at(mid):
-            hi = mid
-        else:
-            lo = mid
-
-    # Monotonicity spot checks on both sides of the bracket.
-    if not feasible_at(0.5 * (hi + 1.0)):
+    lam = min(lam, 1.0)
+    if not witness_candidate(_scaled_line_operator(rho, lam)).feasible:
         raise ArithmeticError(
-            "feasibility is not monotone along the line (upper spot check)"
+            f"the line operator at the closed-form onset {lam!r} is not product-safe"
         )
-    if lo > 0.0 and feasible_at(0.5 * lo):
-        raise ArithmeticError(
-            "feasibility is not monotone along the line (lower spot check)"
-        )
-    closed = lambda_min_closed_form(start)
-    if closed is not None and abs(hi - closed) > max(10.0 * tol, 1e-8):
-        raise ArithmeticError(
-            f"bisection ({hi!r}) disagrees with the closed form ({closed!r})"
-        )
-    return hi
+    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -370,49 +335,19 @@ def plane_tip_start() -> FamilyPoint:
     return plane_point(-0.25, 0.25)
 
 
-def pl1_cone_start(
-    gamma: float = 2.0 / 7.0,
-    *,
-    beta_bracket: tuple[float, float] = (-0.3, 0.1),
-    tol: float = 1e-12,
-) -> FamilyPoint:
-    """Where the ``Pl1`` witness plane meets the PPT cone at fixed ``gamma``.
+def pl1_cone_start() -> FamilyPoint:
+    """Where the ``Pl1`` witness plane meets the PPT cone at ``gamma = 2/7``.
 
-    Walks the plane ``alpha = (4 beta + 2 (1 - gamma)) / 5`` in ``beta``,
-    brackets the sign change of the smallest partial-transpose eigenvalue
-    among valid states, and bisects it to ``tol``.  The returned point lies
-    on the PPT side of the crossing to within the oracle's tolerance.
+    On the plane ``alpha = (4 beta + 2 (1 - gamma)) / 5`` the smallest
+    partial-transpose eigenvalue ``e_minus`` (see
+    :func:`~magicsimplex.family.pt_block_eigenvalues`, with its ``w`` and
+    ``y = alpha - beta/2``) vanishes where ``9 w (w + gamma/3) = y^2``.
+    At ``gamma = 2/7`` that reads ``1323 beta^2 - 2520 beta - 100 = 0``,
+    whose root in ``(-0.3, 0.1)`` is ``beta = 10 (6 - sqrt 39) / 63``.
     """
-
-    def on_plane(beta: float) -> FamilyPoint:
-        return FamilyPoint(
-            (4.0 * beta + 2.0 * (1.0 - gamma)) / 5.0, beta, gamma
-        )
-
-    lo = hi = None
-    prev: tuple[float, float] | None = None
-    for beta in np.linspace(beta_bracket[0], beta_bracket[1], 41):
-        p = on_plane(float(beta))
-        if pyramid_margin(p) < 0.0:
-            prev = None
-            continue
-        eig = pt_min_eigenvalue(p)
-        if prev is not None and prev[1] >= 0.0 > eig:
-            lo, hi = prev[0], float(beta)
-            break
-        prev = (float(beta), eig)
-    if lo is None or hi is None:
-        raise ValueError(
-            f"no PPT-to-NPT crossing on the plane at gamma={gamma} within "
-            f"beta bracket {beta_bracket}"
-        )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if pt_min_eigenvalue(on_plane(mid)) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return on_plane(0.5 * (lo + hi))
+    gamma = 2.0 / 7.0
+    beta = 10.0 * (6.0 - math.sqrt(39.0)) / 63.0
+    return FamilyPoint((4.0 * beta + 2.0 * (1.0 - gamma)) / 5.0, beta, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -528,13 +463,13 @@ def deployed_witnesses() -> tuple[DeployedWitness, ...]:
     tip = c_limit(plane_tip_start())
 
     start2 = optimal_plane_start()
-    lam2 = lambda_min(start2, tol=1e-10)
+    lam2 = lambda_min(start2)
     if lam2 is None:
         raise ArithmeticError("the optimal start unexpectedly yields no witness")
     deep = c_lambda(LineSpec(start2, lam2))
 
     start3 = pl1_cone_start()
-    lam3 = lambda_min(start3, tol=1e-10)
+    lam3 = lambda_min(start3)
     if lam3 is None:
         raise ArithmeticError("the cone-edge start unexpectedly yields no witness")
     edge = c_lambda(LineSpec(start3, lam3))

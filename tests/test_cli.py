@@ -1,6 +1,7 @@
 """CLI behavior: flag handling, exit codes, formats, determinism."""
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from magicsimplex.cli import CommandConfig, main, run
+from magicsimplex.witness import deployed_witnesses
 
 #: PYTHONPATH for subprocesses: this checkout's sources first, so the
 #: tests pass without installing the package.
@@ -104,11 +106,22 @@ def test_lambda_min_near_optimal_point(capsys):
         "lambda-min",
         "--epsilon", "0.119429",
         "--gamma", "0.345586",
-        "--tol", "1e-9",
     )
     assert code == 0
     value = float(out.split(":")[1])
     assert abs(value - 0.825694) <= 1e-5
+
+
+def test_lambda_min_has_no_tolerance(capsys):
+    # the onset is a closed form: no --tol flag, no tol key in the JSON
+    code, _, err = run_cli(
+        capsys, "lambda-min", "--epsilon", "0.119429", "--gamma", "0.345586", "--tol", "1e-9"
+    )
+    assert code == 2
+    assert "--tol" in err
+    code, out, _ = run_cli(capsys, "lambda-min", "--b", "1.5", "--format", "json")
+    assert code == 0
+    assert set(json.loads(out)) == {"alpha", "beta", "gamma", "lambda_min"}
 
 
 def test_lambda_min_rejects_npt_point(capsys):
@@ -343,6 +356,25 @@ def test_subprocess_logging_env():
     )
     assert proc.returncode == 0
     assert "witness Pl1" in proc.stderr
+
+
+def test_logging_handler_attached_once(capsys, monkeypatch):
+    # main() may run many times in one process; each battery build must
+    # log each witness plane once, not once per earlier main() call.
+    pkg_logger = logging.getLogger("magicsimplex")
+    saved = (pkg_logger.handlers[:], pkg_logger.level)
+    monkeypatch.setenv("MAGIC_SIMPLEX_LOG", "INFO")
+    try:
+        for _ in range(2):
+            deployed_witnesses.cache_clear()
+            code, _, err = run_cli(capsys, "classify", "--b", "1.5")
+            assert code == 0
+            for name in ("Pl1", "Pl2", "Pl3"):
+                assert err.count(f"witness {name}:") == 1, err
+    finally:
+        pkg_logger.handlers[:], level = saved
+        pkg_logger.setLevel(level)
+        deployed_witnesses.cache_clear()
 
 
 def test_cli_import_leaves_scipy_out():

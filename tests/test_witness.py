@@ -1,5 +1,6 @@
 """Witness construction tests: feasibility criterion, line operators,
-crossing search, plane extraction, and the deployed battery."""
+closed-form crossings against in-test bisection oracles, plane extraction,
+and the deployed battery."""
 
 import math
 
@@ -8,8 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magicsimplex import witness as witness_module
-from magicsimplex.family import FamilyPoint, family_state, horodecki_point, plane_point
+from magicsimplex.checks import run_all
+from magicsimplex.family import (
+    FamilyPoint,
+    family_state,
+    horodecki_point,
+    is_ppt,
+    plane_point,
+    pt_block_eigenvalues,
+    pt_min_eigenvalue,
+    pyramid_margin,
+)
 from magicsimplex.qmat import frobenius_norm, hs_inner
 from magicsimplex.weyl import bell_projector
 from magicsimplex.witness import (
@@ -25,7 +35,6 @@ from magicsimplex.witness import (
     c_limit,
     deployed_witnesses,
     lambda_min,
-    lambda_min_closed_form,
     lemma_feasible,
     line_state,
     min_product_expectation,
@@ -144,65 +153,78 @@ def test_c_limit_closed_form():
 
 
 # ---------------------------------------------------------------------------
-# Crossing search
+# Closed-form crossings against bisection oracles
 # ---------------------------------------------------------------------------
 
 
+def bisected_lambda_min(start, tol=1e-10):
+    """Oracle: bisect the (monotone) safety verdict of the line operator."""
+    if not c_limit(start).feasible:
+        return None
+    lo, hi = 0.0, 1.0  # lo is always infeasible: C_0 has zero identity part
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if c_lambda(LineSpec(start, mid)).feasible:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def seeded_ppt_starts(count, seed=17):
+    """PPT states, half from the standard box and half near the facet patch."""
+    rng = np.random.default_rng(seed)
+    starts = []
+    while len(starts) < count:
+        if len(starts) % 2:
+            p = FamilyPoint(*rng.uniform((-0.5, -1.0, -1.0), (1.5, 1.0, 1.2)))
+        else:
+            # facet points near the optimal start, pulled slightly inward
+            p = plane_point(*rng.uniform((-0.05, -0.6), (0.3, 0.6)))
+            shrink = rng.uniform(0.97, 1.0)
+            p = FamilyPoint(shrink * p.alpha, shrink * p.beta, shrink * p.gamma)
+        if pyramid_margin(p) >= 0.0 and is_ppt(p).is_ppt:
+            starts.append(p)
+    return starts
+
+
 def test_lambda_min_argument_errors():
-    with pytest.raises(ValueError):
-        lambda_min(ORIGIN, tol=0.0)
     with pytest.raises(ValueError, match="NPT"):
         lambda_min(FamilyPoint(1.0, 0.0, 0.0))
-
-
-def test_lambda_min_tolerance_below_float_spacing(monkeypatch):
-    # The bracket cannot shrink below adjacent floats; bisection must stop
-    # there instead of looping forever.
-    probes = 0
-    real = witness_module.witness_candidate
-
-    def counted(matrix):
-        nonlocal probes
-        probes += 1
-        if probes > 200:
-            raise RuntimeError("lambda_min bisection did not terminate")
-        return real(matrix)
-
-    monkeypatch.setattr(witness_module, "witness_candidate", counted)
-    value = lambda_min(optimal_plane_start(), tol=1e-20)
-    assert value == pytest.approx(OPTIMAL_LAMBDA, abs=1e-12)
+    with pytest.raises(ValueError, match="NPT"):
+        lambda_min((1.0, 0.0, 0.0))  # plain tuples are accepted as points
 
 
 def test_lambda_min_degenerate_line():
     assert lambda_min(ORIGIN) is None
-    assert lambda_min_closed_form(ORIGIN) is None
 
 
 def test_lambda_min_at_facet_tip_is_one():
-    assert lambda_min(plane_tip_start(), tol=1e-10) == pytest.approx(1.0, abs=1e-9)
-    assert lambda_min_closed_form(plane_tip_start()) == pytest.approx(1.0, abs=1e-12)
+    assert lambda_min(plane_tip_start()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lambda_min_deepest_start():
-    value = lambda_min(optimal_plane_start(), tol=1e-10)
-    assert value == pytest.approx(OPTIMAL_LAMBDA, abs=1e-7)
+    value = lambda_min(optimal_plane_start())
+    assert value == pytest.approx(OPTIMAL_LAMBDA, abs=1e-12)
 
 
 def test_lambda_min_two_routes_agree():
-    rng = np.random.default_rng(17)
-    checked = 0
-    while checked < 6:
-        p = FamilyPoint(*rng.uniform((-0.15, -0.3, -0.2), (0.25, 0.1, 0.4)))
-        try:
-            bisected = lambda_min(p, tol=1e-10)
-        except ValueError:
-            continue  # not a state or NPT; resample
-        closed = lambda_min_closed_form(p)
-        if bisected is None:
-            assert closed is None or closed > 1.0 - 1e-9
-        else:
-            assert closed == pytest.approx(bisected, abs=1e-8)
-        checked += 1
+    # the closed form against bisection on the operator it predicts
+    starts = [ORIGIN, plane_tip_start(), optimal_plane_start()] + seeded_ppt_starts(300)
+    found = 0
+    for p in starts:
+        closed = lambda_min(p)
+        bisected = bisected_lambda_min(p)
+        assert (closed is None) == (bisected is None), p
+        if closed is not None:
+            assert closed == pytest.approx(bisected, abs=1e-8), p
+            found += 1
+    assert 40 <= found <= len(starts) - 40  # both outcomes well represented
+
+
+def test_line_crossing_checks_are_exact():
+    for res in run_all(only=[1, 2]):
+        assert abs(res.computed - res.expected) <= 1e-12, res
 
 
 def test_optimal_start_constants():
@@ -221,6 +243,26 @@ def test_cone_start_closed_form_beta():
     assert start.gamma == pytest.approx(2.0 / 7.0, abs=1e-15)
     # the point sits on the flat witness plane
     assert abs(plane_residual("Pl1", start)) <= 1e-12
+
+
+def test_cone_start_is_on_the_cone():
+    start = pl1_cone_start()
+    assert abs(min(pt_block_eigenvalues(start))) <= 1e-15
+
+    def on_plane(beta):
+        return FamilyPoint((4.0 * beta + 2.0 * (1.0 - start.gamma)) / 5.0, beta, start.gamma)
+
+    # oracle: bisect the matrix PT minimum along the Pl1 plane
+    lo, hi = -0.1, 0.0
+    assert pt_min_eigenvalue(on_plane(lo)) >= 0.0 > pt_min_eigenvalue(on_plane(hi))
+    while hi - lo > 1e-14:
+        mid = 0.5 * (lo + hi)
+        if pt_min_eigenvalue(on_plane(mid)) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    assert start.beta == pytest.approx(lo, abs=1e-12)
+    assert start.alpha == pytest.approx(on_plane(lo).alpha, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
