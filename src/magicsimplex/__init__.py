@@ -41,7 +41,6 @@ from .witness import (
     c_limit,
     deployed_witnesses,
     lambda_min,
-    lemma_feasible,
     line_state,
     optimal_plane_start,
     pl1_cone_start,
@@ -71,7 +70,6 @@ __all__ = [
     "l_a",
     "l_b",
     "lambda_min",
-    "lemma_feasible",
     "line_state",
     "optimal_plane_start",
     "pl1_cone_start",

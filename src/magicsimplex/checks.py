@@ -43,6 +43,7 @@ from .witness import (
     OPTIMAL_GAMMA,
     c_lambda,
     c_limit,
+    deployed_witness,
     deployed_witnesses,
     lambda_min,
     min_product_expectation,
@@ -187,7 +188,7 @@ def _check_facet_crossings(seed: int) -> CheckResult:
 
 def _check_flat_face_functional(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed + 5)
-    witness = next(w for w in deployed_witnesses() if w.name == "Pl1")
+    witness = deployed_witness("Pl1")
     pts = _box_points(rng, 100)
     values = np.array(
         [hs_inner(witness.candidate.matrix, family_state(p)).real for p in pts]
@@ -286,9 +287,7 @@ def _check_product_safety(seed: int) -> CheckResult:
     worst = math.inf
     details = []
     for w in deployed_witnesses():
-        value = min_product_expectation(
-            w.candidate.matrix, count=100_000, seed=DEFAULT_SEED
-        )
+        value = min_product_expectation(w.candidate.matrix, count=100_000)
         details.append(f"{w.name}:{value:.2e}")
         worst = min(worst, value)
     return CheckResult(

@@ -47,12 +47,19 @@ from .family import (
     plane_point,
 )
 from .qmat import matrix_to_json
-from .regions import FACET_DOMAIN, classify, grid_points, l_a, l_b, parse_grid, plane_grid_points, scan
-from .witness import DEFAULT_SEED, deployed_witnesses, lambda_min
-
-
-def _fmt(x: float) -> str:
-    return "%.12g" % (x + 0.0)  # adding 0.0 normalizes -0.0
+from .regions import (
+    CSV_HEADER,
+    FACET_DOMAIN,
+    classify,
+    format_number as _fmt,
+    grid_points,
+    l_a,
+    l_b,
+    parse_grid,
+    plane_grid_points,
+    scan,
+)
+from .witness import DEFAULT_SEED, deployed_witness, deployed_witnesses, lambda_min
 
 
 def _json_round(value: Any) -> Any:
@@ -187,8 +194,6 @@ def _cmd_classify(cfg: CommandConfig) -> int:
     row = classify(point)
     with _open_out(cfg.out) as out:
         if cfg.format == "csv":
-            from .regions import CSV_HEADER
-
             _emit(out, CSV_HEADER)
             _emit(out, row.csv_row())
         elif cfg.format == "json":
@@ -287,29 +292,26 @@ def _cmd_lambda_min(cfg: CommandConfig) -> int:
 
 
 def _witness_payload(name: str) -> dict[str, Any]:
-    for w in deployed_witnesses():
-        if w.name == name:
-            plane = w.plane
-            lo, hi = w.candidate.a_interval
-            return {
-                "name": w.name,
-                "matrix": matrix_to_json(w.candidate.matrix),
-                "plane": {
-                    "a_coeff": 1.0,
-                    "b_coeff": -plane.beta_coeff,
-                    "g_coeff": -plane.gamma_coeff,
-                    "const": -plane.offset,
-                },
-                "trace_scale": plane.trace_scale,
-                "feasible": w.candidate.feasible,
-                "a_interval": [lo, hi],
-                "weyl_coefficients": [
-                    [n, m, value.real, value.imag]
-                    for (n, m), value in sorted(w.candidate.coeffs.coeffs.items())
-                ],
-            }
-    known = ", ".join(w.name for w in deployed_witnesses())
-    raise ValueError(f"unknown witness name {name!r} (known: {known})")
+    w = deployed_witness(name)
+    plane = w.plane
+    lo, hi = w.candidate.a_interval
+    return {
+        "name": w.name,
+        "matrix": matrix_to_json(w.candidate.matrix),
+        "plane": {
+            "a_coeff": 1.0,
+            "b_coeff": -plane.beta_coeff,
+            "g_coeff": -plane.gamma_coeff,
+            "const": -plane.offset,
+        },
+        "trace_scale": plane.trace_scale,
+        "feasible": w.candidate.feasible,
+        "a_interval": [lo, hi],
+        "weyl_coefficients": [
+            [n, m, value.real, value.imag]
+            for (n, m), value in sorted(w.candidate.coeffs.coeffs.items())
+        ],
+    }
 
 
 def _cmd_witness(cfg: CommandConfig) -> int:

@@ -193,7 +193,7 @@ def pyramid_margin(p: FamilyPoint | tuple[float, float, float]) -> float:
 def pt_min_eigenvalue(p: FamilyPoint | tuple[float, float, float]) -> float:
     """Numeric oracle: smallest eigenvalue of the partial transpose."""
     rho = family_state(p)
-    return float(hermitian_eigenvalues(partial_transpose(rho, 3, 3))[0])
+    return float(hermitian_eigenvalues(partial_transpose(rho))[0])
 
 
 def pt_block_eigenvalues(
@@ -262,24 +262,22 @@ def cone_surface_values(
     }
 
 
-def cone_characterization(
-    samples: int = 4000, seed: int = 7321, *, boundary_band: float = 1e-9
-) -> dict[str, int]:
+def cone_characterization() -> dict[str, int]:
     """Sampled comparison of the surface description with the PT oracle.
 
-    Draws points from the box ``[-0.5, 1.5] x [-1, 1] x [-1, 1.2]``,
-    evaluates both the closed-form membership of
-    :func:`cone_surface_values` and the eigenvalue oracle, and counts the
-    outcomes.  Points whose oracle eigenvalue sits within
-    ``boundary_band`` of zero are skipped (either call could legitimately
-    tie-break them differently).
+    Draws 4,000 seeded points from the box
+    ``[-0.5, 1.5] x [-1, 1] x [-1, 1.2]``, evaluates both the closed-form
+    membership of :func:`cone_surface_values` and the eigenvalue oracle,
+    and counts the outcomes.  Points whose oracle eigenvalue sits within
+    1e-9 of zero are skipped (either call could legitimately tie-break
+    them differently).
     """
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform((-0.5, -1.0, -1.0), (1.5, 1.0, 1.2), size=(samples, 3))
+    rng = np.random.default_rng(7321)
+    pts = rng.uniform((-0.5, -1.0, -1.0), (1.5, 1.0, 1.2), size=(4000, 3))
     agree = disagree = skipped = 0
     for a, b, g in pts:
         smallest = pt_min_eigenvalue(FamilyPoint(a, b, g))
-        if abs(smallest) <= boundary_band:
+        if abs(smallest) <= 1e-9:
             skipped += 1
             continue
         vals = cone_surface_values(FamilyPoint(a, b, g))
@@ -304,14 +302,12 @@ class PptResult(NamedTuple):
     pt_min_eigenvalue: float
 
 
-def is_ppt(
-    p: FamilyPoint | tuple[float, float, float], *, tol: float = PPT_TOL
-) -> PptResult:
+def is_ppt(p: FamilyPoint | tuple[float, float, float]) -> PptResult:
     """PPT decision for a family *state* (raises if ``p`` is not a state).
 
     Decided on the smallest closed-form partial-transpose eigenvalue
-    (:func:`pt_block_eigenvalues`), which is logged with the full block
-    spectrum at DEBUG level.
+    (:func:`pt_block_eigenvalues`) against :data:`PPT_TOL`; the value is
+    logged with the full block spectrum at DEBUG level.
     """
     pt = _point(p)
     margin = pyramid_margin(pt)
@@ -325,7 +321,7 @@ def is_ppt(
     logger.debug(
         "is_ppt%s: smallest %.3e, block spectrum %s", pt.as_tuple(), smallest, spectrum
     )
-    return PptResult(smallest >= tol, smallest)
+    return PptResult(smallest >= PPT_TOL, smallest)
 
 
 # ---------------------------------------------------------------------------

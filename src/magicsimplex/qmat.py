@@ -1,17 +1,17 @@
-"""Small dense complex-matrix kernel.
+"""Small dense complex-matrix kernel for two qutrits.
 
-Everything in this package acts on Hilbert spaces of dimension at most nine
-(two qutrits), so the kernel favours transparency over asymptotic speed:
-the eigensolver is LAPACK's ``eigvalsh`` wrapped in input checks and
-trace-moment posts, partial transposition is a pure index reshuffle, and
-the JSON wire format stores entries verbatim.
+Everything in this package acts on the nine-dimensional space of two
+qutrits, so the kernel favours transparency over asymptotic speed: the
+eigensolver is LAPACK's ``eigvalsh`` wrapped in input checks and
+trace-moment posts, partial transposition is a pure index reshuffle of a
+9x9 matrix, and the JSON wire format stores entries verbatim.
 
 Conventions
 -----------
 * Matrices are ``numpy`` arrays of ``complex128``.
 * ``hs_inner(a, b)`` is the Hilbert-Schmidt inner product ``Tr(a^H b)``,
   conjugate-linear in the first argument.
-* ``partial_transpose`` transposes the *second* tensor factor.
+* ``partial_transpose`` transposes the *second* qutrit factor.
 * JSON format: ``{"dim": n, "entries": [[re, im], ...]}`` with ``entries``
   in row-major order, ``dim * dim`` of them.
 """
@@ -74,26 +74,19 @@ def kron(a: Array, b: Array) -> Array:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def partial_transpose(m: Array, dim_a: int = 3, dim_b: int = 3) -> Array:
-    """Transpose the second tensor factor of an operator on C^a (x) C^b.
+def partial_transpose(m: Array) -> Array:
+    """Transpose the second tensor factor of an operator on C^3 (x) C^3.
 
     Entry-exact: the output is a pure reindexing of the input, no arithmetic
     is performed, so applying it twice returns the original bit for bit.
     """
     a = _as_matrix(m)
-    n = dim_a * dim_b
-    if a.shape != (n, n):
-        raise ValueError(
-            f"matrix shape {a.shape} does not match factors {dim_a}x{dim_b}"
-        )
-    return (
-        a.reshape(dim_a, dim_b, dim_a, dim_b)
-        .transpose(0, 3, 2, 1)
-        .reshape(n, n)
-    )
+    if a.shape != (9, 9):
+        raise ValueError(f"expected a 9x9 two-qutrit matrix, got shape {a.shape}")
+    return a.reshape(3, 3, 3, 3).transpose(0, 3, 2, 1).reshape(9, 9)
 
 
-def hermitian_eigenvalues(m: Array, *, hermiticity_tol: float = HERMITICITY_TOL) -> Array:
+def hermitian_eigenvalues(m: Array) -> Array:
     """All eigenvalues of a Hermitian matrix, ascending, via LAPACK.
 
     The input is checked, symmetrised and handed to ``np.linalg.eigvalsh``;
@@ -107,7 +100,7 @@ def hermitian_eigenvalues(m: Array, *, hermiticity_tol: float = HERMITICITY_TOL)
     a = _as_matrix(m)
     n = a.shape[0]
     defect = float(np.max(np.abs(a - a.conj().T))) if n else 0.0
-    if defect > hermiticity_tol:
+    if defect > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: max asymmetry {defect:.3e}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
@@ -127,8 +120,8 @@ def hermitian_eigenvalues(m: Array, *, hermiticity_tol: float = HERMITICITY_TOL)
     return eigs
 
 
-def smallest_eigenvalue(m: Array, *, hermiticity_tol: float = HERMITICITY_TOL) -> float:
-    return float(hermitian_eigenvalues(m, hermiticity_tol=hermiticity_tol)[0])
+def smallest_eigenvalue(m: Array) -> float:
+    return float(hermitian_eigenvalues(m)[0])
 
 
 def matrix_to_json(m: Array) -> dict:

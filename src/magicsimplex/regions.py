@@ -79,6 +79,7 @@ __all__ = [
     "boundary_plane_region",
     "build_polygon",
     "classify",
+    "format_number",
     "grid_points",
     "l_a",
     "l_b",
@@ -132,6 +133,11 @@ def _facet_point(gamma: float, beta: float) -> FamilyPoint:
     return FamilyPoint(7.0 * beta / 2.0 + 1.0 - gamma, beta, gamma)
 
 
+def format_number(x: float | None) -> str:
+    """12 significant digits, no ``-0.0``; ``None`` prints as an empty field."""
+    return "" if x is None else "%.12g" % (x + 0.0)  # + 0.0 drops -0.0
+
+
 # ---------------------------------------------------------------------------
 # Classification records
 # ---------------------------------------------------------------------------
@@ -155,19 +161,16 @@ class Classification:
     detail: str = ""
 
     def csv_row(self) -> str:
-        def num(x: float | None) -> str:
-            return "" if x is None else f"{x + 0.0:.12g}"  # + 0.0 drops -0.0
-
         member = "" if self.polygon_member is None else str(self.polygon_member).lower()
         return ",".join(
             [
-                num(self.point.alpha),
-                num(self.point.beta),
-                num(self.point.gamma),
+                format_number(self.point.alpha),
+                format_number(self.point.beta),
+                format_number(self.point.gamma),
                 self.verdict.value,
-                num(self.pt_min_eig),
+                format_number(self.pt_min_eig),
                 self.witness_name or "",
-                num(self.witness_value),
+                format_number(self.witness_value),
                 member,
             ]
         )
@@ -261,17 +264,16 @@ def _slice_feasible(alpha: float, beta: float) -> bool:
 
 
 @lru_cache(maxsize=1)
-def trapezoid_vertices(
-    n_rays: int = 96, radial_tol: float = 1e-9
-) -> tuple[tuple[float, float], ...]:
+def trapezoid_vertices() -> tuple[tuple[float, float], ...]:
     """Corners of the PPT region in the ``gamma = 0`` slice, probed blind.
 
-    Rays from the maximally mixed state are bisected against the combined
-    positivity + PPT oracle; maximal collinear runs of boundary hits are
-    fitted as edges and consecutive edge lines intersected.  No closed-form
-    geometry enters: this is the independent construction
-    :data:`SLICE_CORNERS` is tested against.
+    96 rays from the maximally mixed state are bisected to 1e-9 against
+    the combined positivity + PPT oracle; maximal collinear runs of
+    boundary hits are fitted as edges and consecutive edge lines
+    intersected.  No closed-form geometry enters: this is the independent
+    construction :data:`SLICE_CORNERS` is tested against.
     """
+    n_rays = 96
     thetas = np.linspace(0.0, 2.0 * math.pi, n_rays, endpoint=False)
     hits = np.empty((n_rays, 2))
     for i, theta in enumerate(thetas):
@@ -279,7 +281,7 @@ def trapezoid_vertices(
         lo, hi = 0.0, 3.0
         if _slice_feasible(*(hi * d)):
             raise ArithmeticError("probe ray failed to exit the PPT region")
-        while hi - lo > radial_tol:
+        while hi - lo > 1e-9:
             mid = 0.5 * (lo + hi)
             if _slice_feasible(*(mid * d)):
                 lo = mid
@@ -360,12 +362,8 @@ class SeparablePolygon:
         excess = max(na * a + nb * b + ng * g - c for na, nb, ng, c in self.halfspaces)
         return float(max(excess, 0.0))
 
-    def contains(
-        self,
-        p: FamilyPoint | tuple[float, float, float],
-        tol: float = MEMBERSHIP_TOL,
-    ) -> bool:
-        return self.membership_residual(p) <= tol
+    def contains(self, p: FamilyPoint | tuple[float, float, float]) -> bool:
+        return self.membership_residual(p) <= MEMBERSHIP_TOL
 
 
 def _pyramid_halfspaces(
@@ -408,7 +406,9 @@ def build_polygon() -> SeparablePolygon:
     :data:`SLICE_CORNERS`; the fifth closes the facet triangle at
     ``(0, 0, 1)``, where the separability ceiling meets the cone trace.
     Every vertex is verified against the positivity slacks and the
-    matrix partial-transpose oracle; the build raises if one fails.
+    matrix partial-transpose oracle, in the classifier's own bands
+    (:data:`~.family.STATE_TOL`, :data:`~.family.PPT_TOL`); the build
+    raises if one fails.
     """
     verts = [
         PolygonVertex(FamilyPoint(a, b, 0.0), "gamma=0 slice corner")
@@ -419,10 +419,10 @@ def build_polygon() -> SeparablePolygon:
     )
     for v in verts:
         margin = pyramid_margin(v.point)
-        if margin < -1e-9:
+        if margin < STATE_TOL:
             raise ArithmeticError(f"polytope vertex {v.point.as_tuple()} is not a state")
         eig = pt_min_eigenvalue(v.point)
-        if eig < -1e-6:
+        if eig < PPT_TOL:
             raise ArithmeticError(
                 f"polytope vertex {v.point.as_tuple()} is NPT ({eig:.2e})"
             )

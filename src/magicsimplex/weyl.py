@@ -1,11 +1,12 @@
-"""Shift-and-phase unitaries and the maximally-entangled basis they generate.
+"""Shift-and-phase unitaries on a qutrit and the two-qutrit Bell basis.
 
-For dimension ``d`` the operators ``W(n, m) = sum_k w^(kn) |k><k+m|`` (with
-``w = exp(2 pi i / d)`` and the ket index mod ``d``) form a unitary operator
-basis: they are pairwise orthogonal in the Hilbert-Schmidt inner product
-with norm ``sqrt(d)``.  Applying ``W(n, m) (x) 1`` to the maximally
-entangled state yields ``d^2`` orthonormal entangled vectors; their
-projectors span the simplex of states this package studies.
+The kernel is for two qutrits only.  The operators
+``W(n, m) = sum_k w^(kn) |k><k+m|`` (with ``w = exp(2 pi i / 3)`` and the
+ket index mod 3) form a unitary operator basis of one qutrit: they are
+pairwise orthogonal in the Hilbert-Schmidt inner product with norm
+``sqrt(3)``.  Applying ``W(n, m) (x) 1`` to the maximally entangled state
+yields nine orthonormal entangled vectors; their projectors span the
+simplex of states this package studies.
 
 The two-sided basis used for decompositions is ``W(n, m) (x) W(-n, m)``,
 which is closed under Hermitian conjugation: an operator is Hermitian iff
@@ -19,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qmat import Array, frobenius_norm, kron
+from .qmat import Array, kron
 
 __all__ = [
     "WeylCoefficients",
@@ -33,79 +34,73 @@ __all__ = [
 ]
 
 
-def _check_indices(n: int, m: int, d: int) -> None:
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
-    if not (0 <= n < d and 0 <= m < d):
-        raise ValueError(f"indices ({n}, {m}) outside range [0, {d})")
+def _check_indices(n: int, m: int) -> None:
+    if not (0 <= n < 3 and 0 <= m < 3):
+        raise ValueError(f"indices ({n}, {m}) outside range [0, 3)")
 
 
-def minus_index(n: int, d: int = 3) -> int:
-    """Additive inverse mod ``d`` mapped back into ``[0, d)``."""
-    return (d - n) % d
+def minus_index(n: int) -> int:
+    """Additive inverse mod 3 mapped back into ``[0, 3)``."""
+    return (3 - n) % 3
 
 
 @lru_cache(maxsize=None)
-def _weyl_cached(n: int, m: int, d: int) -> Array:
-    w = np.exp(2j * np.pi / d)
-    op = np.zeros((d, d), dtype=complex)
-    for k in range(d):
-        op[k, (k + m) % d] = w ** (k * n)
+def _weyl_cached(n: int, m: int) -> Array:
+    w = np.exp(2j * np.pi / 3)
+    op = np.zeros((3, 3), dtype=complex)
+    for k in range(3):
+        op[k, (k + m) % 3] = w ** (k * n)
     op.setflags(write=False)
     return op
 
 
-def weyl_operator(n: int, m: int, d: int = 3) -> Array:
-    """The unitary ``sum_k w^(kn) |k><(k+m) mod d|``."""
-    _check_indices(n, m, d)
-    return _weyl_cached(n, m, d).copy()
+def weyl_operator(n: int, m: int) -> Array:
+    """The unitary ``sum_k w^(kn) |k><(k+m) mod 3|``."""
+    _check_indices(n, m)
+    return _weyl_cached(n, m).copy()
 
 
-@lru_cache(maxsize=None)
-def _max_entangled_cached(d: int) -> Array:
-    v = np.zeros(d * d, dtype=complex)
-    for j in range(d):
-        v[j * d + j] = 1.0 / np.sqrt(d)
+@lru_cache(maxsize=1)
+def _max_entangled_cached() -> Array:
+    v = np.zeros(9, dtype=complex)
+    for j in range(3):
+        v[j * 3 + j] = 1.0 / np.sqrt(3)
     proj = np.outer(v, v.conj())
     proj.setflags(write=False)
     return proj
 
 
-def max_entangled_state(d: int = 3) -> Array:
-    """Projector onto ``(1/sqrt d) sum_j |jj>``."""
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
-    return _max_entangled_cached(d).copy()
+def max_entangled_state() -> Array:
+    """Projector onto ``(1/sqrt 3) sum_j |jj>``."""
+    return _max_entangled_cached().copy()
 
 
 @lru_cache(maxsize=None)
-def _bell_cached(n: int, m: int, d: int) -> Array:
-    u = kron(_weyl_cached(n, m, d), np.eye(d))
-    proj = u @ _max_entangled_cached(d) @ u.conj().T
+def _bell_cached(n: int, m: int) -> Array:
+    u = kron(_weyl_cached(n, m), np.eye(3))
+    proj = u @ _max_entangled_cached() @ u.conj().T
     proj = 0.5 * (proj + proj.conj().T)
     proj.setflags(write=False)
     return proj
 
 
-def bell_projector(n: int, m: int, d: int = 3) -> Array:
+def bell_projector(n: int, m: int) -> Array:
     """Projector onto ``(W(n, m) (x) 1)`` applied to the entangled vector."""
-    _check_indices(n, m, d)
-    return _bell_cached(n, m, d).copy()
+    _check_indices(n, m)
+    return _bell_cached(n, m).copy()
 
 
-def tensor_basis_element(n: int, m: int, d: int = 3) -> Array:
+def tensor_basis_element(n: int, m: int) -> Array:
     """``W(n, m) (x) W(-n, m)`` -- one element of the two-sided basis."""
-    _check_indices(n, m, d)
-    return kron(_weyl_cached(n, m, d), _weyl_cached(minus_index(n, d), m, d))
+    _check_indices(n, m)
+    return kron(_weyl_cached(n, m), _weyl_cached(minus_index(n), m))
 
 
-@lru_cache(maxsize=None)
-def _stacked_basis(d: int) -> tuple[Array, tuple[tuple[int, int], ...]]:
-    """All d^2 two-sided basis elements flattened into a (d^2, d^4) stack."""
-    index = tuple((n, m) for n in range(d) for m in range(d))
-    rows = np.stack(
-        [tensor_basis_element(n, m, d).reshape(d**4) for n, m in index]
-    )
+@lru_cache(maxsize=1)
+def _stacked_basis() -> tuple[Array, tuple[tuple[int, int], ...]]:
+    """All nine two-sided basis elements flattened into a (9, 81) stack."""
+    index = tuple((n, m) for n in range(3) for m in range(3))
+    rows = np.stack([tensor_basis_element(n, m).reshape(81) for n, m in index])
     rows.setflags(write=False)
     return rows, index
 
@@ -120,7 +115,6 @@ class WeylCoefficients:
     constructs internally).
     """
 
-    d: int
     coeffs: dict[tuple[int, int], complex]
     residual: float
 
@@ -146,46 +140,44 @@ class WeylCoefficients:
         Hermiticity of the table symmetry is preserved.
         """
         flipped = {key: complex(np.conj(v)) for key, v in self.coeffs.items()}
-        return WeylCoefficients(d=self.d, coeffs=flipped, residual=self.residual)
+        return WeylCoefficients(coeffs=flipped, residual=self.residual)
 
 
-def weyl_tensor_decompose(c: Array, d: int = 3) -> WeylCoefficients:
-    """Expand an operator over ``W(n, m) (x) W(-n, m)``.
+def weyl_tensor_decompose(c: Array) -> WeylCoefficients:
+    """Expand a two-qutrit operator over ``W(n, m) (x) W(-n, m)``.
 
-    Coefficients are Hilbert-Schmidt projections ``<B_nm, C> / d^2``; the
-    reported residual measures the component of ``C`` outside the span (for
-    ``d = 3`` the span is 9-dimensional inside an 81-dimensional space, so a
-    generic two-qutrit operator has a large residual).
+    Coefficients are Hilbert-Schmidt projections ``<B_nm, C> / 9``; the
+    reported residual measures the component of ``C`` outside the span (the
+    span is 9-dimensional inside an 81-dimensional space, so a generic
+    two-qutrit operator has a large residual).
     """
     a = np.asarray(c, dtype=complex)
-    if a.shape != (d * d, d * d):
-        raise ValueError(f"expected shape {(d * d, d * d)}, got {a.shape}")
-    rows, index = _stacked_basis(d)
-    flat = a.reshape(d**4)
-    t = (rows.conj() @ flat) / (d * d)
+    if a.shape != (9, 9):
+        raise ValueError(f"expected shape (9, 9), got {a.shape}")
+    rows, index = _stacked_basis()
+    flat = a.reshape(81)
+    t = (rows.conj() @ flat) / 9
     resid = float(np.linalg.norm(flat - rows.T @ t))
     coeffs = {key: complex(t[i]) for i, key in enumerate(index)}
-    return WeylCoefficients(d=d, coeffs=coeffs, residual=resid)
+    return WeylCoefficients(coeffs=coeffs, residual=resid)
 
 
 def weyl_tensor_reconstruct(wc: WeylCoefficients) -> Array:
     """Rebuild the (in-span part of the) operator from its coefficients."""
-    d = wc.d
-    rows, index = _stacked_basis(d)
+    rows, index = _stacked_basis()
     t = np.array([wc.coeffs[key] for key in index])
-    return (rows.T @ t).reshape(d * d, d * d)
+    return (rows.T @ t).reshape(9, 9)
 
 
-def span_distance(c: Array, d: int = 3) -> float:
+def span_distance(c: Array) -> float:
     """Frobenius distance from ``C`` to the span of the two-sided basis."""
-    return weyl_tensor_decompose(c, d).residual
+    return weyl_tensor_decompose(c).residual
 
 
 def hermitian_coefficient_defect(wc: WeylCoefficients) -> float:
     """Max violation of ``t[-n, -m] == conj(t[n, m])`` over the table."""
-    d = wc.d
     worst = 0.0
     for (n, m), v in wc.coeffs.items():
-        partner = wc.coeffs[(minus_index(n, d), minus_index(m, d))]
+        partner = wc.coeffs[(minus_index(n), minus_index(m))]
         worst = max(worst, abs(np.conj(v) - partner))
     return worst

@@ -68,9 +68,9 @@ __all__ = [
     "WitnessCandidate",
     "c_lambda",
     "c_limit",
+    "deployed_witness",
     "deployed_witnesses",
     "lambda_min",
-    "lemma_feasible",
     "line_state",
     "min_product_expectation",
     "optimal_plane_start",
@@ -159,12 +159,6 @@ def witness_candidate(matrix: Array) -> WitnessCandidate:
     )
 
 
-def lemma_feasible(matrix: Array) -> tuple[bool, tuple[float, float] | None]:
-    """Product-safety verdict plus admissible normalization interval."""
-    cand = witness_candidate(matrix)
-    return cand.feasible, cand.a_interval
-
-
 def _require_ppt(start: FamilyPoint | tuple[float, float, float]) -> None:
     """Raise ``ValueError`` unless ``start`` is a PPT state.
 
@@ -211,20 +205,10 @@ class LineSpec:
         _require_ppt(self.start)
 
 
-def _mixed_with_center(rho: Array, lam: float) -> Array:
-    return lam * rho + (1.0 - lam) * np.eye(9, dtype=complex) / 9.0
-
-
 def line_state(spec: LineSpec) -> Array:
     """The interpolated state ``l * rho + (1 - l) * 1/9``."""
-    return _mixed_with_center(family_state(spec.start), spec.lam)
-
-
-def _c_lambda_matrix(rho: Array, lam: float) -> Array:
-    rho_l = _mixed_with_center(rho, lam)
-    diff = rho_l - rho
-    shift = hs_inner(rho_l, diff).real
-    return diff - shift * np.eye(9, dtype=complex)
+    lam = spec.lam
+    return lam * family_state(spec.start) + (1.0 - lam) * np.eye(9, dtype=complex) / 9.0
 
 
 def _scaled_line_operator(rho: Array, lam: float) -> Array:
@@ -242,16 +226,21 @@ def c_lambda(spec: LineSpec) -> WitnessCandidate:
     """The separating operator at ``spec.lam``, with its safety verdict.
 
     By construction ``Tr(C_l rho_l) = 0`` and ``Tr(C_l rho)`` equals minus
-    the squared distance between the line point and the start.  At the far
-    endpoint the operator vanishes identically, so ``lam == 1`` is rejected;
-    use :func:`c_limit` for the rescaled endpoint operator.
+    the squared distance between the line point and the start.  The matrix
+    is formed as ``(1 - l)`` times the rescaled operator, which keeps its
+    safety verdict clear of the cancellation in ``rho_l - rho`` as
+    ``l -> 1``.  At the far endpoint the operator vanishes identically, so
+    ``lam == 1`` is rejected; use :func:`c_limit` for the rescaled endpoint
+    operator.
     """
-    if spec.lam == 1.0:
+    lam = spec.lam
+    if lam == 1.0:
         raise ValueError(
             "the separating operator vanishes at the endpoint lam=1; "
             "call c_limit(start) for the rescaled limit instead"
         )
-    return witness_candidate(_c_lambda_matrix(family_state(spec.start), spec.lam))
+    rho = family_state(spec.start)
+    return witness_candidate((1.0 - lam) * _scaled_line_operator(rho, lam))
 
 
 def c_limit(start: FamilyPoint) -> WitnessCandidate:
@@ -483,9 +472,7 @@ def deployed_witnesses() -> tuple[DeployedWitness, ...]:
         battery.append(_mirror(name + "m", base))
 
     for w in battery:
-        worst = min_product_expectation(
-            w.candidate.matrix, count=_BUILD_CHECK_SAMPLES, seed=DEFAULT_SEED
-        )
+        worst = min_product_expectation(w.candidate.matrix, count=_BUILD_CHECK_SAMPLES)
         if worst < -1e-10:
             raise ArithmeticError(
                 f"witness {w.name} went negative on a product state ({worst:.3e})"
@@ -523,6 +510,16 @@ def witness_values(rho: Array) -> list[tuple[str, float]]:
     ]
 
 
+def deployed_witness(name: str) -> DeployedWitness:
+    """The battery member called ``name``; ``ValueError`` for an unknown name."""
+    battery = deployed_witnesses()
+    for w in battery:
+        if w.name == name:
+            return w
+    known = ", ".join(w.name for w in battery)
+    raise ValueError(f"unknown witness name {name!r} (known: {known})")
+
+
 def plane_residual(name: str, p: FamilyPoint) -> float:
     """Signed distance of ``p`` from the named witness plane.
 
@@ -531,11 +528,7 @@ def plane_residual(name: str, p: FamilyPoint) -> float:
     corresponding family state is ``trace_scale`` times this residual,
     and ``trace_scale`` is negative.
     """
-    for w in deployed_witnesses():
-        if w.name == name:
-            return w.plane.residual(p)
-    known = ", ".join(w.name for w in deployed_witnesses())
-    raise ValueError(f"unknown witness name {name!r} (known: {known})")
+    return deployed_witness(name).plane.residual(p)
 
 
 # ---------------------------------------------------------------------------
@@ -553,12 +546,14 @@ def product_state_vectors(
     return np.einsum("ni,nj->nij", raw[:, 0, :], raw[:, 1, :]).reshape(count, 9)
 
 
-def min_product_expectation(
-    w: Array, count: int = 100_000, seed: int = DEFAULT_SEED
-) -> float:
-    """Smallest ``<v| W |v>`` over ``count`` seeded product vectors."""
+def min_product_expectation(w: Array, count: int = 100_000) -> float:
+    """Smallest ``<v| W |v>`` over ``count`` product vectors.
+
+    The vectors are seeded with :data:`DEFAULT_SEED`, so the result is
+    reproducible.
+    """
     mat = np.asarray(w, dtype=complex)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_SEED)
     worst = math.inf
     chunk = 20_000
     remaining = count

@@ -341,6 +341,7 @@ def test_subprocess_classify():
         capture_output=True,
         text=True,
         timeout=120,
+        env=dict(os.environ, PYTHONPATH=PYTHONPATH),
     )
     assert proc.returncode == 0
     assert "BoundEntangled" in proc.stdout

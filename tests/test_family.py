@@ -109,7 +109,7 @@ def test_pt_block_spectrum_matches_oracle():
         p = FamilyPoint(*rng.uniform((-0.5, -1, -1), (1.5, 1, 1.2)))
         e0, e_minus, e_plus = pt_block_eigenvalues(p)
         closed = np.sort(np.repeat([e0, e_minus, e_plus], 3))
-        numeric = hermitian_eigenvalues(partial_transpose(family_state(p), 3, 3))
+        numeric = hermitian_eigenvalues(partial_transpose(family_state(p)))
         assert np.max(np.abs(closed - numeric)) <= 1e-10
 
 
@@ -134,9 +134,9 @@ def test_cone_surface_orientation():
 
 
 def test_cone_characterization_against_oracle():
-    report = cone_characterization(samples=800, seed=99)
+    report = cone_characterization()
     assert report["disagree"] == 0
-    assert report["agree"] >= 780  # nearly nothing lands in the dead band
+    assert report["agree"] >= 3900  # nearly nothing lands in the dead band
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +206,6 @@ def test_plane_tip_is_pure_limit():
     p = plane_point(-0.25, 0.25)
     assert is_ppt(p).is_ppt
     assert pyramid_margin(p) >= -1e-15
-
-
-def test_is_ppt_respects_tol_flag():
-    p = horodecki_point(1.0)  # PT minimum is 0 up to rounding
-    assert is_ppt(p, tol=-1e-6).is_ppt
-    assert not is_ppt(p, tol=1e-6).is_ppt
 
 
 def test_gamma_from_b_endpoints():

@@ -116,7 +116,7 @@ def test_smallest_eigenvalue_shortcut():
 def test_partial_transpose_is_involution():
     rng = np.random.default_rng(5)
     m = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-    twice = partial_transpose(partial_transpose(m, 3, 3), 3, 3)
+    twice = partial_transpose(partial_transpose(m))
     assert np.array_equal(twice, m)  # entry moves are exact
 
 
@@ -125,25 +125,16 @@ def test_partial_transpose_of_product():
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     assert np.allclose(
-        partial_transpose(kron(a, b), 3, 3), kron(a, b.T), atol=0, rtol=0
+        partial_transpose(kron(a, b)), kron(a, b.T), atol=0, rtol=0
     )
 
 
 def test_partial_transpose_of_bell_projector():
     # The canonical maximally entangled state has PT spectrum {1/3, -1/3}.
-    pt = partial_transpose(bell_projector(0, 0, d=3), 3, 3)
+    pt = partial_transpose(bell_projector(0, 0))
     eigs = hermitian_eigenvalues(pt)
     assert eigs[0] == pytest.approx(-1.0 / 3.0, abs=1e-12)
     assert eigs[-1] == pytest.approx(1.0 / 3.0, abs=1e-12)
-
-
-def test_partial_transpose_rectangular_factors():
-    rng = np.random.default_rng(8)
-    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert np.allclose(
-        partial_transpose(kron(a, b), 2, 3), kron(a, b.T), atol=0, rtol=0
-    )
 
 
 # ---------------------------------------------------------------------------

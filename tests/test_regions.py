@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from magicsimplex import regions
 from magicsimplex.family import (
+    PPT_TOL,
     FamilyPoint,
     horodecki_b_from_gamma,
     horodecki_point,
     pt_min_eigenvalue,
+    pyramid_margin,
 )
 from magicsimplex.regions import (
     CSV_HEADER,
@@ -85,7 +88,26 @@ def test_polygon_membership_examples():
 def test_polygon_vertices_are_ppt_states():
     poly = build_polygon()
     for v in poly.vertices:
-        assert pt_min_eigenvalue(v.point) >= -1e-6
+        assert pt_min_eigenvalue(v.point) >= PPT_TOL
+
+
+def test_polygon_rejects_a_slightly_npt_corner(monkeypatch):
+    # A state 1e-8 inside the positivity facet but NPT by about 2e-9: the
+    # classifier calls it NptEntangled, so the polytope must not certify it.
+    good = (1.0 / 3.0, 2.0 / 3.0)
+    bad = (good[0] - 1e-8, good[1])
+    p = FamilyPoint(*bad, 0.0)
+    assert pyramid_margin(p) >= 0.0
+    assert -1e-6 < pt_min_eigenvalue(p) < -1e-10
+    corners = tuple(bad if c == good else c for c in regions.SLICE_CORNERS)
+    assert bad in corners
+    monkeypatch.setattr(regions, "SLICE_CORNERS", corners)
+    build_polygon.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="NPT"):
+            build_polygon()
+    finally:
+        build_polygon.cache_clear()
 
 
 def test_polygon_subset_of_ppt():

@@ -22,13 +22,12 @@ from magicsimplex.weyl import (
 OMEGA = np.exp(2j * np.pi / 3)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_weyl_orthogonality(d):
-    # Tr(U_nm^dag U_kl) = d * delta_nk * delta_ml
-    ops = {(n, m): weyl_operator(n, m, d) for n in range(d) for m in range(d)}
+def test_weyl_orthogonality():
+    # Tr(U_nm^dag U_kl) = 3 * delta_nk * delta_ml
+    ops = {(n, m): weyl_operator(n, m) for n in range(3) for m in range(3)}
     for (n, m), u in ops.items():
         for (k, l), v in ops.items():
-            want = d if (n, m) == (k, l) else 0.0
+            want = 3 if (n, m) == (k, l) else 0.0
             assert abs(hs_inner(u, v) - want) <= 1e-12
 
 
@@ -52,8 +51,6 @@ def test_index_validation():
         weyl_operator(3, 0)
     with pytest.raises(ValueError):
         weyl_operator(0, -1)
-    with pytest.raises(ValueError):
-        weyl_operator(0, 0, d=1)
 
 
 def test_minus_index():
@@ -63,7 +60,7 @@ def test_minus_index():
 
 
 def test_max_entangled_entries():
-    proj = max_entangled_state(3)
+    proj = max_entangled_state()
     # projector onto (1/sqrt 3)(|00> + |11> + |22>): 1/3 on the |ii><jj| grid
     assert proj.shape == (9, 9)
     diag_idx = (0, 4, 8)
@@ -71,7 +68,7 @@ def test_max_entangled_entries():
         for j in range(9):
             want = 1.0 / 3.0 if i in diag_idx and j in diag_idx else 0.0
             assert proj[i, j] == pytest.approx(want, abs=1e-15)
-    assert max_entangled_state(3) is not proj  # callers get a private copy
+    assert max_entangled_state() is not proj  # callers get a private copy
 
 
 def test_bell_projectors_orthonormal():
@@ -122,7 +119,7 @@ def test_decompose_reconstruct_round_trip():
         for n in range(3)
         for m in range(3)
     }
-    wc = WeylCoefficients(d=3, coeffs=coeffs, residual=0.0)
+    wc = WeylCoefficients(coeffs=coeffs, residual=0.0)
     back = weyl_tensor_decompose(weyl_tensor_reconstruct(wc))
     for key, value in coeffs.items():
         assert back.coeffs[key] == pytest.approx(value, abs=1e-12)
@@ -162,7 +159,7 @@ def test_conjugated_table():
     coeffs = {
         (n, m): complex(n + 0.1, m - 0.2) for n in range(3) for m in range(3)
     }
-    wc = WeylCoefficients(d=3, coeffs=coeffs, residual=0.5)
+    wc = WeylCoefficients(coeffs=coeffs, residual=0.5)
     flipped = wc.conjugated()
     assert flipped.residual == 0.5
     for key, value in coeffs.items():
