@@ -27,7 +27,6 @@ from .family import (
 from .regions import (
     Classification,
     ScanResult,
-    boundary_plane_region,
     build_polygon,
     classify,
     l_a,
@@ -57,7 +56,6 @@ __all__ = [
     "ScanResult",
     "Verdict",
     "bell_spectrum",
-    "boundary_plane_region",
     "build_polygon",
     "c_lambda",
     "c_limit",

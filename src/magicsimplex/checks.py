@@ -29,6 +29,7 @@ from .family import (
     family_state,
     horodecki_b_from_gamma,
     horodecki_point,
+    mirror,
     plane_point,
     pt_min_eigenvalue,
     pyramid_margin,
@@ -37,10 +38,12 @@ from .qmat import frobenius_norm, hermitian_eigenvalues, hs_inner
 from .regions import l_a, l_b, plane_grid_points, scan
 from .verdicts import Verdict
 from .witness import (
+    CONE_EDGE_LAMBDA,
     DEFAULT_SEED,
     LineSpec,
     OPTIMAL_EPSILON,
     OPTIMAL_GAMMA,
+    OPTIMAL_LAMBDA,
     c_lambda,
     c_limit,
     deployed_witness,
@@ -49,7 +52,6 @@ from .witness import (
     min_product_expectation,
     optimal_plane_start,
     pl1_cone_start,
-    plane_tip_start,
 )
 
 __all__ = ["CheckResult", "CHECK_NAMES", "run_all"]
@@ -95,7 +97,7 @@ def _ppt_starts(rng: np.random.Generator, count: int) -> list[FamilyPoint]:
 
 
 def _check_deepest_line(seed: int) -> CheckResult:
-    expected = (3.0 + math.sqrt(13.0)) / 8.0
+    expected = OPTIMAL_LAMBDA
     computed = lambda_min(optimal_plane_start())
     if computed is None:
         computed = math.inf
@@ -114,7 +116,7 @@ def _check_deepest_line(seed: int) -> CheckResult:
 
 
 def _check_cone_edge_line(seed: int) -> CheckResult:
-    expected = 7.0 * (2328.0 + 331.0 * math.sqrt(39.0)) / 32763.0
+    expected = CONE_EDGE_LAMBDA
     start = pl1_cone_start()
     computed = lambda_min(start)
     if computed is None:
@@ -309,7 +311,7 @@ def _check_mirror_conjugation(seed: int) -> CheckResult:
         eps = float(rng.uniform(-0.3, 0.15))
         gamma = float(rng.uniform(0.02, 0.45))
         plus = plane_point(eps, gamma)
-        minus = plane_point(eps, -gamma)
+        minus = mirror(plus)  # equals plane_point(eps, -gamma)
         if pyramid_margin(plus) < STATE_TOL or pyramid_margin(minus) < STATE_TOL:
             continue
         if pt_min_eigenvalue(plus) < PPT_TOL or pt_min_eigenvalue(minus) < PPT_TOL:

@@ -10,7 +10,8 @@ Subcommands:
     Smallest line parameter at which the line operator becomes a safe
     witness, for a PPT start.
 ``witness``
-    List the deployed witness battery or dump one member as JSON.
+    List the six closed-form witness planes, or dump one member of the
+    matrix battery (the oracle) as JSON.
 ``horodecki``
     Walk the one-parameter line, reporting both parametrizations.
 ``verify``
@@ -59,7 +60,7 @@ from .regions import (
     plane_grid_points,
     scan,
 )
-from .witness import DEFAULT_SEED, deployed_witness, deployed_witnesses, lambda_min
+from .witness import DEFAULT_SEED, deployed_witness, lambda_min, witness_planes
 
 
 def _json_round(value: Any) -> Any:
@@ -122,16 +123,12 @@ class CommandConfig:
     format: str = "text"
     out: str | None = None
     seed: int = DEFAULT_SEED
-    #: Accepted and validated for compatibility; scans run on one thread.
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.subcommand not in SUBCOMMANDS:
             raise ValueError(
                 f"unknown subcommand {self.subcommand!r} (one of {', '.join(SUBCOMMANDS)})"
             )
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +314,12 @@ def _witness_payload(name: str) -> dict[str, Any]:
 def _cmd_witness(cfg: CommandConfig) -> int:
     with _open_out(cfg.out) as out:
         if cfg.name is None:
-            for w in deployed_witnesses():
-                plane = w.plane
+            for name, plane in witness_planes():
                 _emit(
                     out,
                     "%-4s alpha = %s beta + %s gamma + %s   (trace scale %s)"
                     % (
-                        w.name,
+                        name,
                         _fmt(plane.beta_coeff),
                         _fmt(plane.gamma_coeff),
                         _fmt(plane.offset),
@@ -433,9 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="two-spec grid (gamma,beta) on the positivity facet",
     )
     p_scan.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_scan.add_argument(
-        "--threads", type=int, default=1, help="accepted for compatibility; scans use one thread"
-    )
     p_scan.add_argument("--out", default=None)
 
     p_lambda = sub.add_parser(

@@ -19,6 +19,7 @@ eigenvalues each of multiplicity three (:func:`pt_block_eigenvalues`).
 Every PPT decision in this package is taken on that closed form; the
 numeric eigensolver on the full partial transpose
 (:func:`pt_min_eigenvalue`) is kept as the oracle it is checked against.
+The affine involution :func:`mirror` preserves both spectra.
 
 The module also carries two distinguished one- and two-parameter slices:
 the classic Horodecki line of states (:func:`horodecki_point`, parameter
@@ -55,6 +56,7 @@ __all__ = [
     "horodecki_gamma_from_b",
     "horodecki_point",
     "is_ppt",
+    "mirror",
     "plane_point",
     "pt_block_eigenvalues",
     "pt_min_eigenvalue",
@@ -85,10 +87,6 @@ class FamilyPoint:
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.alpha, self.beta, self.gamma)
-
-    def mirrored(self) -> "FamilyPoint":
-        """Same point with the third coordinate negated."""
-        return FamilyPoint(self.alpha, self.beta, -self.gamma)
 
 
 def _point(p: FamilyPoint | tuple[float, float, float]) -> FamilyPoint:
@@ -223,78 +221,6 @@ def pt_block_eigenvalues(
     return (e0, w + half - root, w + half + root)
 
 
-def cone_surface_values(
-    p: FamilyPoint | tuple[float, float, float],
-) -> dict[str, float]:
-    """Signed slacks of the three algebraic surfaces bounding the PPT cone.
-
-    The surfaces are the flat face ``alpha = gamma/2 - beta - 1/2``, the
-    ceiling ``alpha = 1 - beta + gamma/2`` and the two sheets
-    ``alpha = (-2 + 11 beta - gamma)/16 +- (3/16) sqrt(disc)`` with
-    ``disc = 9 b^2 - 6 b g - 7 g^2 - 12 b + 4 g + 4``.  The PPT region of
-    the family is exactly the set where ``flat``, ``ceiling``, ``disc``,
-    ``lower_sheet`` and ``upper_sheet`` are all non-negative (the sheet
-    slacks are ``nan`` when ``disc < 0``); see
-    :func:`cone_characterization` for the sampled cross-check against the
-    eigenvalue oracle.
-
-    The widely reproduced rendering of these surfaces orients the flat
-    face the other way, which would exclude the maximally mixed state;
-    the orientation used here is the one the oracle confirms.
-    """
-    pt = _point(p)
-    a, b, g = pt.alpha, pt.beta, pt.gamma
-    disc = 9.0 * b * b - 6.0 * b * g - 7.0 * g * g - 12.0 * b + 4.0 * g + 4.0
-    center = (-2.0 + 11.0 * b - g) / 16.0
-    if disc >= 0.0:
-        half_width = 3.0 * math.sqrt(disc) / 16.0
-        lower = a - (center - half_width)
-        upper = (center + half_width) - a
-    else:
-        lower = math.nan
-        upper = math.nan
-    return {
-        "flat": a - (g / 2.0 - b - 0.5),
-        "ceiling": (1.0 - b + g / 2.0) - a,
-        "disc": disc,
-        "lower_sheet": lower,
-        "upper_sheet": upper,
-    }
-
-
-def cone_characterization() -> dict[str, int]:
-    """Sampled comparison of the surface description with the PT oracle.
-
-    Draws 4,000 seeded points from the box
-    ``[-0.5, 1.5] x [-1, 1] x [-1, 1.2]``, evaluates both the closed-form
-    membership of :func:`cone_surface_values` and the eigenvalue oracle,
-    and counts the outcomes.  Points whose oracle eigenvalue sits within
-    1e-9 of zero are skipped (either call could legitimately tie-break
-    them differently).
-    """
-    rng = np.random.default_rng(7321)
-    pts = rng.uniform((-0.5, -1.0, -1.0), (1.5, 1.0, 1.2), size=(4000, 3))
-    agree = disagree = skipped = 0
-    for a, b, g in pts:
-        smallest = pt_min_eigenvalue(FamilyPoint(a, b, g))
-        if abs(smallest) <= 1e-9:
-            skipped += 1
-            continue
-        vals = cone_surface_values(FamilyPoint(a, b, g))
-        analytic = (
-            vals["flat"] >= 0.0
-            and vals["ceiling"] >= 0.0
-            and vals["disc"] >= 0.0
-            and vals["lower_sheet"] >= 0.0
-            and vals["upper_sheet"] >= 0.0
-        )
-        if analytic == (smallest >= 0.0):
-            agree += 1
-        else:
-            disagree += 1
-    return {"agree": agree, "disagree": disagree, "skipped": skipped}
-
-
 class PptResult(NamedTuple):
     """Outcome of the PPT test with its numeric evidence."""
 
@@ -322,6 +248,21 @@ def is_ppt(p: FamilyPoint | tuple[float, float, float]) -> PptResult:
         "is_ppt%s: smallest %.3e, block spectrum %s", pt.as_tuple(), smallest, spectrum
     )
     return PptResult(smallest >= PPT_TOL, smallest)
+
+
+def mirror(p: FamilyPoint | tuple[float, float, float]) -> FamilyPoint:
+    """The mirror symmetry ``(alpha - gamma/3, beta - 2 gamma/3, -gamma)``.
+
+    An affine involution that swaps the Bell weights of the classes
+    ``(n, 1)`` and ``(n, 2)`` and keeps the other three, so it preserves
+    the Bell spectrum and the closed-form partial-transpose spectrum.  It is
+    the local unitary ``Pi (x) Pi`` with ``Pi |j> = |-j>``, so it also
+    preserves separability.  On the positivity facet it maps
+    ``plane_point(epsilon, gamma)`` to ``plane_point(epsilon, -gamma)``.
+    """
+    pt = _point(p)
+    g = pt.gamma
+    return FamilyPoint(pt.alpha - g / 3.0, pt.beta - 2.0 * g / 3.0, -g)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Everything in this package acts on the nine-dimensional space of two
 qutrits, so the kernel favours transparency over asymptotic speed: the
 eigensolver is LAPACK's ``eigvalsh`` wrapped in input checks and
 trace-moment posts, partial transposition is a pure index reshuffle of a
-9x9 matrix, and the JSON wire format stores entries verbatim.
+9x9 matrix, and the JSON export stores entries verbatim.
 
 Conventions
 -----------
@@ -30,13 +30,10 @@ __all__ = [
     "HERMITICITY_TOL",
     "frobenius_norm",
     "hermitian_eigenvalues",
-    "hermiticity_defect",
     "hs_inner",
     "kron",
-    "matrix_from_json",
     "matrix_to_json",
     "partial_transpose",
-    "smallest_eigenvalue",
     "trace",
 ]
 
@@ -57,12 +54,6 @@ def trace(m: Array) -> complex:
 
 def frobenius_norm(m: Array) -> float:
     return float(np.linalg.norm(np.asarray(m)))
-
-
-def hermiticity_defect(m: Array) -> float:
-    """Largest entry of ``|M - M^H|`` -- zero iff ``M`` is Hermitian."""
-    a = _as_matrix(m)
-    return float(np.max(np.abs(a - a.conj().T)))
 
 
 def hs_inner(a: Array, b: Array) -> complex:
@@ -120,10 +111,6 @@ def hermitian_eigenvalues(m: Array) -> Array:
     return eigs
 
 
-def smallest_eigenvalue(m: Array) -> float:
-    return float(hermitian_eigenvalues(m)[0])
-
-
 def matrix_to_json(m: Array) -> dict:
     """Serialize to ``{"dim": n, "entries": [[re, im], ...]}`` (row-major)."""
     a = _as_matrix(m)
@@ -131,24 +118,3 @@ def matrix_to_json(m: Array) -> dict:
     entries = [[float(z.real), float(z.imag)] for z in a.reshape(-1)]
     return {"dim": n, "entries": entries}
 
-
-def matrix_from_json(obj: dict) -> Array:
-    """Inverse of :func:`matrix_to_json`, with shape and finiteness checks."""
-    try:
-        n = int(obj["dim"])
-        entries = obj["entries"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError("matrix JSON needs 'dim' and 'entries' keys") from exc
-    if n <= 0:
-        raise ValueError(f"matrix dimension must be positive, got {n}")
-    if len(entries) != n * n:
-        raise ValueError(
-            f"expected {n * n} entries for dim {n}, got {len(entries)}"
-        )
-    flat = np.empty(n * n, dtype=complex)
-    for i, pair in enumerate(entries):
-        re, im = pair
-        flat[i] = complex(float(re), float(im))
-    if not np.all(np.isfinite(flat)):
-        raise ValueError("matrix JSON has non-finite entries")
-    return flat.reshape(n, n)

@@ -5,8 +5,8 @@ The classifier stacks four certificates, cheapest arguments first:
 1. positivity (closed-form facet slacks) -- else ``NotAState``;
 2. the closed-form partial-transpose spectrum -- a negative eigenvalue
    means ``NptEntangled``;
-3. the deployed witness battery, evaluated as affine planes -- a negative
-   expectation on a PPT state certifies ``BoundEntangled``;
+3. the six closed-form witness planes -- a negative expectation on a PPT
+   state certifies ``BoundEntangled``;
 4. membership in an inner polytope of known separable states (five
    half-spaces around certified extreme points) -- membership certifies
    ``Separable``.
@@ -28,16 +28,16 @@ They cross exactly at ``gamma = 0`` and ``gamma = 1``; for ``gamma``
 between the crossings every facet state strictly between the curves is
 PPT yet detected by the battery (bound entangled), everything at or below
 ``l_a`` with ``gamma in [0, 1]`` is separable, and everything above
-``l_b`` is NPT.  :func:`boundary_plane_region` packages that trichotomy;
-it must and does agree with the matrix pipeline pointwise.
+``l_b`` is NPT.
 
 Every production certificate is a sign test on a closed form of the three
 coordinates: the affine pyramid slacks, the partial-transpose spectrum
-(:func:`~.family.pt_block_eigenvalues`), the affine witness planes and the
-five half-spaces of the separable polytope.  The matrix pipeline (the
-spectrum of the partial-transposed 9x9 state, ``Tr(W rho)`` witness
-expectations, the blind slice probe :func:`trapezoid_vertices`) is kept as
-the oracle the closed forms are certified and tested against.
+(:func:`~.family.pt_block_eigenvalues`), the witness planes of
+:func:`~.witness.witness_planes` and the five half-spaces of the separable
+polytope.  The matrix pipeline (the spectrum of the partial-transposed 9x9
+state, the matrix witness battery :func:`~.witness.deployed_witnesses`
+and its ``Tr(W rho)`` expectations) is the oracle the closed forms are
+certified and tested against; ``classify`` never builds a witness matrix.
 
 The separable polytope is the pyramid over the ``gamma = 0`` slice's PPT
 quadrilateral (corners :data:`SLICE_CORNERS`, in closed form) with apex
@@ -66,7 +66,7 @@ from .family import (
     pyramid_margin,
 )
 from .verdicts import Verdict
-from .witness import deployed_witnesses
+from .witness import witness_planes
 
 __all__ = [
     "DETECTION_TOL",
@@ -76,7 +76,6 @@ __all__ = [
     "Classification",
     "ScanResult",
     "SeparablePolygon",
-    "boundary_plane_region",
     "build_polygon",
     "classify",
     "format_number",
@@ -86,7 +85,6 @@ __all__ = [
     "parse_grid",
     "plane_grid_points",
     "scan",
-    "trapezoid_vertices",
 ]
 
 logger = logging.getLogger(__name__)
@@ -191,7 +189,7 @@ def classify(p: FamilyPoint | tuple[float, float, float]) -> Classification:
     # Tr(W rho) is affine in the coordinates, so each witness plane gives
     # it as trace_scale * residual (to rounding); ties keep battery order.
     name, value = min(
-        ((w.name, w.plane.trace_scale * w.plane.residual(pt)) for w in deployed_witnesses()),
+        ((name, plane.trace_scale * plane.residual(pt)) for name, plane in witness_planes()),
         key=lambda nv: nv[1],
     )
     if value < DETECTION_TOL:
@@ -216,121 +214,9 @@ def classify(p: FamilyPoint | tuple[float, float, float]) -> Classification:
     )
 
 
-def boundary_plane_region(gamma: float, beta: float) -> Classification:
-    """Closed-form classification of a point on the positivity facet.
-
-    Equivalent to :func:`classify` at ``alpha = 7 beta / 2 + 1 - gamma``
-    but with every decision taken from the two facet curves instead of
-    matrices.  Points the curves don't cover (mirrored side below the
-    cone) are honestly ``Undetermined``, exactly like the pipeline.
-    """
-    pt = _facet_point(gamma, beta)
-    margin = pyramid_margin(pt)
-    if margin < STATE_TOL:
-        return Classification(pt, Verdict.NOT_A_STATE, margin)
-    ceiling = l_a(gamma)
-    cone = l_b(gamma) if abs(gamma) <= FACET_DOMAIN else None
-    if 0.0 <= gamma <= 1.0 and beta <= ceiling:
-        return Classification(
-            pt,
-            Verdict.SEPARABLE,
-            margin,
-            detail="at or below the facet separability ceiling",
-        )
-    if cone is not None and beta > cone:
-        return Classification(
-            pt, Verdict.NPT_ENTANGLED, margin, detail="above the facet cone trace"
-        )
-    if 0.0 < gamma < 1.0 and cone is not None and ceiling < beta <= cone:
-        return Classification(
-            pt,
-            Verdict.BOUND_ENTANGLED,
-            margin,
-            detail="strictly between the facet curves",
-        )
-    return Classification(pt, Verdict.UNDETERMINED, margin)
-
-
 # ---------------------------------------------------------------------------
 # The separable polytope
 # ---------------------------------------------------------------------------
-
-
-def _slice_feasible(alpha: float, beta: float) -> bool:
-    p = FamilyPoint(alpha, beta, 0.0)
-    if pyramid_margin(p) < 0.0:
-        return False
-    return pt_min_eigenvalue(p) >= PPT_TOL
-
-
-@lru_cache(maxsize=1)
-def trapezoid_vertices() -> tuple[tuple[float, float], ...]:
-    """Corners of the PPT region in the ``gamma = 0`` slice, probed blind.
-
-    96 rays from the maximally mixed state are bisected to 1e-9 against
-    the combined positivity + PPT oracle; maximal collinear runs of
-    boundary hits are fitted as edges and consecutive edge lines
-    intersected.  No closed-form geometry enters: this is the independent
-    construction :data:`SLICE_CORNERS` is tested against.
-    """
-    n_rays = 96
-    thetas = np.linspace(0.0, 2.0 * math.pi, n_rays, endpoint=False)
-    hits = np.empty((n_rays, 2))
-    for i, theta in enumerate(thetas):
-        d = np.array([math.cos(theta), math.sin(theta)])
-        lo, hi = 0.0, 3.0
-        if _slice_feasible(*(hi * d)):
-            raise ArithmeticError("probe ray failed to exit the PPT region")
-        while hi - lo > 1e-9:
-            mid = 0.5 * (lo + hi)
-            if _slice_feasible(*(mid * d)):
-                lo = mid
-            else:
-                hi = mid
-        hits[i] = 0.5 * (lo + hi) * d
-
-    segs = np.roll(hits, -1, axis=0) - hits
-    dirs = segs / np.linalg.norm(segs, axis=1, keepdims=True)
-    prev = np.roll(dirs, 1, axis=0)
-    turning = np.abs(prev[:, 0] * dirs[:, 1] - prev[:, 1] * dirs[:, 0]) > 5e-5
-
-    corner_idx = [i for i in range(n_rays) if turning[i]]
-    if len(corner_idx) < 3:
-        raise ArithmeticError("fewer than three edges found in the slice probe")
-
-    lines: list[tuple[np.ndarray, np.ndarray]] = []  # (point, direction)
-    for k, start in enumerate(corner_idx):
-        stop = corner_idx[(k + 1) % len(corner_idx)]
-        run_len = (stop - start) % n_rays
-        if run_len < 2:
-            continue  # a lone corner-straddling segment, not a real edge
-        first = hits[start]
-        last = hits[(start + run_len) % n_rays]
-        direction = last - first
-        lines.append((first, direction / np.linalg.norm(direction)))
-
-    vertices: list[tuple[float, float]] = []
-    for k, (p1, d1) in enumerate(lines):
-        p2, d2 = lines[(k + 1) % len(lines)]
-        det = d1[0] * (-d2[1]) - (-d2[0]) * d1[1]
-        if abs(det) < 1e-8:
-            raise ArithmeticError("adjacent probe edges are parallel")
-        rhs = p2 - p1
-        t = (rhs[0] * (-d2[1]) - (-d2[0]) * rhs[1]) / det
-        v = p1 + t * d1
-        vertices.append((float(v[0]), float(v[1])))
-
-    for v in vertices:
-        closeness = min(
-            abs(pyramid_margin(FamilyPoint(v[0], v[1], 0.0))),
-            abs(pt_min_eigenvalue(FamilyPoint(v[0], v[1], 0.0))),
-        )
-        if closeness > 1e-6:
-            raise ArithmeticError(
-                f"probed corner {v} is {closeness:.2e} away from the boundary"
-            )
-    vertices.sort(key=lambda v: math.atan2(v[1], v[0]))
-    return tuple(vertices)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ __all__ = [
     "tensor_basis_element",
     "weyl_operator",
     "weyl_tensor_decompose",
-    "weyl_tensor_reconstruct",
 ]
 
 
@@ -129,19 +128,6 @@ class WeylCoefficients:
             abs(v) for k, v in self.coeffs.items() if k != (0, 0)
         )
 
-    def conjugated(self) -> "WeylCoefficients":
-        """Table with every coefficient conjugated, keys untouched.
-
-        This is the package's mirror operation: witnesses constructed from
-        a family start inherit conjugated tables when the start's third
-        parameter is negated, so conjugating a deployed witness's table
-        yields the witness adapted to the mirrored region.  Coefficient
-        magnitudes -- hence product-state safety -- are unchanged, and
-        Hermiticity of the table symmetry is preserved.
-        """
-        flipped = {key: complex(np.conj(v)) for key, v in self.coeffs.items()}
-        return WeylCoefficients(coeffs=flipped, residual=self.residual)
-
 
 def weyl_tensor_decompose(c: Array) -> WeylCoefficients:
     """Expand a two-qutrit operator over ``W(n, m) (x) W(-n, m)``.
@@ -161,23 +147,3 @@ def weyl_tensor_decompose(c: Array) -> WeylCoefficients:
     coeffs = {key: complex(t[i]) for i, key in enumerate(index)}
     return WeylCoefficients(coeffs=coeffs, residual=resid)
 
-
-def weyl_tensor_reconstruct(wc: WeylCoefficients) -> Array:
-    """Rebuild the (in-span part of the) operator from its coefficients."""
-    rows, index = _stacked_basis()
-    t = np.array([wc.coeffs[key] for key in index])
-    return (rows.T @ t).reshape(9, 9)
-
-
-def span_distance(c: Array) -> float:
-    """Frobenius distance from ``C`` to the span of the two-sided basis."""
-    return weyl_tensor_decompose(c).residual
-
-
-def hermitian_coefficient_defect(wc: WeylCoefficients) -> float:
-    """Max violation of ``t[-n, -m] == conj(t[n, m])`` over the table."""
-    worst = 0.0
-    for (n, m), v in wc.coeffs.items():
-        partner = wc.coeffs[(minus_index(n), minus_index(m))]
-        worst = max(worst, abs(np.conj(v) - partner))
-    return worst

@@ -35,13 +35,17 @@ The start of ``Pl3`` -- where the ``Pl1`` plane meets the PPT cone -- is a
 closed form too (:func:`pl1_cone_start`).
 
 Geometrically each witness is an affine functional of the family
-coordinates, i.e. a plane ``alpha = b * beta + g * gamma + c``;
-:func:`witness_plane` extracts the normalized coefficients.  The deployed
-battery (:func:`deployed_witnesses`) carries three constructed witnesses
--- ``Pl1`` (tangent at the flat face), ``Pl2`` (from the deepest
-detectable start), ``Pl3`` (from where ``Pl1`` meets the PPT cone edge) --
-plus their three mirror images under coefficient conjugation, which cover
-the region with negated third coordinate.
+coordinates, i.e. a plane ``alpha = b * beta + g * gamma + c``.  For a line
+operator that plane is a rational function of the start and the onset, so
+the production battery :func:`witness_planes` is six closed forms and
+builds no matrix.  It holds three constructed witnesses -- ``Pl1``
+(tangent at the flat face), ``Pl2`` (from the deepest detectable start),
+``Pl3`` (from where ``Pl1`` meets the PPT cone edge) -- each followed by
+the same construction from the :func:`~.family.mirror` image of its start,
+which covers the mirrored region.  :func:`deployed_witnesses` is the
+matrix oracle: it runs the same six lines through :func:`c_limit` and
+:func:`c_lambda`, probes each plane with :func:`witness_plane`, samples
+product states, and raises unless every plane matches its closed form.
 """
 
 from __future__ import annotations
@@ -50,12 +54,13 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
-from .family import FamilyPoint, family_state, is_ppt, plane_point
+from .family import FamilyPoint, family_state, is_ppt, mirror, plane_point
 from .qmat import Array, hs_inner
-from .weyl import WeylCoefficients, weyl_tensor_decompose, weyl_tensor_reconstruct
+from .weyl import WeylCoefficients, weyl_tensor_decompose
 
 __all__ = [
     "DEFAULT_SEED",
@@ -79,6 +84,7 @@ __all__ = [
     "product_state_vectors",
     "witness_candidate",
     "witness_plane",
+    "witness_planes",
 ]
 
 logger = logging.getLogger(__name__)
@@ -172,14 +178,6 @@ def _require_ppt(start: FamilyPoint | tuple[float, float, float]) -> None:
             f"start {point.as_tuple()} is NPT (smallest partial-transpose "
             f"eigenvalue {result.pt_min_eigenvalue:.3e}); use a PPT start"
         )
-
-
-def _candidate_from_coefficients(coeffs: WeylCoefficients) -> WitnessCandidate:
-    matrix = weyl_tensor_reconstruct(coeffs)
-    status, interval = _analyze_coefficients(coeffs)
-    return WitnessCandidate(
-        matrix=matrix, coeffs=coeffs, status=status, a_interval=interval
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +306,9 @@ OPTIMAL_GAMMA = math.sqrt(OPTIMAL_EPSILON)
 #: lambda_min at the optimal start, in closed form.
 OPTIMAL_LAMBDA = (3.0 + math.sqrt(13.0)) / 8.0
 
+#: lambda_min at the cone-edge start :func:`pl1_cone_start`, in closed form.
+CONE_EDGE_LAMBDA = 7.0 * (2328.0 + 331.0 * math.sqrt(39.0)) / 32763.0
+
 
 def optimal_plane_start() -> FamilyPoint:
     """The plane-patch start minimizing ``lambda_min``."""
@@ -409,9 +410,72 @@ def witness_plane(w: Array | WitnessCandidate) -> PlaneCoefficients:
     return plane
 
 
+def _line_plane(start: FamilyPoint, lam: float) -> PlaneCoefficients:
+    """The plane of the line operator from ``start`` at ``lam``, in closed form.
+
+    ``Tr(rho_s rho_p)`` is affine in ``p``; its ``alpha``, ``beta`` and
+    ``gamma`` slopes are the deviations ``a'``, ``b'``, ``g'`` of the start's
+    Bell weights ``p_00``, ``p_10`` and ``p_01`` from 1/9.  The operator
+    ``kappa * ((l * purity + (1 - l) / 9) * 1 - rho_s)`` -- ``kappa = 1 - l``
+    for :func:`c_lambda`, and ``1`` for :func:`c_limit`, which is ``l = 1``
+    -- therefore has ``beta_coeff = -b'/a'``, ``gamma_coeff = -g'/a'``,
+    ``offset = l * e / a'`` and ``trace_scale = -kappa * a'``, where
+    ``e = purity - 1/9`` is the sum of the nine squared weight deviations.
+    """
+    a, b, g = start.as_tuple()
+    da = (8.0 * a - b - g) / 9.0
+    db = (-2.0 * a + 7.0 * b - 2.0 * g) / 18.0
+    dg = (-a - b + 2.0 * g) / 9.0
+    dw = (a + b + g) / 9.0  # minus the deviation of the three (n, 2) weights
+    excess = da * da + 2.0 * db * db + 3.0 * dg * dg + 3.0 * dw * dw
+    kappa = 1.0 if lam == 1.0 else 1.0 - lam
+    return PlaneCoefficients(
+        beta_coeff=-db / da,
+        gamma_coeff=-dg / da,
+        offset=lam * excess / da,
+        trace_scale=-kappa * da,
+    )
+
+
 # ---------------------------------------------------------------------------
 # The deployed battery
 # ---------------------------------------------------------------------------
+
+
+def _battery_lines() -> Iterator[tuple[str, FamilyPoint, float]]:
+    """Name, start and onset of every battery member, in battery order.
+
+    An onset of 1 stands for the rescaled endpoint operator of :func:`c_limit`.
+    """
+    for name, start, onset in (
+        ("Pl1", plane_tip_start(), 1.0),
+        ("Pl2", optimal_plane_start(), OPTIMAL_LAMBDA),
+        ("Pl3", pl1_cone_start(), CONE_EDGE_LAMBDA),
+    ):
+        yield name, start, onset
+        yield name + "m", mirror(start), onset
+
+
+@lru_cache(maxsize=1)
+def witness_planes() -> tuple[tuple[str, PlaneCoefficients], ...]:
+    """The six witness planes the classifier reads, in closed form, built once.
+
+    In battery order ``Pl1, Pl1m, Pl2, Pl2m, Pl3, Pl3m``; no matrix is
+    built.  :func:`deployed_witnesses` is the oracle that checks them.
+    """
+    battery = tuple(
+        (name, _line_plane(start, onset)) for name, start, onset in _battery_lines()
+    )
+    for name, plane in battery[::2]:  # the three unmirrored members
+        logger.info(
+            "witness %s: alpha = %.9f beta + %.9f gamma + %.9f (k=%.6f)",
+            name,
+            plane.beta_coeff,
+            plane.gamma_coeff,
+            plane.offset,
+            plane.trace_scale,
+        )
+    return battery
 
 
 @dataclass(frozen=True)
@@ -421,84 +485,47 @@ class DeployedWitness:
     plane: PlaneCoefficients
 
 
-#: Reference plane coefficients used as a regression pin at build time;
-#: independently re-derivable from the tangency identities in the tests.
-_REFERENCE_PLANES = {
-    "Pl1": (0.8, -0.4, 0.4),
-    "Pl2": (0.579716618, -0.327084851, 0.351048137),
-    "Pl3": (0.377892215, -0.198722555, 0.306198270),
-}
-
 _BUILD_CHECK_SAMPLES = 2000
 
-
-def _mirror(name: str, base: DeployedWitness) -> DeployedWitness:
-    cand = _candidate_from_coefficients(base.candidate.coeffs.conjugated())
-    if not cand.feasible:
-        raise ArithmeticError(f"mirror of {base.name} lost product safety")
-    return DeployedWitness(name=name, candidate=cand, plane=witness_plane(cand))
+#: Largest gap between an oracle onset or plane field and its closed form.
+_ORACLE_TOL = 1e-12
 
 
 @lru_cache(maxsize=1)
 def deployed_witnesses() -> tuple[DeployedWitness, ...]:
-    """The six-witness battery used by the classifier, built once.
+    """The matrix oracle of :func:`witness_planes`, built once.
 
-    Three constructions -- the flat-face tangent ``Pl1``, the deepest-start
-    line witness ``Pl2``, the cone-edge line witness ``Pl3`` -- plus their
-    coefficient-conjugated mirrors ``Pl1m``/``Pl2m``/``Pl3m``.  Every
-    member is re-validated at build time: the safety criterion must hold
-    and a seeded product-state sweep must stay non-negative.
+    Each member runs its line through the matrix pipeline from the same
+    start: the onset by :func:`lambda_min`, the operator by :func:`c_limit`
+    (onset 1) or :func:`c_lambda`, the plane by :func:`witness_plane`.  The
+    operator must pass the safety criterion and a seeded product-state
+    sweep, and the onset and all four plane fields must match their closed
+    forms to 1e-12; otherwise ``ArithmeticError``.
     """
-    tip = c_limit(plane_tip_start())
-
-    start2 = optimal_plane_start()
-    lam2 = lambda_min(start2)
-    if lam2 is None:
-        raise ArithmeticError("the optimal start unexpectedly yields no witness")
-    deep = c_lambda(LineSpec(start2, lam2))
-
-    start3 = pl1_cone_start()
-    lam3 = lambda_min(start3)
-    if lam3 is None:
-        raise ArithmeticError("the cone-edge start unexpectedly yields no witness")
-    edge = c_lambda(LineSpec(start3, lam3))
-
     battery: list[DeployedWitness] = []
-    for name, cand in (("Pl1", tip), ("Pl2", deep), ("Pl3", edge)):
+    for (name, start, onset), (_, closed) in zip(_battery_lines(), witness_planes()):
+        lam = lambda_min(start)
+        if lam is None or abs(lam - onset) > _ORACLE_TOL:
+            raise ArithmeticError(
+                f"witness {name}: onset {lam!r} is not its closed form {onset!r}"
+            )
+        cand = c_limit(start) if onset == 1.0 else c_lambda(LineSpec(start, lam))
         if not cand.feasible:
             raise ArithmeticError(f"witness {name} failed the safety criterion")
-        base = DeployedWitness(name=name, candidate=cand, plane=witness_plane(cand))
-        battery.append(base)
-        battery.append(_mirror(name + "m", base))
-
-    for w in battery:
-        worst = min_product_expectation(w.candidate.matrix, count=_BUILD_CHECK_SAMPLES)
+        worst = min_product_expectation(cand.matrix, count=_BUILD_CHECK_SAMPLES)
         if worst < -1e-10:
             raise ArithmeticError(
-                f"witness {w.name} went negative on a product state ({worst:.3e})"
+                f"witness {name} went negative on a product state ({worst:.3e})"
             )
-
-    for w in battery[::2]:  # the three unmirrored members
-        ref = _REFERENCE_PLANES[w.name]
+        plane = witness_plane(cand)
         drift = max(
-            abs(w.plane.beta_coeff - ref[0]),
-            abs(w.plane.gamma_coeff - ref[1]),
-            abs(w.plane.offset - ref[2]),
+            abs(x - y) for x, y in zip(plane.as_dict().values(), closed.as_dict().values())
         )
-        if drift > 1e-5:
-            logger.warning(
-                "constructed plane %s drifted %.2e from its regression pin",
-                w.name,
-                drift,
+        if drift > _ORACLE_TOL:
+            raise ArithmeticError(
+                f"witness {name}: probed plane is {drift:.2e} from its closed form"
             )
-        logger.info(
-            "witness %s: alpha = %.9f beta + %.9f gamma + %.9f (k=%.6f)",
-            w.name,
-            w.plane.beta_coeff,
-            w.plane.gamma_coeff,
-            w.plane.offset,
-            w.plane.trace_scale,
-        )
+        battery.append(DeployedWitness(name=name, candidate=cand, plane=plane))
     return tuple(battery)
 
 
@@ -511,24 +538,13 @@ def witness_values(rho: Array) -> list[tuple[str, float]]:
 
 
 def deployed_witness(name: str) -> DeployedWitness:
-    """The battery member called ``name``; ``ValueError`` for an unknown name."""
+    """The oracle member called ``name``; ``ValueError`` for an unknown name."""
     battery = deployed_witnesses()
     for w in battery:
         if w.name == name:
             return w
     known = ", ".join(w.name for w in battery)
     raise ValueError(f"unknown witness name {name!r} (known: {known})")
-
-
-def plane_residual(name: str, p: FamilyPoint) -> float:
-    """Signed distance of ``p`` from the named witness plane.
-
-    Positive residual means the point lies on the detected side of the
-    plane (``alpha`` above the plane); the witness expectation on the
-    corresponding family state is ``trace_scale`` times this residual,
-    and ``trace_scale`` is negative.
-    """
-    return deployed_witness(name).plane.residual(p)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from magicsimplex import cli, regions, weyl, witness
 from magicsimplex.cli import CommandConfig, main, run
-from magicsimplex.witness import deployed_witnesses
+from magicsimplex.witness import witness_planes
 
 #: PYTHONPATH for subprocesses: this checkout's sources first, so the
 #: tests pass without installing the package.
@@ -233,12 +234,16 @@ def test_horodecki_requires_exactly_one_selector(capsys):
 def test_scan_csv_deterministic_across_threads(tmp_path, capsys):
     grid = "0:1:0.5,-0.3:0:0.15,0:0.5:0.25"
     out1 = tmp_path / "one.csv"
-    out4 = tmp_path / "four.csv"
+    out2 = tmp_path / "two.csv"
     assert run_cli(capsys, "scan", "--grid", grid, "--out", str(out1))[0] == 0
-    assert run_cli(
-        capsys, "scan", "--grid", grid, "--threads", "4", "--out", str(out4)
-    )[0] == 0
-    assert out1.read_bytes() == out4.read_bytes()
+    assert run_cli(capsys, "scan", "--grid", grid, "--out", str(out2))[0] == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_scan_has_no_threads_flag(capsys):
+    code, _, err = run_cli(capsys, "scan", "--grid", "0:0:1,0:0:1,0:0:1", "--threads", "2")
+    assert code == 2
+    assert "--threads" in err
 
 
 def test_scan_plane_json_summary(capsys):
@@ -325,11 +330,6 @@ def test_config_rejects_unknown_subcommand():
         CommandConfig(subcommand="explode")
 
 
-def test_config_rejects_bad_threads():
-    with pytest.raises(ValueError, match="threads"):
-        CommandConfig(subcommand="scan", threads=0)
-
-
 # ---------------------------------------------------------------------------
 # real process round trips
 # ---------------------------------------------------------------------------
@@ -367,7 +367,7 @@ def test_logging_handler_attached_once(capsys, monkeypatch):
     monkeypatch.setenv("MAGIC_SIMPLEX_LOG", "INFO")
     try:
         for _ in range(2):
-            deployed_witnesses.cache_clear()
+            witness_planes.cache_clear()
             code, _, err = run_cli(capsys, "classify", "--b", "1.5")
             assert code == 0
             for name in ("Pl1", "Pl2", "Pl3"):
@@ -375,7 +375,40 @@ def test_logging_handler_attached_once(capsys, monkeypatch):
     finally:
         pkg_logger.handlers[:], level = saved
         pkg_logger.setLevel(level)
-        deployed_witnesses.cache_clear()
+        witness_planes.cache_clear()
+
+
+def test_production_commands_build_no_witness_matrix(capsys, monkeypatch):
+    # classify, scan, horodecki and the witness table read the closed-form
+    # planes; the matrix battery, the Weyl decomposition and the
+    # product-state sweeps belong to the oracle.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the production path reached the witness oracle")
+
+    for module in (cli, regions, weyl, witness):  # every import site
+        for name in ("deployed_witnesses", "min_product_expectation", "weyl_tensor_decompose"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    witness_planes.cache_clear()
+    regions.build_polygon.cache_clear()
+    try:
+        for argv in (
+            ("classify", "--alpha", "2", "--beta", "0", "--gamma", "0"),
+            ("classify", "--alpha", "1", "--beta", "0", "--gamma", "0"),
+            ("classify", "--b", "1.5"),
+            ("classify", "--b", "2.5"),
+            ("classify", "--b", "2.75"),
+            ("scan", "--grid=-0.5:1.5:0.5,-1:1:0.5,-1:1.2:0.55"),
+            ("scan", "--plane", "--grid=-1:1:0.25,-0.35:0.05:0.1", "--format", "json"),
+            ("horodecki", "--grid", "0:5:0.25"),
+            ("witness",),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0, (argv, err)
+            assert out
+    finally:
+        witness_planes.cache_clear()
+        regions.build_polygon.cache_clear()
 
 
 def test_cli_import_leaves_scipy_out():

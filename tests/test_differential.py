@@ -30,7 +30,6 @@ from magicsimplex.regions import (  # noqa: E402
     grid_points,
     parse_grid,
     plane_grid_points,
-    trapezoid_vertices,
 )
 from magicsimplex.verdicts import Verdict  # noqa: E402
 from magicsimplex.witness import witness_values  # noqa: E402
@@ -129,8 +128,8 @@ def test_witness_value_matches_trace(comparison):
     assert checked >= 5_000
 
 
-def test_slice_probe_finds_the_analytic_corners():
-    probed = trapezoid_vertices()
+def test_slice_probe_finds_the_analytic_corners(probed_slice_corners):
+    probed = probed_slice_corners
     assert len(probed) == len(SLICE_CORNERS)
     for (a, b), (wa, wb) in zip(probed, SLICE_CORNERS):
         assert abs(a - wa) <= 1e-6 and abs(b - wb) <= 1e-6

@@ -1,7 +1,5 @@
 """Tests for the three-parameter family: states, positivity, PT, lines."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,14 +8,13 @@ from hypothesis import strategies as st
 from magicsimplex.family import (
     FamilyPoint,
     bell_spectrum,
-    cone_characterization,
-    cone_surface_values,
     family_state,
     horodecki_b_from_gamma,
     horodecki_classification,
     horodecki_gamma_from_b,
     horodecki_point,
     is_ppt,
+    mirror,
     plane_point,
     pt_block_eigenvalues,
     pt_min_eigenvalue,
@@ -56,8 +53,29 @@ def test_point_validation():
 
 
 def test_mirrored_point():
-    p = FamilyPoint(0.1, -0.2, 0.4)
-    assert p.mirrored() == FamilyPoint(0.1, -0.2, -0.4)
+    rng = np.random.default_rng(41)
+    for p in rng.uniform((-0.5, -1.0, -1.0), (1.5, 1.0, 1.2), size=(200, 3)):
+        assert mirror(mirror(p)).as_tuple() == pytest.approx(tuple(p), abs=1e-15)
+    for eps, g in rng.uniform(-0.5, 0.5, size=(200, 2)):
+        image = mirror(plane_point(eps, g))
+        assert image.as_tuple() == pytest.approx(plane_point(eps, -g).as_tuple(), abs=1e-15)
+    # the gamma = 0 plane is fixed pointwise
+    assert mirror((0.3, -0.1, 0.0)) == FamilyPoint(0.3, -0.1, 0.0)
+
+
+def test_mirror_preserves_both_spectra():
+    rng = np.random.default_rng(43)
+    for p in rng.uniform((-0.5, -1.0, -1.0), (1.5, 1.0, 1.2), size=(2000, 3)):
+        image = mirror(p)
+        assert np.max(
+            np.abs(
+                np.array(bell_spectrum(image).sorted_values())
+                - np.array(bell_spectrum(p).sorted_values())
+            )
+        ) <= 1e-15
+        assert np.max(
+            np.abs(np.array(pt_block_eigenvalues(image)) - np.array(pt_block_eigenvalues(p)))
+        ) <= 1e-15
 
 
 @given(
@@ -121,22 +139,6 @@ def test_is_ppt_examples():
     assert result.pt_min_eigenvalue == pytest.approx(-1.0 / 3.0, abs=1e-12)
     with pytest.raises(ValueError, match="not a state"):
         is_ppt((2.0, 0.0, 0.0))
-
-
-def test_cone_surface_orientation():
-    # The flat face evaluated at the maximally mixed state must come out
-    # positive -- the often-quoted reversed orientation would exclude it.
-    vals = cone_surface_values(ORIGIN)
-    assert vals["flat"] > 0
-    assert vals["ceiling"] > 0
-    assert vals["disc"] > 0
-    assert vals["lower_sheet"] > 0 and vals["upper_sheet"] > 0
-
-
-def test_cone_characterization_against_oracle():
-    report = cone_characterization()
-    assert report["disagree"] == 0
-    assert report["agree"] >= 3900  # nearly nothing lands in the dead band
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from magicsimplex import regions
 from magicsimplex.family import (
     PPT_TOL,
+    STATE_TOL,
     FamilyPoint,
     horodecki_b_from_gamma,
     horodecki_point,
@@ -14,8 +15,8 @@ from magicsimplex.family import (
 )
 from magicsimplex.regions import (
     CSV_HEADER,
+    FACET_DOMAIN,
     Classification,
-    boundary_plane_region,
     build_polygon,
     classify,
     grid_points,
@@ -24,9 +25,32 @@ from magicsimplex.regions import (
     parse_grid,
     plane_grid_points,
     scan,
-    trapezoid_vertices,
 )
 from magicsimplex.verdicts import Verdict
+from magicsimplex.witness import deployed_witnesses
+
+
+def boundary_plane_region(gamma: float, beta: float) -> Classification:
+    """Closed-form classification of a point on the positivity facet.
+
+    Equivalent to :func:`classify` at ``alpha = 7 beta / 2 + 1 - gamma``
+    but with every decision taken from the two facet curves instead of
+    the pipeline.  Points the curves don't cover (mirrored side below the
+    cone) are honestly ``Undetermined``, exactly like the pipeline.
+    """
+    pt = FamilyPoint(7.0 * beta / 2.0 + 1.0 - gamma, beta, gamma)
+    margin = pyramid_margin(pt)
+    if margin < STATE_TOL:
+        return Classification(pt, Verdict.NOT_A_STATE, margin)
+    ceiling = l_a(gamma)
+    cone = l_b(gamma) if abs(gamma) <= FACET_DOMAIN else None
+    if 0.0 <= gamma <= 1.0 and beta <= ceiling:
+        return Classification(pt, Verdict.SEPARABLE, margin)
+    if cone is not None and beta > cone:
+        return Classification(pt, Verdict.NPT_ENTANGLED, margin)
+    if 0.0 < gamma < 1.0 and cone is not None and ceiling < beta <= cone:
+        return Classification(pt, Verdict.BOUND_ENTANGLED, margin)
+    return Classification(pt, Verdict.UNDETERMINED, margin)
 
 
 # ---------------------------------------------------------------------------
@@ -63,14 +87,14 @@ def test_cone_trace_domain():
 # ---------------------------------------------------------------------------
 
 
-def test_trapezoid_corners_match_closed_forms():
+def test_trapezoid_corners_match_closed_forms(probed_slice_corners):
     want = {
         (-1.0 / 6.0, -1.0 / 3.0),
         (2.0 / 9.0, -2.0 / 9.0),
         (1.0 / 3.0, 2.0 / 3.0),
         (-1.0 / 12.0, 1.0 / 3.0),
     }
-    got = trapezoid_vertices()
+    got = probed_slice_corners
     assert len(got) == 4
     for a, b in got:
         assert any(
@@ -163,6 +187,20 @@ def test_classify_soundness_layers():
             assert row.pt_min_eig >= -1e-8
         if row.verdict is Verdict.NOT_A_STATE:
             assert row.pt_min_eig is None
+
+
+def test_classify_leaves_the_witness_oracle_unbuilt():
+    points = {
+        Verdict.NOT_A_STATE: (2.0, 0.0, 0.0),
+        Verdict.NPT_ENTANGLED: (1.0, 0.0, 0.0),
+        Verdict.BOUND_ENTANGLED: horodecki_point(1.5),
+        Verdict.SEPARABLE: (0.0, 0.0, 0.0),
+        Verdict.UNDETERMINED: horodecki_point(2.75),
+    }
+    deployed_witnesses.cache_clear()
+    for verdict, p in points.items():
+        assert classify(p).verdict is verdict
+    assert deployed_witnesses.cache_info().currsize == 0
 
 
 def test_csv_row_shapes():

@@ -1,7 +1,8 @@
 """Witness construction tests: feasibility criterion, line operators,
 closed-form crossings against in-test bisection oracles, plane extraction,
-and the deployed battery."""
+and the closed-form battery against its matrix oracle."""
 
+import logging
 import math
 
 import numpy as np
@@ -9,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magicsimplex import witness
 from magicsimplex.checks import run_all
 from magicsimplex.family import (
     FamilyPoint,
     family_state,
     horodecki_point,
     is_ppt,
+    mirror,
     plane_point,
     pt_block_eigenvalues,
     pt_min_eigenvalue,
@@ -23,6 +26,7 @@ from magicsimplex.family import (
 from magicsimplex.qmat import frobenius_norm, hs_inner
 from magicsimplex.weyl import bell_projector
 from magicsimplex.witness import (
+    CONE_EDGE_LAMBDA,
     DEFAULT_SEED,
     FEASIBLE,
     INFEASIBLE,
@@ -33,17 +37,18 @@ from magicsimplex.witness import (
     OPTIMAL_LAMBDA,
     c_lambda,
     c_limit,
+    deployed_witness,
     deployed_witnesses,
     lambda_min,
     line_state,
     min_product_expectation,
     optimal_plane_start,
     pl1_cone_start,
-    plane_residual,
     plane_tip_start,
     product_state_vectors,
     witness_candidate,
     witness_plane,
+    witness_planes,
     witness_values,
 )
 
@@ -238,6 +243,16 @@ def test_lambda_min_two_routes_agree():
     assert 40 <= found <= len(starts) - 40  # both outcomes well represented
 
 
+def test_mirror_starts_share_the_onset():
+    for start, onset in (
+        (plane_tip_start(), 1.0),
+        (optimal_plane_start(), OPTIMAL_LAMBDA),
+        (pl1_cone_start(), CONE_EDGE_LAMBDA),
+    ):
+        assert lambda_min(mirror(start)) == lambda_min(start)
+        assert lambda_min(start) == pytest.approx(onset, abs=1e-12)
+
+
 def test_line_crossing_checks_are_exact():
     for res in run_all(only=[1, 2]):
         assert abs(res.computed - res.expected) <= 1e-12, res
@@ -258,7 +273,7 @@ def test_cone_start_closed_form_beta():
     assert start.beta == pytest.approx(want, abs=1e-9)
     assert start.gamma == pytest.approx(2.0 / 7.0, abs=1e-15)
     # the point sits on the flat witness plane
-    assert abs(plane_residual("Pl1", start)) <= 1e-12
+    assert abs(dict(witness_planes())["Pl1"].residual(start)) <= 1e-12
 
 
 def test_cone_start_is_on_the_cone():
@@ -296,7 +311,9 @@ def test_witness_plane_of_flat_face():
 
 def test_battery_membership_and_planes():
     battery = deployed_witnesses()
-    assert [w.name for w in battery] == ["Pl1", "Pl1m", "Pl2", "Pl2m", "Pl3", "Pl3m"]
+    names = ["Pl1", "Pl1m", "Pl2", "Pl2m", "Pl3", "Pl3m"]
+    assert [w.name for w in battery] == names
+    assert [name for name, _ in witness_planes()] == names
     for w in battery:
         assert w.candidate.feasible
     # mirroring preserves the beta coefficient, offset, and trace scale
@@ -317,13 +334,46 @@ def test_battery_tangent_at_shared_corner():
         assert abs(value) <= 1e-12, name
 
 
+def test_closed_form_planes_match_the_oracle():
+    for (name, closed), w in zip(witness_planes(), deployed_witnesses()):
+        assert name == w.name
+        probed = witness_plane(w.candidate).as_dict()
+        for field, value in closed.as_dict().items():
+            assert abs(probed[field] - value) <= 1e-12, (name, field)
+
+
+def test_oracle_raises_when_a_start_leaves_its_closed_form(monkeypatch):
+    # toward the center: still a PPT state, but its onset moves by 1e-6
+    shrunk = FamilyPoint(*(0.999999 * x for x in pl1_cone_start().as_tuple()))
+    monkeypatch.setattr(witness, "pl1_cone_start", lambda: shrunk)
+    for cache in (witness_planes, deployed_witnesses):
+        cache.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="Pl3: .* closed form"):
+            deployed_witnesses()
+    finally:
+        monkeypatch.undo()
+        for cache in (witness_planes, deployed_witnesses):
+            cache.cache_clear()
+
+
+def test_planes_are_logged_once_per_battery_build(caplog):
+    caplog.set_level(logging.INFO, logger="magicsimplex")
+    for cache in (witness_planes, deployed_witnesses):
+        cache.cache_clear()
+    deployed_witnesses()
+    deployed_witnesses.cache_clear()
+    deployed_witnesses()  # the oracle alone logs no plane
+    logged = [r.getMessage() for r in caplog.records if r.getMessage().startswith("witness ")]
+    assert [m.split(":")[0] for m in logged] == ["witness Pl1", "witness Pl2", "witness Pl3"]
+
+
 def test_plane_residual_examples():
-    assert plane_residual("Pl1", FamilyPoint(0.4, 0.0, 0.0)) == pytest.approx(
-        0.0, abs=1e-12
-    )
-    assert plane_residual("Pl1", ORIGIN) == pytest.approx(-0.4, abs=1e-12)
+    pl1 = dict(witness_planes())["Pl1"]
+    assert pl1.residual(FamilyPoint(0.4, 0.0, 0.0)) == pytest.approx(0.0, abs=1e-12)
+    assert pl1.residual(ORIGIN) == pytest.approx(-0.4, abs=1e-12)
     with pytest.raises(ValueError, match="unknown witness"):
-        plane_residual("Pl9", ORIGIN)
+        deployed_witness("Pl9")
 
 
 def test_witness_value_proportional_to_residual():
