@@ -40,7 +40,6 @@ from .witness import (
     c_limit,
     deployed_witnesses,
     lambda_min,
-    line_state,
     optimal_plane_start,
     pl1_cone_start,
     witness_plane,
@@ -68,7 +67,6 @@ __all__ = [
     "l_a",
     "l_b",
     "lambda_min",
-    "line_state",
     "optimal_plane_start",
     "pl1_cone_start",
     "plane_point",

@@ -34,7 +34,7 @@ from .family import (
     pt_min_eigenvalue,
     pyramid_margin,
 )
-from .qmat import frobenius_norm, hermitian_eigenvalues, hs_inner
+from .qmat import hermitian_eigenvalues, hs_inner
 from .regions import l_a, l_b, plane_grid_points, scan
 from .verdicts import Verdict
 from .witness import (
@@ -224,7 +224,7 @@ def _check_line_identities(seed: int) -> CheckResult:
         rho = family_state(start)
         rho_l = lam * rho + (1.0 - lam) * np.eye(9, dtype=complex) / 9.0
         on_line = abs(hs_inner(cand.matrix, rho_l).real)
-        dist_sq = frobenius_norm(rho_l - rho) ** 2
+        dist_sq = np.linalg.norm(rho_l - rho) ** 2
         at_start = abs(hs_inner(cand.matrix, rho).real + dist_sq)
         worst = max(worst, on_line, at_start)
     return CheckResult(
@@ -272,7 +272,7 @@ def _check_limit_law(seed: int) -> CheckResult:
         for k in range(3, 7):
             lam = 1.0 - 10.0**-k
             cand = c_lambda(LineSpec(start, lam))
-            gap = frobenius_norm(cand.matrix / (lam * (1.0 - lam)) - limit)
+            gap = np.linalg.norm(cand.matrix / (lam * (1.0 - lam)) - limit)
             worst_ratio = max(worst_ratio, gap / (10.0 * (1.0 - lam)))
     return CheckResult(
         index=8,
@@ -451,8 +451,13 @@ CHECK_NAMES = (
 def run_all(
     *, seed: int = DEFAULT_SEED, only: list[int] | None = None
 ) -> list[CheckResult]:
-    """Run the verification battery (or the subset in ``only``, 1-based)."""
-    indices = sorted(set(only)) if only else list(range(1, 13))
+    """Run the verification battery (or the subset in ``only``, 1-based).
+
+    ``only=None`` runs all twelve checks; an empty selection is an error.
+    """
+    if only is not None and not only:
+        raise ValueError("empty check selection (indices must be in 1..12)")
+    indices = list(range(1, 13)) if only is None else sorted(set(only))
     for i in indices:
         if not 1 <= i <= 12:
             raise ValueError(f"check index must be in 1..12, got {i}")

@@ -25,8 +25,8 @@ success, 2 invalid input, 1 failed verification.  Set the environment
 variable ``MAGIC_SIMPLEX_LOG`` to a level name (e.g. ``INFO``) for
 diagnostics on stderr.
 
-For programmatic use, build a :class:`CommandConfig` and call
-:func:`run`; invalid input raises ``ValueError`` instead of exiting.
+:func:`main` takes an argument list and is also the in-process entry
+point: it returns the exit code instead of exiting.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import logging
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass, fields
 from typing import Any, ContextManager, Sequence, TextIO
 
 from .checks import run_all
@@ -95,43 +94,6 @@ def _configure_logging() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Configuration carrier
-# ---------------------------------------------------------------------------
-
-SUBCOMMANDS = ("classify", "scan", "lambda-min", "witness", "horodecki", "verify")
-
-
-@dataclass(frozen=True)
-class CommandConfig:
-    """One resolved invocation: a subcommand plus its flag values.
-
-    Fields not used by a given subcommand are simply ignored by it;
-    :func:`run` raises ``ValueError`` for anything inconsistent (unknown
-    subcommand, conflicting point-addressing flags, malformed grids).
-    """
-
-    subcommand: str
-    alpha: float | None = None
-    beta: float | None = None
-    gamma: float | None = None
-    b: float | None = None
-    epsilon: float | None = None
-    grid: str | None = None
-    plane: bool = False
-    name: str | None = None
-    only: str | None = None
-    format: str = "text"
-    out: str | None = None
-    seed: int = DEFAULT_SEED
-
-    def __post_init__(self) -> None:
-        if self.subcommand not in SUBCOMMANDS:
-            raise ValueError(
-                f"unknown subcommand {self.subcommand!r} (one of {', '.join(SUBCOMMANDS)})"
-            )
-
-
-# ---------------------------------------------------------------------------
 # Flag handling
 # ---------------------------------------------------------------------------
 
@@ -148,23 +110,23 @@ def _add_point_flags(sub: argparse.ArgumentParser) -> None:
     group.add_argument("--epsilon", type=float, default=None)
 
 
-def _resolve_point(cfg: CommandConfig) -> FamilyPoint:
-    has_abc = cfg.alpha is not None or cfg.beta is not None
-    if cfg.b is not None:
-        if has_abc or cfg.epsilon is not None or cfg.gamma is not None:
+def _resolve_point(args: argparse.Namespace) -> FamilyPoint:
+    has_abc = args.alpha is not None or args.beta is not None
+    if args.b is not None:
+        if has_abc or args.epsilon is not None or args.gamma is not None:
             raise ValueError("--b conflicts with the other point-addressing flags")
-        return horodecki_point(cfg.b)
-    if cfg.epsilon is not None:
+        return horodecki_point(args.b)
+    if args.epsilon is not None:
         if has_abc:
             raise ValueError("--epsilon/--gamma conflicts with --alpha/--beta")
-        if cfg.gamma is None:
+        if args.gamma is None:
             raise ValueError("--epsilon requires --gamma")
-        return plane_point(cfg.epsilon, cfg.gamma)
-    if cfg.alpha is None or cfg.beta is None or cfg.gamma is None:
+        return plane_point(args.epsilon, args.gamma)
+    if args.alpha is None or args.beta is None or args.gamma is None:
         raise ValueError(
             "address a point with --alpha/--beta/--gamma, --b, or --epsilon/--gamma"
         )
-    return FamilyPoint(cfg.alpha, cfg.beta, cfg.gamma)
+    return FamilyPoint(args.alpha, args.beta, args.gamma)
 
 
 def _open_out(path: str | None) -> ContextManager[TextIO]:
@@ -186,14 +148,14 @@ def _emit(out: TextIO, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_classify(cfg: CommandConfig) -> int:
-    point = _resolve_point(cfg)
+def _cmd_classify(args: argparse.Namespace) -> int:
+    point = _resolve_point(args)
     row = classify(point)
-    with _open_out(cfg.out) as out:
-        if cfg.format == "csv":
+    with _open_out(args.out) as out:
+        if args.format == "csv":
             _emit(out, CSV_HEADER)
             _emit(out, row.csv_row())
-        elif cfg.format == "json":
+        elif args.format == "json":
             payload = {
                 "alpha": point.alpha,
                 "beta": point.beta,
@@ -229,11 +191,11 @@ def _cmd_classify(cfg: CommandConfig) -> int:
     return 0
 
 
-def _scan_points(cfg: CommandConfig):
-    if cfg.grid is None:
+def _scan_points(args: argparse.Namespace):
+    if args.grid is None:
         raise ValueError("scan requires --grid")
-    specs = cfg.grid.split(",")
-    if cfg.plane:
+    specs = args.grid.split(",")
+    if args.plane:
         if len(specs) != 2:
             raise ValueError("--plane expects --grid gamma0:gamma1:step,beta0:beta1:step")
         return plane_grid_points(specs[0], specs[1])
@@ -244,11 +206,11 @@ def _scan_points(cfg: CommandConfig):
     return grid_points(specs[0], specs[1], specs[2])
 
 
-def _cmd_scan(cfg: CommandConfig) -> int:
-    points = _scan_points(cfg)
+def _cmd_scan(args: argparse.Namespace) -> int:
+    points = _scan_points(args)
     result = scan(points)
-    with _open_out(cfg.out) as out:
-        if cfg.format == "json":
+    with _open_out(args.out) as out:
+        if args.format == "json":
             gammas = sorted({p.gamma for p in points})
             samples = [
                 {"gamma": g, "l_a": l_a(g), "l_b": l_b(g)}
@@ -269,11 +231,11 @@ def _cmd_scan(cfg: CommandConfig) -> int:
     return 0
 
 
-def _cmd_lambda_min(cfg: CommandConfig) -> int:
-    point = _resolve_point(cfg)
+def _cmd_lambda_min(args: argparse.Namespace) -> int:
+    point = _resolve_point(args)
     value = lambda_min(point)
-    with _open_out(cfg.out) as out:
-        if cfg.format == "json":
+    with _open_out(args.out) as out:
+        if args.format == "json":
             payload = {
                 "alpha": point.alpha,
                 "beta": point.beta,
@@ -311,9 +273,9 @@ def _witness_payload(name: str) -> dict[str, Any]:
     }
 
 
-def _cmd_witness(cfg: CommandConfig) -> int:
-    with _open_out(cfg.out) as out:
-        if cfg.name is None:
+def _cmd_witness(args: argparse.Namespace) -> int:
+    with _open_out(args.out) as out:
+        if args.name is None:
             for name, plane in witness_planes():
                 _emit(
                     out,
@@ -327,7 +289,7 @@ def _cmd_witness(cfg: CommandConfig) -> int:
                     ),
                 )
             return 0
-        payload = _witness_payload(cfg.name)
+        payload = _witness_payload(args.name)
         _emit(out, json.dumps(_json_round(payload), indent=2))
     return 0
 
@@ -335,14 +297,14 @@ def _cmd_witness(cfg: CommandConfig) -> int:
 _HORODECKI_CSV_HEADER = "b,alpha,beta,gamma,pyramid_margin,pt_min_eig,classification"
 
 
-def _cmd_horodecki(cfg: CommandConfig) -> int:
-    if (cfg.b is None) == (cfg.grid is None):
+def _cmd_horodecki(args: argparse.Namespace) -> int:
+    if (args.b is None) == (args.grid is None):
         raise ValueError("give exactly one of --b or --grid b0:b1:step")
-    b_values = [cfg.b] if cfg.b is not None else parse_grid(cfg.grid)
+    b_values = [args.b] if args.b is not None else parse_grid(args.grid)
     # Points on the line are states, so every row carries its PT minimum.
     rows = [(b, classify(horodecki_point(b))) for b in b_values]
-    with _open_out(cfg.out) as out:
-        if cfg.format == "json":
+    with _open_out(args.out) as out:
+        if args.format == "json":
             payload = [
                 {
                     "b": b,
@@ -378,17 +340,17 @@ def _cmd_horodecki(cfg: CommandConfig) -> int:
     return 0
 
 
-def _cmd_verify(cfg: CommandConfig) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     only = None
-    if cfg.only:
+    if args.only is not None:
         try:
-            only = [int(tok) for tok in cfg.only.split(",")]
+            only = [int(tok) for tok in args.only.split(",")]
         except ValueError:
             raise ValueError(
-                f"--only expects comma-separated integers, got {cfg.only!r}"
+                f"--only expects comma-separated integers, got {args.only!r}"
             ) from None
-    results = run_all(seed=cfg.seed, only=only)
-    with _open_out(cfg.out) as out:
+    results = run_all(seed=args.seed, only=only)
+    with _open_out(args.out) as out:
         failures = 0
         for r in results:
             status = "PASS" if r.passed else "FAIL"
@@ -417,11 +379,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_classify = sub.add_parser("classify", help="verdict and evidence for one point")
+    p_classify.set_defaults(handler=_cmd_classify)
     _add_point_flags(p_classify)
     p_classify.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_classify.add_argument("--out", default=None)
 
     p_scan = sub.add_parser("scan", help="classify a grid of points")
+    p_scan.set_defaults(handler=_cmd_scan)
     p_scan.add_argument("--grid", required=True, help="comma-separated lo:hi:step specs")
     p_scan.add_argument(
         "--plane",
@@ -434,52 +398,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_lambda = sub.add_parser(
         "lambda-min", help="first safe-witness parameter along the line to the center"
     )
+    p_lambda.set_defaults(handler=_cmd_lambda_min)
     _add_point_flags(p_lambda)
     p_lambda.add_argument("--format", choices=("text", "json"), default="text")
     p_lambda.add_argument("--out", default=None)
 
     p_witness = sub.add_parser("witness", help="list or dump the deployed witnesses")
+    p_witness.set_defaults(handler=_cmd_witness)
     p_witness.add_argument("--name", default=None, help="dump one witness as JSON")
     p_witness.add_argument("--out", default=None)
 
     p_horo = sub.add_parser("horodecki", help="walk the one-parameter line")
+    p_horo.set_defaults(handler=_cmd_horodecki)
     p_horo.add_argument("--b", type=float, default=None)
     p_horo.add_argument("--grid", default=None, help="b0:b1:step")
     p_horo.add_argument("--format", choices=("csv", "json"), default="csv")
     p_horo.add_argument("--out", default=None)
 
     p_verify = sub.add_parser("verify", help="replay the verification battery")
+    p_verify.set_defaults(handler=_cmd_verify)
     p_verify.add_argument("--only", default=None, help="comma-separated check indices")
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_verify.add_argument("--out", default=None)
 
     return parser
-
-
-_DISPATCH = {
-    "classify": _cmd_classify,
-    "scan": _cmd_scan,
-    "lambda-min": _cmd_lambda_min,
-    "witness": _cmd_witness,
-    "horodecki": _cmd_horodecki,
-    "verify": _cmd_verify,
-}
-
-
-def run(config: CommandConfig) -> int:
-    """Execute one invocation; returns the process exit status.
-
-    0 on success, 1 when ``verify`` finds a failed check.  Invalid input
-    raises ``ValueError`` (and unwritable output ``OSError``); the
-    :func:`main` wrapper maps those to exit status 2.
-    """
-    return _DISPATCH[config.subcommand](config)
-
-
-def _config_from_args(args: argparse.Namespace) -> CommandConfig:
-    names = {f.name for f in fields(CommandConfig)} - {"subcommand"}
-    values = {name: getattr(args, name) for name in names if hasattr(args, name)}
-    return CommandConfig(subcommand=args.command, **values)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -489,8 +431,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # Invalid input raises ValueError (unwritable output OSError): exit 2.
     try:
-        return run(_config_from_args(args))
+        return args.handler(args)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -131,9 +131,6 @@ class BellSpectrum(NamedTuple):
 
     weights: dict[tuple[int, int], float]
 
-    def min_weight(self) -> float:
-        return min(self.weights.values())
-
     def sorted_values(self) -> list[float]:
         return sorted(self.weights.values())
 

@@ -28,13 +28,10 @@ Array = np.ndarray
 __all__ = [
     "Array",
     "HERMITICITY_TOL",
-    "frobenius_norm",
     "hermitian_eigenvalues",
     "hs_inner",
-    "kron",
     "matrix_to_json",
     "partial_transpose",
-    "trace",
 ]
 
 #: Max tolerated entry-wise asymmetry ``|M - M^H|`` for eigensolver input.
@@ -48,21 +45,9 @@ def _as_matrix(m: Any) -> Array:
     return a
 
 
-def trace(m: Array) -> complex:
-    return complex(np.trace(_as_matrix(m)))
-
-
-def frobenius_norm(m: Array) -> float:
-    return float(np.linalg.norm(np.asarray(m)))
-
-
 def hs_inner(a: Array, b: Array) -> complex:
     """Hilbert-Schmidt inner product ``Tr(a^H b)``."""
     return complex(np.vdot(np.asarray(a), np.asarray(b)))
-
-
-def kron(a: Array, b: Array) -> Array:
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def partial_transpose(m: Array) -> Array:

@@ -119,11 +119,12 @@ def l_a(gamma: float) -> float:
 
 def l_b(gamma: float) -> float:
     """Facet trace of the PPT cone edge.  Defined for ``|gamma| <= 2/sqrt(3)``."""
-    disc = 4.0 - 3.0 * gamma * gamma
-    if disc < 0.0:
+    if abs(gamma) > FACET_DOMAIN:
         raise ValueError(
             f"cone trace undefined at gamma={gamma} (|gamma| <= 2/sqrt(3) required)"
         )
+    # At the domain edge the discriminant rounds to a few ulps below zero.
+    disc = max(4.0 - 3.0 * gamma * gamma, 0.0)
     return (3.0 * gamma - 4.0 + math.sqrt(disc)) / 9.0
 
 
@@ -220,12 +221,6 @@ def classify(p: FamilyPoint | tuple[float, float, float]) -> Classification:
 
 
 @dataclass(frozen=True)
-class PolygonVertex:
-    point: FamilyPoint
-    provenance: str
-
-
-@dataclass(frozen=True)
 class SeparablePolygon:
     """Convex hull of known-separable extreme points, as half-spaces.
 
@@ -234,11 +229,11 @@ class SeparablePolygon:
     half-space when ``n . p <= offset``.
     """
 
-    vertices: tuple[PolygonVertex, ...]
+    vertices: tuple[FamilyPoint, ...]
     halfspaces: tuple[tuple[float, float, float, float], ...]
 
     def vertex_array(self) -> np.ndarray:
-        return np.array([v.point.as_tuple() for v in self.vertices])
+        return np.array([v.as_tuple() for v in self.vertices])
 
     def membership_residual(self, p: FamilyPoint | tuple[float, float, float]) -> float:
         """Largest distance of ``p`` outside a facet plane; 0 on and inside the hull."""
@@ -296,23 +291,16 @@ def build_polygon() -> SeparablePolygon:
     (:data:`~.family.STATE_TOL`, :data:`~.family.PPT_TOL`); the build
     raises if one fails.
     """
-    verts = [
-        PolygonVertex(FamilyPoint(a, b, 0.0), "gamma=0 slice corner")
-        for (a, b) in SLICE_CORNERS
-    ]
-    verts.append(
-        PolygonVertex(FamilyPoint(0.0, 0.0, 1.0), "facet curve crossing at gamma=1")
-    )
+    verts = [FamilyPoint(a, b, 0.0) for (a, b) in SLICE_CORNERS]
+    verts.append(FamilyPoint(0.0, 0.0, 1.0))
     for v in verts:
-        margin = pyramid_margin(v.point)
+        margin = pyramid_margin(v)
         if margin < STATE_TOL:
-            raise ArithmeticError(f"polytope vertex {v.point.as_tuple()} is not a state")
-        eig = pt_min_eigenvalue(v.point)
+            raise ArithmeticError(f"polytope vertex {v.as_tuple()} is not a state")
+        eig = pt_min_eigenvalue(v)
         if eig < PPT_TOL:
-            raise ArithmeticError(
-                f"polytope vertex {v.point.as_tuple()} is NPT ({eig:.2e})"
-            )
-    halfspaces = _pyramid_halfspaces([v.point for v in verts[:-1]], verts[-1].point)
+            raise ArithmeticError(f"polytope vertex {v.as_tuple()} is NPT ({eig:.2e})")
+    halfspaces = _pyramid_halfspaces(verts[:-1], verts[-1])
     logger.info(
         "separable polytope built: %d vertices, %d facets", len(verts), len(halfspaces)
     )
@@ -348,14 +336,15 @@ def scan(points: Iterable[FamilyPoint | tuple[float, float, float]]) -> ScanResu
     return ScanResult(rows=[classify(p) for p in pts])
 
 
-def _grid_axis(spec: str) -> tuple[float, float, int]:
-    """``(lo, step, count)`` of a grid spec, validated but not expanded.
+def _grid_axis(spec: str) -> tuple[float, float, float, int]:
+    """``(lo, hi, step, count)`` of a grid spec, validated but not expanded.
 
-    A single value ``"x"`` has step 0.
+    A single value ``"x"`` has ``hi == lo`` and step 0.
     """
     parts = spec.split(":")
     if len(parts) == 1:
-        return float(parts[0]), 0.0, 1
+        x = float(parts[0])
+        return x, x, 0.0, 1
     if len(parts) != 3:
         raise ValueError(f"grid spec must be 'lo:hi:step' or 'x', got {spec!r}")
     lo, hi, step = (float(v) for v in parts)
@@ -373,7 +362,7 @@ def _grid_axis(spec: str) -> tuple[float, float, int]:
     n = int(round(span))
     if abs(lo + n * step - hi) > 1e-9 * max(1.0, abs(hi)):
         n = int(math.floor(span + 1e-12))
-    return lo, step, n + 1
+    return lo, hi, step, n + 1
 
 
 def _check_grid_size(*counts: int) -> None:
@@ -388,11 +377,12 @@ def parse_grid(spec: str) -> list[float]:
     Raises ``ValueError`` for a malformed spec or one that expands to more
     than :data:`MAX_GRID_POINTS` values.
     """
-    lo, step, count = _grid_axis(spec)
+    lo, hi, step, count = _grid_axis(spec)
     _check_grid_size(count)
     if not step:
         return [lo]
-    return [lo + k * step for k in range(count)]
+    # lo + k * step can round past hi on the last point; hi is inclusive.
+    return [min(lo + k * step, hi) for k in range(count)]
 
 
 def grid_points(
@@ -400,13 +390,13 @@ def grid_points(
 ) -> list[FamilyPoint]:
     """Row-major grid: alpha outermost, gamma innermost."""
     specs = (alpha_spec, beta_spec, gamma_spec)
-    _check_grid_size(*(_grid_axis(s)[2] for s in specs))
+    _check_grid_size(*(_grid_axis(s)[-1] for s in specs))
     alphas, betas, gammas = (parse_grid(s) for s in specs)
     return [FamilyPoint(a, b, g) for a in alphas for b in betas for g in gammas]
 
 
 def plane_grid_points(gamma_spec: str, beta_spec: str) -> list[FamilyPoint]:
     """Facet grid: gamma outermost, beta innermost, alpha pinned by the facet."""
-    _check_grid_size(_grid_axis(gamma_spec)[2], _grid_axis(beta_spec)[2])
+    _check_grid_size(_grid_axis(gamma_spec)[-1], _grid_axis(beta_spec)[-1])
     gammas, betas = parse_grid(gamma_spec), parse_grid(beta_spec)
     return [_facet_point(g, b) for g in gammas for b in betas]

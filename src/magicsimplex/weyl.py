@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qmat import Array, kron
+from .qmat import Array
 
 __all__ = [
     "WeylCoefficients",
@@ -76,7 +76,7 @@ def max_entangled_state() -> Array:
 
 @lru_cache(maxsize=None)
 def _bell_cached(n: int, m: int) -> Array:
-    u = kron(_weyl_cached(n, m), np.eye(3))
+    u = np.kron(_weyl_cached(n, m), np.eye(3, dtype=complex))
     proj = u @ _max_entangled_cached() @ u.conj().T
     proj = 0.5 * (proj + proj.conj().T)
     proj.setflags(write=False)
@@ -92,7 +92,7 @@ def bell_projector(n: int, m: int) -> Array:
 def tensor_basis_element(n: int, m: int) -> Array:
     """``W(n, m) (x) W(-n, m)`` -- one element of the two-sided basis."""
     _check_indices(n, m)
-    return kron(_weyl_cached(n, m), _weyl_cached(minus_index(n), m))
+    return np.kron(_weyl_cached(n, m), _weyl_cached(minus_index(n), m))
 
 
 @lru_cache(maxsize=1)
@@ -116,9 +116,6 @@ class WeylCoefficients:
 
     coeffs: dict[tuple[int, int], complex]
     residual: float
-
-    def coefficient(self, n: int, m: int) -> complex:
-        return self.coeffs[(n, m)]
 
     def identity_coefficient(self) -> complex:
         return self.coeffs[(0, 0)]

@@ -76,7 +76,6 @@ __all__ = [
     "deployed_witness",
     "deployed_witnesses",
     "lambda_min",
-    "line_state",
     "min_product_expectation",
     "optimal_plane_start",
     "pl1_cone_start",
@@ -201,12 +200,6 @@ class LineSpec:
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"line parameter must lie in [0, 1], got {self.lam}")
         _require_ppt(self.start)
-
-
-def line_state(spec: LineSpec) -> Array:
-    """The interpolated state ``l * rho + (1 - l) * 1/9``."""
-    lam = spec.lam
-    return lam * family_state(spec.start) + (1.0 - lam) * np.eye(9, dtype=complex) / 9.0
 
 
 def _scaled_line_operator(rho: Array, lam: float) -> Array:
@@ -527,14 +520,6 @@ def deployed_witnesses() -> tuple[DeployedWitness, ...]:
             )
         battery.append(DeployedWitness(name=name, candidate=cand, plane=plane))
     return tuple(battery)
-
-
-def witness_values(rho: Array) -> list[tuple[str, float]]:
-    """Expectation of every deployed witness on ``rho`` (detection: < 0)."""
-    return [
-        (w.name, hs_inner(w.candidate.matrix, rho).real)
-        for w in deployed_witnesses()
-    ]
 
 
 def deployed_witness(name: str) -> DeployedWitness:

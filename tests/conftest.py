@@ -6,6 +6,13 @@ import numpy as np
 import pytest
 
 from magicsimplex.family import PPT_TOL, FamilyPoint, pt_min_eigenvalue, pyramid_margin
+from magicsimplex.qmat import hs_inner
+from magicsimplex.witness import deployed_witnesses
+
+
+def witness_values(rho: np.ndarray) -> list[tuple[str, float]]:
+    """``Tr(W rho)`` for every member of the matrix battery (detection: < 0)."""
+    return [(w.name, hs_inner(w.candidate.matrix, rho).real) for w in deployed_witnesses()]
 
 
 def _slice_feasible(alpha: float, beta: float) -> bool:

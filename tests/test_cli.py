@@ -11,8 +11,12 @@ from pathlib import Path
 import pytest
 
 from magicsimplex import cli, regions, weyl, witness
-from magicsimplex.cli import CommandConfig, main, run
+from magicsimplex.checks import run_all
+from magicsimplex.cli import main
 from magicsimplex.witness import witness_planes
+
+#: Recorded stdout of known invocations, one ``.txt`` file each.
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 #: PYTHONPATH for subprocesses: this checkout's sources first, so the
 #: tests pass without installing the package.
@@ -219,6 +223,15 @@ def test_horodecki_pt_min_eig_matches_classify(capsys, b):
     assert line_eig == point_eig == "0"
 
 
+def test_horodecki_grid_ends_on_its_upper_bound(capsys):
+    # 0.2 + 24 * 0.2 rounds to 5.000000000000001, outside the line's domain.
+    code, out, _ = run_cli(capsys, "horodecki", "--grid", "0.2:5:0.2")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 1 + 25
+    assert lines[-1].split(",")[0] == "5"
+
+
 def test_horodecki_requires_exactly_one_selector(capsys):
     code, _, err = run_cli(capsys, "horodecki")
     assert code == 2
@@ -257,6 +270,15 @@ def test_scan_plane_json_summary(capsys):
     assert "Separable" in payload["counts"]
     sample = payload["boundary_samples"][0]
     assert set(sample) == {"gamma", "l_a", "l_b"}
+
+
+def test_scan_plane_accepts_the_facet_domain_edge(capsys):
+    # gamma = 2/sqrt(3) is the last point on which the cone trace exists.
+    code, out, _ = run_cli(
+        capsys, "scan", "--plane", "--grid=1.1547005383792517,-0.3", "--format", "json"
+    )
+    assert code == 0
+    assert len(json.loads(out)["boundary_samples"]) == 1
 
 
 def test_scan_grid_shape_errors(capsys):
@@ -305,29 +327,54 @@ def test_verify_rejects_non_integer(capsys):
     assert code == 2
 
 
+def test_verify_rejects_empty_selection(capsys):
+    code, out, err = run_cli(capsys, "verify", "--only", "")
+    assert code == 2
+    assert "checks passed" not in out
+    with pytest.raises(ValueError, match="empty"):
+        run_all(only=[])
+
+
 # ---------------------------------------------------------------------------
-# programmatic entry: CommandConfig + run
+# in-process entry: main(argv)
 # ---------------------------------------------------------------------------
 
 
-def test_run_with_config_writes_file(tmp_path):
+def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "row.json"
-    config = CommandConfig(
-        subcommand="classify", b=3.5, format="json", out=str(target)
+    code, out, _ = run_cli(
+        capsys, "classify", "--b", "3.5", "--format", "json", "--out", str(target)
     )
-    assert run(config) == 0
+    assert code == 0
+    assert out == ""
     payload = json.loads(target.read_text())
     assert payload["verdict"] == "BoundEntangled"
 
 
-def test_run_raises_on_conflicting_flags():
-    with pytest.raises(ValueError, match="conflicts"):
-        run(CommandConfig(subcommand="classify", b=1.0, alpha=0.0))
+def test_unknown_subcommand_exits_2(capsys):
+    code, _, err = run_cli(capsys, "explode")
+    assert code == 2
+    assert "explode" in err
 
 
-def test_config_rejects_unknown_subcommand():
-    with pytest.raises(ValueError, match="unknown subcommand"):
-        CommandConfig(subcommand="explode")
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("classify_b1.5_text", ["classify", "--b", "1.5"]),
+        ("classify_b1.5_json", ["classify", "--b", "1.5", "--format", "json"]),
+        ("classify_b1.5_csv", ["classify", "--b", "1.5", "--format", "csv"]),
+        ("classify_origin", ["classify", "--alpha", "0", "--beta", "0", "--gamma", "0"]),
+        ("classify_b0.5", ["classify", "--b", "0.5"]),
+        ("classify_alpha2", ["classify", "--alpha", "2", "--beta", "0", "--gamma", "0"]),
+        ("witness", ["witness"]),
+        ("horodecki_0_5_0.25", ["horodecki", "--grid", "0:5:0.25"]),
+        ("scan_small", ["scan", "--grid", "0:1:0.5,-0.3:0:0.15,0:0.5:0.25"]),
+    ],
+)
+def test_golden_output(capsys, name, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 
 nnls = pytest.importorskip("scipy.optimize").nnls
 
+from conftest import witness_values  # noqa: E402
 from magicsimplex.family import (  # noqa: E402
     PPT_TOL,
     STATE_TOL,
@@ -32,7 +33,6 @@ from magicsimplex.regions import (  # noqa: E402
     plane_grid_points,
 )
 from magicsimplex.verdicts import Verdict  # noqa: E402
-from magicsimplex.witness import witness_values  # noqa: E402
 
 #: Bounding box of the state pyramid (vertices (1,0,0), (0,1,0), (0,0,1)
 #: and (-1/3,-2/3,-1)), slightly enlarged.

@@ -82,6 +82,13 @@ def test_cone_trace_domain():
         l_b(limit + 1e-9)
 
 
+def test_cone_trace_is_finite_at_its_domain_edge():
+    # 4 - 3 gamma^2 rounds to -8.9e-16 at gamma = FACET_DOMAIN.
+    for gamma in (FACET_DOMAIN, -FACET_DOMAIN):
+        assert np.isfinite(l_b(gamma))
+        assert l_b(gamma) == (3.0 * gamma - 4.0) / 9.0
+
+
 # ---------------------------------------------------------------------------
 # Separable polytope
 # ---------------------------------------------------------------------------
@@ -112,7 +119,7 @@ def test_polygon_membership_examples():
 def test_polygon_vertices_are_ppt_states():
     poly = build_polygon()
     for v in poly.vertices:
-        assert pt_min_eigenvalue(v.point) >= PPT_TOL
+        assert pt_min_eigenvalue(v) >= PPT_TOL
 
 
 def test_polygon_rejects_a_slightly_npt_corner(monkeypatch):
@@ -137,7 +144,7 @@ def test_polygon_rejects_a_slightly_npt_corner(monkeypatch):
 def test_polygon_subset_of_ppt():
     # random convex combinations of the vertices must pass the PT oracle
     poly = build_polygon()
-    pts = np.array([v.point.as_tuple() for v in poly.vertices])
+    pts = poly.vertex_array()
     rng = np.random.default_rng(23)
     weights = rng.dirichlet(np.ones(len(pts)), size=2000)
     worst = 0.0
@@ -279,6 +286,15 @@ def test_parse_grid():
         parse_grid("0:1:0")
     with pytest.raises(ValueError):
         parse_grid("0:1")
+
+
+def test_grid_never_overshoots_its_upper_bound():
+    steps = ("0.01", "0.02", "0.05", "0.1", "0.2", "0.25", "0.3", "0.7")
+    specs = [f"{k / 10}:5:{step}" for k in range(50) for step in steps]
+    assert len(specs) == 400
+    over = [spec for spec in specs if max(parse_grid(spec)) > 5.0]
+    assert over == []
+    assert parse_grid("0.2:5:0.2")[-1] == 5.0
 
 
 def test_grid_size_is_capped_before_expansion():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magicsimplex.qmat import hs_inner, kron
+from magicsimplex.qmat import hs_inner
 from magicsimplex.weyl import (
     bell_projector,
     max_entangled_state,
@@ -85,7 +85,7 @@ def test_bell_projector_is_projector():
 def test_tensor_basis_element_structure():
     b = tensor_basis_element(1, 2)
     assert np.allclose(
-        b, kron(weyl_operator(1, 2), weyl_operator(minus_index(1), 2)), atol=1e-15
+        b, np.kron(weyl_operator(1, 2), weyl_operator(minus_index(1), 2)), atol=1e-15
     )
 
 

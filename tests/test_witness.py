@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from conftest import witness_values
 from hypothesis import strategies as st
 
 from magicsimplex import witness
@@ -23,7 +24,7 @@ from magicsimplex.family import (
     pt_min_eigenvalue,
     pyramid_margin,
 )
-from magicsimplex.qmat import frobenius_norm, hs_inner
+from magicsimplex.qmat import hs_inner
 from magicsimplex.weyl import bell_projector
 from magicsimplex.witness import (
     CONE_EDGE_LAMBDA,
@@ -40,7 +41,6 @@ from magicsimplex.witness import (
     deployed_witness,
     deployed_witnesses,
     lambda_min,
-    line_state,
     min_product_expectation,
     optimal_plane_start,
     pl1_cone_start,
@@ -49,7 +49,6 @@ from magicsimplex.witness import (
     witness_candidate,
     witness_plane,
     witness_planes,
-    witness_values,
 )
 
 ORIGIN = FamilyPoint(0.0, 0.0, 0.0)
@@ -114,12 +113,15 @@ def test_line_spec_validation():
         LineSpec(FamilyPoint(1.0, 0.0, 0.0), 0.5)
 
 
+def _line_state(start: FamilyPoint, lam: float) -> np.ndarray:
+    """The interpolated state ``l * rho + (1 - l) * 1/9``."""
+    return lam * family_state(start) + (1.0 - lam) * np.eye(9, dtype=complex) / 9.0
+
+
 def test_line_state_endpoints():
     start = horodecki_point(1.5)
-    assert np.allclose(line_state(LineSpec(start, 0.0)), np.eye(9) / 9.0, atol=1e-15)
-    assert np.allclose(
-        line_state(LineSpec(start, 1.0)), family_state(start), atol=1e-15
-    )
+    assert np.allclose(_line_state(start, 0.0), np.eye(9) / 9.0, atol=1e-15)
+    assert np.allclose(_line_state(start, 1.0), family_state(start), atol=1e-15)
 
 
 def test_c_lambda_identities():
@@ -127,9 +129,9 @@ def test_c_lambda_identities():
     lam = 0.7
     cand = c_lambda(LineSpec(start, lam))
     rho = family_state(start)
-    rho_l = line_state(LineSpec(start, lam))
+    rho_l = _line_state(start, lam)
     assert abs(hs_inner(cand.matrix, rho_l).real) <= 1e-13
-    gap = frobenius_norm(rho_l - rho) ** 2
+    gap = np.linalg.norm(rho_l - rho) ** 2
     assert hs_inner(cand.matrix, rho).real == pytest.approx(-gap, abs=1e-13)
 
 
