@@ -4,8 +4,15 @@ The package classifies family members as separable, bound entangled, NPT
 entangled, or undetermined, using stacked sound certificates: closed-form
 positivity, the closed-form partial-transpose spectrum, a battery of
 constructed entanglement witnesses, and an inner polytope of separable
-states.  See :mod:`magicsimplex.regions` for the pipeline and
-:mod:`magicsimplex.witness` for the witness constructions.
+states.  See :mod:`magicsimplex.regions` for the pipeline,
+:mod:`magicsimplex.planes` for the closed-form witness planes and
+:mod:`magicsimplex.witness` for the matrix construction that checks them.
+
+The production modules (``verdicts``, ``family``, ``planes``, ``regions``,
+``cli``) import only the standard library; importing the package loads no
+numpy.  The matrix oracle (``qmat``, ``weyl``, ``witness``, ``checks``)
+needs numpy and is imported on its own, e.g. ``from magicsimplex.witness
+import lambda_min``.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from .family import (
     pt_min_eigenvalue,
     pyramid_margin,
 )
+from .planes import optimal_plane_start, pl1_cone_start
 from .regions import (
     Classification,
     ScanResult,
@@ -34,46 +42,30 @@ from .regions import (
     scan,
 )
 from .verdicts import Verdict
-from .witness import (
-    LineSpec,
-    c_lambda,
-    c_limit,
-    deployed_witnesses,
-    lambda_min,
-    optimal_plane_start,
-    pl1_cone_start,
-    witness_plane,
-)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Classification",
     "FamilyPoint",
-    "LineSpec",
     "PptResult",
     "ScanResult",
     "Verdict",
     "bell_spectrum",
     "build_polygon",
-    "c_lambda",
-    "c_limit",
     "classify",
-    "deployed_witnesses",
     "family_state",
     "horodecki_classification",
     "horodecki_point",
     "is_ppt",
     "l_a",
     "l_b",
-    "lambda_min",
     "optimal_plane_start",
     "pl1_cone_start",
     "plane_point",
     "pt_min_eigenvalue",
     "pyramid_margin",
     "scan",
-    "witness_plane",
 ]
 
 logging.getLogger(__name__).addHandler(logging.NullHandler())

@@ -34,24 +34,26 @@ from .family import (
     pt_min_eigenvalue,
     pyramid_margin,
 )
+from .planes import (
+    CONE_EDGE_LAMBDA,
+    DEFAULT_SEED,
+    OPTIMAL_EPSILON,
+    OPTIMAL_GAMMA,
+    OPTIMAL_LAMBDA,
+    optimal_plane_start,
+    pl1_cone_start,
+)
 from .qmat import hermitian_eigenvalues, hs_inner
 from .regions import l_a, l_b, plane_grid_points, scan
 from .verdicts import Verdict
 from .witness import (
-    CONE_EDGE_LAMBDA,
-    DEFAULT_SEED,
     LineSpec,
-    OPTIMAL_EPSILON,
-    OPTIMAL_GAMMA,
-    OPTIMAL_LAMBDA,
     c_lambda,
     c_limit,
     deployed_witness,
     deployed_witnesses,
     lambda_min,
     min_product_expectation,
-    optimal_plane_start,
-    pl1_cone_start,
 )
 
 __all__ = ["CheckResult", "CHECK_NAMES", "run_all"]

@@ -27,6 +27,13 @@ diagnostics on stderr.
 
 :func:`main` takes an argument list and is also the in-process entry
 point: it returns the exit code instead of exiting.
+
+The module imports only the standard library and the production modules
+(:mod:`.family`, :mod:`.planes`, :mod:`.regions`, :mod:`.verdicts`), so
+``classify``, ``scan``, ``horodecki`` and the ``witness`` table run
+without numpy.  The numpy oracle (:mod:`.witness`, :mod:`.qmat`,
+:mod:`.checks`) is imported inside the handlers of ``lambda-min``,
+``witness --name`` and ``verify``.
 """
 
 from __future__ import annotations
@@ -39,14 +46,13 @@ import sys
 from contextlib import nullcontext
 from typing import Any, ContextManager, Sequence, TextIO
 
-from .checks import run_all
 from .family import (
     FamilyPoint,
     horodecki_classification,
     horodecki_point,
     plane_point,
 )
-from .qmat import matrix_to_json
+from .planes import DEFAULT_SEED, witness_planes
 from .regions import (
     CSV_HEADER,
     FACET_DOMAIN,
@@ -59,7 +65,6 @@ from .regions import (
     plane_grid_points,
     scan,
 )
-from .witness import DEFAULT_SEED, deployed_witness, lambda_min, witness_planes
 
 
 def _json_round(value: Any) -> Any:
@@ -232,6 +237,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_lambda_min(args: argparse.Namespace) -> int:
+    from .witness import lambda_min
+
     point = _resolve_point(args)
     value = lambda_min(point)
     with _open_out(args.out) as out:
@@ -251,6 +258,9 @@ def _cmd_lambda_min(args: argparse.Namespace) -> int:
 
 
 def _witness_payload(name: str) -> dict[str, Any]:
+    from .qmat import matrix_to_json
+    from .witness import deployed_witness
+
     w = deployed_witness(name)
     plane = w.plane
     lo, hi = w.candidate.a_interval
@@ -341,6 +351,8 @@ def _cmd_horodecki(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .checks import run_all
+
     only = None
     if args.only is not None:
         try:

@@ -21,6 +21,10 @@ numeric eigensolver on the full partial transpose
 (:func:`pt_min_eigenvalue`) is kept as the oracle it is checked against.
 The affine involution :func:`mirror` preserves both spectra.
 
+The module imports only the standard library.  The matrix oracle --
+:func:`family_state` and :func:`pt_min_eigenvalue` -- loads numpy,
+:mod:`.qmat` and :mod:`.weyl` on its first call.
+
 The module also carries two distinguished one- and two-parameter slices:
 the classic Horodecki line of states (:func:`horodecki_point`, parameter
 ``b`` in ``[0, 5]``) and the boundary-plane patch through it
@@ -34,13 +38,12 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
-from .qmat import Array, hermitian_eigenvalues, partial_transpose
 from .verdicts import Verdict
-from .weyl import bell_projector
+
+if TYPE_CHECKING:
+    from .qmat import Array
 
 logger = logging.getLogger(__name__)
 
@@ -97,6 +100,10 @@ def _point(p: FamilyPoint | tuple[float, float, float]) -> FamilyPoint:
 
 @lru_cache(maxsize=1)
 def _building_blocks() -> tuple[Array, Array, Array, Array]:
+    import numpy as np
+
+    from .weyl import bell_projector
+
     ident = np.eye(9, dtype=complex)
     block_a = bell_projector(0, 0)
     block_b = 0.5 * (bell_projector(1, 0) + bell_projector(2, 0))
@@ -165,14 +172,15 @@ def pyramid_slacks(
 
     The four values are positive rescalings of the distinct entangled-basis
     weights (by 9, 9, 9 and 9/8 respectively), so their joint sign pattern
-    matches the spectrum's exactly.
+    matches the spectrum's exactly.  Given ``Fraction`` coordinates, the
+    slacks are exact.
     """
     pt = _point(p)
     a, b, g = pt.alpha, pt.beta, pt.gamma
-    s1 = 7.0 * b / 2.0 + 1.0 - g - a
-    s2 = -b + 1.0 - g - a
-    s3 = -b + 1.0 + 2.0 * g - a
-    s4 = a - (b / 8.0 - 1.0 / 8.0 + g / 8.0)
+    s1 = 7 * b / 2 + 1 - g - a
+    s2 = -b + 1 - g - a
+    s3 = -b + 1 + 2 * g - a
+    s4 = a - (b - 1 + g) / 8
     return (s1, s2, s3, s4)
 
 
@@ -187,6 +195,8 @@ def pyramid_margin(p: FamilyPoint | tuple[float, float, float]) -> float:
 
 def pt_min_eigenvalue(p: FamilyPoint | tuple[float, float, float]) -> float:
     """Numeric oracle: smallest eigenvalue of the partial transpose."""
+    from .qmat import hermitian_eigenvalues, partial_transpose
+
     rho = family_state(p)
     return float(hermitian_eigenvalues(partial_transpose(rho))[0])
 

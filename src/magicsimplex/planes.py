@@ -1,0 +1,207 @@
+"""The six witness planes the classifier reads, in closed form.
+
+Each deployed witness is the line operator of :mod:`.witness` from a
+distinguished PPT start at its onset, and ``Tr(W rho_p)`` is affine in the
+family coordinates, so each is a plane ``alpha = b * beta + g * gamma + c``.
+That plane is a rational function of the start and the onset
+(:func:`_line_plane`), and the starts and onsets are closed forms, so
+:func:`witness_planes` builds no matrix.  The battery holds three
+constructed witnesses -- ``Pl1`` (tangent at the flat face), ``Pl2`` (from
+the deepest detectable start), ``Pl3`` (from where ``Pl1`` meets the PPT
+cone edge) -- each followed by the same construction from the
+:func:`~.family.mirror` image of its start, which covers the mirrored
+region.  :func:`~.witness.deployed_witnesses` is the matrix oracle that
+checks every plane.
+
+This module imports only the standard library, like the rest of the
+production path.
+"""
+
+from __future__ import annotations
+
+import logging
+import math
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Iterator
+
+from .family import FamilyPoint, mirror, plane_point
+
+__all__ = [
+    "CONE_EDGE_LAMBDA",
+    "DEFAULT_SEED",
+    "OPTIMAL_EPSILON",
+    "OPTIMAL_GAMMA",
+    "OPTIMAL_LAMBDA",
+    "PlaneCoefficients",
+    "optimal_plane_start",
+    "pl1_cone_start",
+    "plane_tip_start",
+    "witness_planes",
+]
+
+logger = logging.getLogger(__name__)
+
+#: Default RNG seed for anything sampled in this package.
+DEFAULT_SEED = 20101
+
+
+# ---------------------------------------------------------------------------
+# Distinguished starts
+# ---------------------------------------------------------------------------
+
+#: Transversal coordinate of the start whose line detects entanglement the
+#: earliest (smallest lambda_min over the whole plane patch): the unique
+#: positive root of  e^2 + 25 e - 3 = 0.
+OPTIMAL_EPSILON = (-25.0 + 7.0 * math.sqrt(13.0)) / 2.0
+
+#: Third family coordinate of that start.  Two independent tangency
+#: conditions pin it: all eight off-identity coefficient magnitudes of the
+#: start coincide there, and the start sits on the PPT cone boundary.  Both
+#: reduce to the same quadratic in OPTIMAL_EPSILON, whose root satisfies
+#: gamma = sqrt(epsilon).
+OPTIMAL_GAMMA = math.sqrt(OPTIMAL_EPSILON)
+
+#: lambda_min at the optimal start, in closed form.
+OPTIMAL_LAMBDA = (3.0 + math.sqrt(13.0)) / 8.0
+
+#: lambda_min at the cone-edge start :func:`pl1_cone_start`, in closed form.
+CONE_EDGE_LAMBDA = 7.0 * (2328.0 + 331.0 * math.sqrt(39.0)) / 32763.0
+
+
+def optimal_plane_start() -> FamilyPoint:
+    """The plane-patch start minimizing ``lambda_min``."""
+    return plane_point(OPTIMAL_EPSILON, OPTIMAL_GAMMA)
+
+
+def plane_tip_start() -> FamilyPoint:
+    """Corner of the plane patch where the line barely succeeds.
+
+    At this start the endpoint witness is exactly marginal
+    (``lambda_min == 1``): all eight off-identity coefficient magnitudes
+    equal half the identity coefficient.
+    """
+    return plane_point(-0.25, 0.25)
+
+
+def pl1_cone_start() -> FamilyPoint:
+    """Where the ``Pl1`` witness plane meets the PPT cone at ``gamma = 2/7``.
+
+    On the plane ``alpha = (4 beta + 2 (1 - gamma)) / 5`` the smallest
+    partial-transpose eigenvalue ``e_minus`` (see
+    :func:`~magicsimplex.family.pt_block_eigenvalues`, with its ``w`` and
+    ``y = alpha - beta/2``) vanishes where ``9 w (w + gamma/3) = y^2``.
+    At ``gamma = 2/7`` that reads ``1323 beta^2 - 2520 beta - 100 = 0``,
+    whose root in ``(-0.3, 0.1)`` is ``beta = 10 (6 - sqrt 39) / 63``.
+    """
+    gamma = 2.0 / 7.0
+    beta = 10.0 * (6.0 - math.sqrt(39.0)) / 63.0
+    return FamilyPoint((4.0 * beta + 2.0 * (1.0 - gamma)) / 5.0, beta, gamma)
+
+
+# ---------------------------------------------------------------------------
+# Witness planes
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PlaneCoefficients:
+    """Normalized plane ``alpha = b * beta + g * gamma + c`` of a witness.
+
+    ``trace_scale`` is the factor ``k`` in ``Tr(W rho_p) = k * residual(p)``
+    -- negative for the deployed witnesses, so detected points have
+    *positive* residual (they lie above the plane in ``alpha``).
+    """
+
+    beta_coeff: float
+    gamma_coeff: float
+    offset: float
+    trace_scale: float
+
+    def residual(self, p: FamilyPoint | tuple[float, float, float]) -> float:
+        if not isinstance(p, FamilyPoint):
+            p = FamilyPoint(*p)
+        return p.alpha - (
+            self.beta_coeff * p.beta
+            + self.gamma_coeff * p.gamma
+            + self.offset
+        )
+
+    def as_dict(self) -> dict[str, float]:
+        return {
+            "beta_coeff": self.beta_coeff,
+            "gamma_coeff": self.gamma_coeff,
+            "offset": self.offset,
+            "trace_scale": self.trace_scale,
+        }
+
+
+
+def _line_plane(start: FamilyPoint, lam: float) -> PlaneCoefficients:
+    """The plane of the line operator from ``start`` at ``lam``, in closed form.
+
+    ``Tr(rho_s rho_p)`` is affine in ``p``; its ``alpha``, ``beta`` and
+    ``gamma`` slopes are the deviations ``a'``, ``b'``, ``g'`` of the start's
+    Bell weights ``p_00``, ``p_10`` and ``p_01`` from 1/9.  The operator
+    ``kappa * ((l * purity + (1 - l) / 9) * 1 - rho_s)`` -- ``kappa = 1 - l``
+    for :func:`~.witness.c_lambda`, and ``1`` for :func:`~.witness.c_limit`,
+    which is ``l = 1`` -- therefore has ``beta_coeff = -b'/a'``, ``gamma_coeff = -g'/a'``,
+    ``offset = l * e / a'`` and ``trace_scale = -kappa * a'``, where
+    ``e = purity - 1/9`` is the sum of the nine squared weight deviations.
+    """
+    a, b, g = start.as_tuple()
+    da = (8.0 * a - b - g) / 9.0
+    db = (-2.0 * a + 7.0 * b - 2.0 * g) / 18.0
+    dg = (-a - b + 2.0 * g) / 9.0
+    dw = (a + b + g) / 9.0  # minus the deviation of the three (n, 2) weights
+    excess = da * da + 2.0 * db * db + 3.0 * dg * dg + 3.0 * dw * dw
+    kappa = 1.0 if lam == 1.0 else 1.0 - lam
+    return PlaneCoefficients(
+        beta_coeff=-db / da,
+        gamma_coeff=-dg / da,
+        offset=lam * excess / da,
+        trace_scale=-kappa * da,
+    )
+
+
+# ---------------------------------------------------------------------------
+# The deployed battery
+# ---------------------------------------------------------------------------
+
+
+def _battery_lines() -> Iterator[tuple[str, FamilyPoint, float]]:
+    """Name, start and onset of every battery member, in battery order.
+
+    An onset of 1 stands for the rescaled endpoint operator of
+    :func:`~.witness.c_limit`.
+    """
+    for name, start, onset in (
+        ("Pl1", plane_tip_start(), 1.0),
+        ("Pl2", optimal_plane_start(), OPTIMAL_LAMBDA),
+        ("Pl3", pl1_cone_start(), CONE_EDGE_LAMBDA),
+    ):
+        yield name, start, onset
+        yield name + "m", mirror(start), onset
+
+
+@lru_cache(maxsize=1)
+def witness_planes() -> tuple[tuple[str, PlaneCoefficients], ...]:
+    """The six witness planes the classifier reads, in closed form, built once.
+
+    In battery order ``Pl1, Pl1m, Pl2, Pl2m, Pl3, Pl3m``; no matrix is
+    built.  :func:`~.witness.deployed_witnesses` is the oracle that checks
+    them.
+    """
+    battery = tuple(
+        (name, _line_plane(start, onset)) for name, start, onset in _battery_lines()
+    )
+    for name, plane in battery[::2]:  # the three unmirrored members
+        logger.info(
+            "witness %s: alpha = %.9f beta + %.9f gamma + %.9f (k=%.6f)",
+            name,
+            plane.beta_coeff,
+            plane.gamma_coeff,
+            plane.offset,
+            plane.trace_scale,
+        )
+    return battery

@@ -33,18 +33,19 @@ PPT yet detected by the battery (bound entangled), everything at or below
 Every production certificate is a sign test on a closed form of the three
 coordinates: the affine pyramid slacks, the partial-transpose spectrum
 (:func:`~.family.pt_block_eigenvalues`), the witness planes of
-:func:`~.witness.witness_planes` and the five half-spaces of the separable
+:func:`~.planes.witness_planes` and the five half-spaces of the separable
 polytope.  The matrix pipeline (the spectrum of the partial-transposed 9x9
 state, the matrix witness battery :func:`~.witness.deployed_witnesses`
 and its ``Tr(W rho)`` expectations) is the oracle the closed forms are
-certified and tested against; ``classify`` never builds a witness matrix.
+tested against in ``verify`` and the tests; this module imports only the
+standard library, and ``classify`` builds no matrix.
 
 The separable polytope is the pyramid over the ``gamma = 0`` slice's PPT
 quadrilateral (corners :data:`SLICE_CORNERS`, in closed form) with apex
-``(0, 0, 1)``, where the facet triangle closes.  Its vertices are certified
-against the matrix oracle when it is built.  It lies in ``gamma >= 0``;
-on the ``gamma < 0`` side, points that no witness detects are left
-``Undetermined``.
+``(0, 0, 1)``, where the facet triangle closes.  When it is built, each
+vertex is certified a PPT state in exact rational arithmetic on the
+closed forms.  It lies in ``gamma >= 0``; on the ``gamma < 0`` side,
+points that no witness detects are left ``Undetermined``.
 """
 
 from __future__ import annotations
@@ -52,21 +53,23 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .family import (
     PPT_TOL,
     STATE_TOL,
     FamilyPoint,
     pt_block_eigenvalues,
-    pt_min_eigenvalue,
     pyramid_margin,
+    pyramid_slacks,
 )
+from .planes import witness_planes
 from .verdicts import Verdict
-from .witness import witness_planes
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DETECTION_TOL",
@@ -233,6 +236,9 @@ class SeparablePolygon:
     halfspaces: tuple[tuple[float, float, float, float], ...]
 
     def vertex_array(self) -> np.ndarray:
+        """The vertices as a ``(5, 3)`` float array, for the matrix oracle."""
+        import numpy as np
+
         return np.array([v.as_tuple() for v in self.vertices])
 
     def membership_residual(self, p: FamilyPoint | tuple[float, float, float]) -> float:
@@ -256,27 +262,61 @@ def _pyramid_halfspaces(
     result is the base facet followed by one side facet per base edge.
     Every vertex must lie inside every half-space (to rounding).
     """
-    corners = np.array([v.as_tuple() for v in base])
-    top = np.array(apex.as_tuple())
-    inner = (corners.sum(axis=0) + top) / (len(base) + 1)
+    corners = [v.as_tuple() for v in base]
+    top = apex.as_tuple()
+    points = (*corners, top)
+    inner = [sum(axis) / len(points) for axis in zip(*points)]
     faces = [(corners[0], corners[1], corners[2])]
     faces += [
         (corners[i], corners[(i + 1) % len(base)], top) for i in range(len(base))
     ]
     halfspaces = []
     for p0, p1, p2 in faces:
-        normal = np.cross(p1 - p0, p2 - p0)
-        normal /= np.linalg.norm(normal)
-        if normal @ (inner - p0) > 0.0:
-            normal = -normal
-        halfspaces.append((*(float(x) for x in normal), float(normal @ p0)))
-    for v in (*corners, top):
+        e1 = [x - x0 for x, x0 in zip(p1, p0)]
+        e2 = [x - x0 for x, x0 in zip(p2, p0)]
+        normal = [
+            e1[1] * e2[2] - e1[2] * e2[1],
+            e1[2] * e2[0] - e1[0] * e2[2],
+            e1[0] * e2[1] - e1[1] * e2[0],
+        ]
+        length = math.sqrt(sum(x * x for x in normal))
+        normal = [x / length for x in normal]
+        if _dot(normal, [x - x0 for x, x0 in zip(inner, p0)]) > 0.0:
+            normal = [-x for x in normal]
+        halfspaces.append((*normal, _dot(normal, p0)))
+    for v in points:
         excess = max(n[0] * v[0] + n[1] * v[1] + n[2] * v[2] - n[3] for n in halfspaces)
         if excess > 1e-12:
             raise ArithmeticError(
                 f"polytope vertex {tuple(v)} lies {excess:.2e} outside a facet"
             )
     return tuple(halfspaces)
+
+
+def _dot(x: Iterable[float], y: Iterable[float]) -> float:
+    return sum(a * b for a, b in zip(x, y))
+
+
+def _require_ppt_state(v: FamilyPoint) -> None:
+    """Raise ``ArithmeticError`` unless ``v`` is exactly a PPT state.
+
+    The float coordinates are taken as the rationals they are, so the four
+    pyramid slacks and ``e0`` are exact, and ``e_minus >= 0`` is decided by
+    squaring: ``w + gamma/6 >= 0`` and ``(w + gamma/6)^2 >= gamma^2/36 +
+    y^2/9`` (see :func:`~.family.pt_block_eigenvalues`).  No rounding band
+    is involved, so a corner the closed forms put a hair outside the PPT
+    region is rejected however small the miss.
+    """
+    a, b, g = (Fraction(x) for x in v.as_tuple())
+    if min(pyramid_slacks((a, b, g))) < 0:
+        raise ArithmeticError(f"polytope vertex {v.as_tuple()} is not a state")
+    w = (1 - a - b - g) / 9
+    y = a - b / 2
+    shift = w + g / 6
+    e0 = w + (a + b) / 3
+    if e0 < 0 or shift < 0 or shift * shift < g * g / 36 + y * y / 9:
+        eig = min(pt_block_eigenvalues(v))
+        raise ArithmeticError(f"polytope vertex {v.as_tuple()} is NPT ({eig:.2e})")
 
 
 @lru_cache(maxsize=1)
@@ -286,20 +326,13 @@ def build_polygon() -> SeparablePolygon:
     Four corners are the closed-form ``gamma = 0`` slice corners
     :data:`SLICE_CORNERS`; the fifth closes the facet triangle at
     ``(0, 0, 1)``, where the separability ceiling meets the cone trace.
-    Every vertex is verified against the positivity slacks and the
-    matrix partial-transpose oracle, in the classifier's own bands
-    (:data:`~.family.STATE_TOL`, :data:`~.family.PPT_TOL`); the build
-    raises if one fails.
+    Every vertex must be a PPT state in exact rational arithmetic
+    (:func:`_require_ppt_state`); the build raises if one is not.
     """
     verts = [FamilyPoint(a, b, 0.0) for (a, b) in SLICE_CORNERS]
     verts.append(FamilyPoint(0.0, 0.0, 1.0))
     for v in verts:
-        margin = pyramid_margin(v)
-        if margin < STATE_TOL:
-            raise ArithmeticError(f"polytope vertex {v.as_tuple()} is not a state")
-        eig = pt_min_eigenvalue(v)
-        if eig < PPT_TOL:
-            raise ArithmeticError(f"polytope vertex {v.as_tuple()} is NPT ({eig:.2e})")
+        _require_ppt_state(v)
     halfspaces = _pyramid_halfspaces(verts[:-1], verts[-1])
     logger.info(
         "separable polytope built: %d vertices, %d facets", len(verts), len(halfspaces)

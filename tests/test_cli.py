@@ -13,7 +13,7 @@ import pytest
 from magicsimplex import cli, regions, weyl, witness
 from magicsimplex.checks import run_all
 from magicsimplex.cli import main
-from magicsimplex.witness import witness_planes
+from magicsimplex.planes import witness_planes
 
 #: Recorded stdout of known invocations, one ``.txt`` file each.
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -473,3 +473,76 @@ def test_cli_import_leaves_scipy_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _child(source: str, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-c", source, *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=PYTHONPATH),
+    )
+
+
+def test_cli_import_leaves_the_numpy_oracle_out():
+    proc = _child(
+        "import sys, magicsimplex.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy' or m in ("
+        "'magicsimplex.qmat', 'magicsimplex.weyl', 'magicsimplex.witness', "
+        "'magicsimplex.checks')))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+#: Runs each JSON-encoded argv through ``main`` in one process and prints
+#: every exit code after that command's stdout; a first argument ``block``
+#: makes ``import numpy`` raise ImportError.
+_MAIN_LOOP = """
+import json, sys
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None
+from magicsimplex.cli import main
+for argv in json.loads(sys.argv[2]):
+    print("exit", main(argv))
+"""
+
+
+def test_production_commands_run_without_numpy():
+    commands = json.dumps(
+        [
+            ["classify", "--alpha", "2", "--beta", "0", "--gamma", "0"],
+            ["classify", "--alpha", "1", "--beta", "0", "--gamma", "0"],
+            ["classify", "--b", "1.5"],
+            ["classify", "--b", "2.5"],
+            ["classify", "--b", "2.75"],
+            ["scan", "--grid=-0.5:1.5:0.5,-1:1:0.5,-1:1.2:0.55"],
+            ["scan", "--plane", "--grid=-1:1:0.25,-0.35:0.05:0.1"],
+            ["horodecki", "--grid", "0:5:0.25"],
+            ["witness"],
+        ]
+    )
+    normal = _child(_MAIN_LOOP, "normal", commands)
+    blocked = _child(_MAIN_LOOP, "block", commands)
+    assert normal.returncode == 0, normal.stderr
+    assert blocked.returncode == 0, blocked.stderr
+    assert normal.stdout.count("exit 0") == 9
+    verdicts = {line for line in normal.stdout.splitlines() if line.startswith("verdict: ")}
+    assert len(verdicts) == 5
+    assert blocked.stdout == normal.stdout
+
+
+def test_oracle_commands_run_in_a_fresh_process():
+    commands = json.dumps(
+        [
+            ["lambda-min", "--epsilon", "0.119429", "--gamma", "0.345586"],
+            ["witness", "--name", "Pl1"],
+            ["verify", "--only", "4"],
+        ]
+    )
+    proc = _child(_MAIN_LOOP, "normal", commands)
+    assert proc.returncode == 0, proc.stderr
+    assert [line for line in proc.stdout.splitlines() if line.startswith("exit")] == [
+        "exit 0"
+    ] * 3

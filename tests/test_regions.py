@@ -141,6 +141,24 @@ def test_polygon_rejects_a_slightly_npt_corner(monkeypatch):
         build_polygon.cache_clear()
 
 
+def test_polygon_rejects_a_corner_npt_within_rounding(monkeypatch):
+    # NPT by only 2.2e-14, far inside PPT_TOL: the vertex certificate is
+    # exact, so no rounding band lets this corner in.
+    good = (1.0 / 3.0, 2.0 / 3.0)
+    bad = (good[0] - 1e-13, good[1])
+    p = FamilyPoint(*bad, 0.0)
+    assert pyramid_margin(p) >= 0.0
+    assert PPT_TOL < pt_min_eigenvalue(p) < 0.0
+    corners = tuple(bad if c == good else c for c in regions.SLICE_CORNERS)
+    monkeypatch.setattr(regions, "SLICE_CORNERS", corners)
+    build_polygon.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="NPT"):
+            build_polygon()
+    finally:
+        build_polygon.cache_clear()
+
+
 def test_polygon_subset_of_ppt():
     # random convex combinations of the vertices must pass the PT oracle
     poly = build_polygon()

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from conftest import witness_values
 from hypothesis import strategies as st
 
-from magicsimplex import witness
+from magicsimplex import planes
 from magicsimplex.checks import run_all
 from magicsimplex.family import (
     FamilyPoint,
@@ -24,31 +24,33 @@ from magicsimplex.family import (
     pt_min_eigenvalue,
     pyramid_margin,
 )
+from magicsimplex.planes import (
+    CONE_EDGE_LAMBDA,
+    DEFAULT_SEED,
+    OPTIMAL_EPSILON,
+    OPTIMAL_GAMMA,
+    OPTIMAL_LAMBDA,
+    optimal_plane_start,
+    pl1_cone_start,
+    plane_tip_start,
+    witness_planes,
+)
 from magicsimplex.qmat import hs_inner
 from magicsimplex.weyl import bell_projector
 from magicsimplex.witness import (
-    CONE_EDGE_LAMBDA,
-    DEFAULT_SEED,
     FEASIBLE,
     INFEASIBLE,
     NOT_IN_SPAN,
     LineSpec,
-    OPTIMAL_EPSILON,
-    OPTIMAL_GAMMA,
-    OPTIMAL_LAMBDA,
     c_lambda,
     c_limit,
     deployed_witness,
     deployed_witnesses,
     lambda_min,
     min_product_expectation,
-    optimal_plane_start,
-    pl1_cone_start,
-    plane_tip_start,
     product_state_vectors,
     witness_candidate,
     witness_plane,
-    witness_planes,
 )
 
 ORIGIN = FamilyPoint(0.0, 0.0, 0.0)
@@ -347,7 +349,7 @@ def test_closed_form_planes_match_the_oracle():
 def test_oracle_raises_when_a_start_leaves_its_closed_form(monkeypatch):
     # toward the center: still a PPT state, but its onset moves by 1e-6
     shrunk = FamilyPoint(*(0.999999 * x for x in pl1_cone_start().as_tuple()))
-    monkeypatch.setattr(witness, "pl1_cone_start", lambda: shrunk)
+    monkeypatch.setattr(planes, "pl1_cone_start", lambda: shrunk)
     for cache in (witness_planes, deployed_witnesses):
         cache.cache_clear()
     try:
