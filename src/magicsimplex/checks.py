@@ -5,8 +5,15 @@ targets: closed-form surd values for the two line crossings, the published
 Horodecki-line segmentation, exact facet-curve crossings, and a set of
 property sweeps (operator identities, spectrum agreement, product-state
 safety, mirror symmetry, region layout).  ``run_all`` executes them and
-returns structured :class:`CheckResult` records; the CLI ``verify``
-subcommand renders those one line per check.
+returns structured :class:`CheckResult` records, each with its wall time;
+the CLI ``verify`` subcommand renders those one line per check, or as
+JSON.
+
+The matrix sweeps hand the oracle kernels stacks of at most
+:data:`_STACK` matrices (one LAPACK call per chunk, not per point) and
+draw the product states once for all six witnesses.  Stacked kernels give
+each member bit-identical results to the one-matrix call, so every check
+reads the same numbers as a point-by-point loop would.
 
 Every tolerance below is part of the advertised contract, not a tuning
 knob; loosening one to make a red check green defeats the purpose of the
@@ -16,8 +23,9 @@ battery.
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass
+import time
+from collections import defaultdict, deque
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,7 +52,7 @@ from .planes import (
     pl1_cone_start,
 )
 from .qmat import hermitian_eigenvalues, hs_inner
-from .regions import l_a, l_b, plane_grid_points, scan
+from .regions import l_a, l_b, parse_grid, plane_grid_points, scan
 from .verdicts import Verdict
 from .witness import (
     LineSpec,
@@ -61,6 +69,8 @@ __all__ = ["CheckResult", "CHECK_NAMES", "run_all"]
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's outcome; ``seconds`` is its wall time, set by :func:`run_all`."""
+
     index: int
     name: str
     expected: float
@@ -68,28 +78,50 @@ class CheckResult:
     tolerance: float
     passed: bool
     detail: str = ""
+    seconds: float = 0.0
 
 
 _BOX_LOW = (-0.5, -1.0, -1.0)
 _BOX_HIGH = (1.5, 1.0, 1.2)
 
+#: Most matrices handed to a stacked kernel at once, which keeps peak memory
+#: flat however many points a sweep covers.
+_STACK = 256
 
-def _box_points(rng: np.random.Generator, count: int) -> list[FamilyPoint]:
-    draws = rng.uniform(_BOX_LOW, _BOX_HIGH, size=(count, 3))
-    return [FamilyPoint(a, b, g) for a, b, g in draws]
+
+def _box_points(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` uniform ``(alpha, beta, gamma)`` rows from the standard box."""
+    return rng.uniform(_BOX_LOW, _BOX_HIGH, size=(count, 3))
+
+
+def _family_points(rows: np.ndarray) -> list[FamilyPoint]:
+    return [FamilyPoint(*row) for row in rows.tolist()]
 
 
 def _ppt_starts(rng: np.random.Generator, count: int) -> list[FamilyPoint]:
-    """Rejection-sample PPT states from the standard box."""
+    """Rejection-sample PPT states from the standard box, in draw order.
+
+    Each round draws :data:`_STACK` points, keeps those whose pyramid
+    margin clears :data:`STATE_TOL` and then those whose partial transpose
+    clears :data:`PPT_TOL`, the latter from one stacked eigensolve.  The
+    slacks repeat :func:`pyramid_slacks` operation for operation, so the
+    accepted points are exactly those of a point-by-point loop.
+    """
     out: list[FamilyPoint] = []
     while len(out) < count:
-        for p in _box_points(rng, 256):
-            if pyramid_margin(p) < STATE_TOL:
-                continue
-            if pt_min_eigenvalue(p) >= PPT_TOL:
-                out.append(p)
-                if len(out) == count:
-                    break
+        draws = _box_points(rng, _STACK)
+        a, b, g = draws.T
+        margin = np.minimum.reduce(
+            [
+                7 * b / 2 + 1 - g - a,
+                -b + 1 - g - a,
+                -b + 1 + 2 * g - a,
+                a - (b - 1 + g) / 8,
+            ]
+        )
+        states = draws[margin >= STATE_TOL]
+        accepted = states[pt_min_eigenvalue(states) >= PPT_TOL]
+        out += _family_points(accepted[: count - len(out)])
     return out
 
 
@@ -193,7 +225,7 @@ def _check_facet_crossings(seed: int) -> CheckResult:
 def _check_flat_face_functional(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed + 5)
     witness = deployed_witness("Pl1")
-    pts = _box_points(rng, 100)
+    pts = _family_points(_box_points(rng, 100))
     values = np.array(
         [hs_inner(witness.candidate.matrix, family_state(p)).real for p in pts]
     )
@@ -226,7 +258,7 @@ def _check_line_identities(seed: int) -> CheckResult:
         rho = family_state(start)
         rho_l = lam * rho + (1.0 - lam) * np.eye(9, dtype=complex) / 9.0
         on_line = abs(hs_inner(cand.matrix, rho_l).real)
-        dist_sq = np.linalg.norm(rho_l - rho) ** 2
+        dist_sq = float(np.linalg.norm(rho_l - rho)) ** 2
         at_start = abs(hs_inner(cand.matrix, rho).real + dist_sq)
         worst = max(worst, on_line, at_start)
     return CheckResult(
@@ -242,16 +274,21 @@ def _check_line_identities(seed: int) -> CheckResult:
 
 def _check_spectrum_pyramid(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed + 7)
-    pts = _box_points(rng, 10_000)
+    draws = _box_points(rng, 10_000)
     worst = 0.0
     sign_mismatch = 0
-    for p in pts:
-        closed = np.array(bell_spectrum(p).sorted_values())
-        numeric = hermitian_eigenvalues(family_state(p))
+    for lo in range(0, len(draws), _STACK):
+        chunk = draws[lo : lo + _STACK]
+        numeric = hermitian_eigenvalues(family_state(chunk))
+        # The closed forms under test stay the production ones, point by point.
+        pts = _family_points(chunk)
+        closed = np.array([bell_spectrum(p).sorted_values() for p in pts])
+        margin = np.array([pyramid_margin(p) for p in pts])
         worst = max(worst, float(np.max(np.abs(closed - numeric))))
-        margin = pyramid_margin(p)
-        if abs(margin) > 1e-12 and (margin > 0.0) != (closed[0] > 0.0):
-            sign_mismatch += 1
+        decided = np.abs(margin) > 1e-12
+        sign_mismatch += int(
+            np.count_nonzero(decided & ((margin > 0.0) != (closed[:, 0] > 0.0)))
+        )
     passed = worst <= 1e-9 and sign_mismatch == 0
     return CheckResult(
         index=7,
@@ -274,7 +311,7 @@ def _check_limit_law(seed: int) -> CheckResult:
         for k in range(3, 7):
             lam = 1.0 - 10.0**-k
             cand = c_lambda(LineSpec(start, lam))
-            gap = np.linalg.norm(cand.matrix / (lam * (1.0 - lam)) - limit)
+            gap = float(np.linalg.norm(cand.matrix / (lam * (1.0 - lam)) - limit))
             worst_ratio = max(worst_ratio, gap / (10.0 * (1.0 - lam)))
     return CheckResult(
         index=8,
@@ -288,12 +325,12 @@ def _check_limit_law(seed: int) -> CheckResult:
 
 
 def _check_product_safety(seed: int) -> CheckResult:
-    worst = math.inf
-    details = []
-    for w in deployed_witnesses():
-        value = min_product_expectation(w.candidate.matrix, count=100_000)
-        details.append(f"{w.name}:{value:.2e}")
-        worst = min(worst, value)
+    battery = deployed_witnesses()
+    minima = min_product_expectation(
+        np.stack([w.candidate.matrix for w in battery]), count=100_000
+    ).tolist()
+    worst = min(minima)
+    details = [f"{w.name}:{value:.2e}" for w, value in zip(battery, minima)]
     return CheckResult(
         index=9,
         name="product-state-safety",
@@ -337,14 +374,14 @@ def _check_mirror_conjugation(seed: int) -> CheckResult:
 
 
 def _check_region_layout(seed: int) -> CheckResult:
-    gammas = [round(0.01 * k, 10) for k in range(0, 101)]
-    betas = [-1.0 / 3.0 + 0.01 * k for k in range(0, 44)]
-    pts = plane_grid_points("0:1:0.01", f"{-1.0 / 3.0}:0.1:0.01")
+    gamma_spec, beta_spec = "0:1:0.01", f"{-1.0 / 3.0}:0.1:0.01"
+    n_g, n_b = len(parse_grid(gamma_spec)), len(parse_grid(beta_spec))
+    pts = plane_grid_points(gamma_spec, beta_spec)
+    if len(pts) != n_g * n_b:
+        raise ArithmeticError(
+            f"facet grid has {len(pts)} points, not {n_g} x {n_b}"
+        )
     result = scan(pts)
-    n_g, n_b = len(gammas), len(betas)
-    verdicts = [
-        [result.rows[i * n_b + j].verdict for j in range(n_b)] for i in range(n_g)
-    ]
     counts = result.counts()
 
     violations = 0
@@ -358,22 +395,22 @@ def _check_region_layout(seed: int) -> CheckResult:
     # cells; connectivity and non-emptiness are only demanded where the
     # width is at least one grid step.  Everywhere we demand one
     # contiguous beta-run per column, the l_a upper bound, and no cell
-    # strictly between the two facet curves.
+    # strictly between the two facet curves.  Cell (i, j) is the scanned
+    # point i * n_b + j: gamma outermost, beta innermost.
     cells = {
-        (i, j)
-        for i in range(n_g)
-        for j in range(n_b)
-        if verdicts[i][j] is Verdict.SEPARABLE
+        divmod(k, n_b)
+        for k, row in enumerate(result.rows)
+        if row.verdict is Verdict.SEPARABLE
     }
-    resolved = [i for i in range(n_g) if gammas[i] <= 1.0 - 9.0 * 0.01]
-    for i in resolved:
-        if not any(gi == i for (gi, _) in cells):
+    columns: dict[int, list[int]] = defaultdict(list)
+    for i, j in cells:
+        columns[i].append(j)
+    resolved = {i for i in range(n_g) if pts[i * n_b].gamma <= 1.0 - 9.0 * 0.01}
+    violations += len(resolved - columns.keys())
+    for run in columns.values():
+        if max(run) - min(run) + 1 != len(run):
             violations += 1
-    for i in range(n_g):
-        run = sorted(j for (gi, j) in cells if gi == i)
-        if run and run[-1] - run[0] + 1 != len(run):
-            violations += 1
-    core = {(i, j) for (i, j) in cells if i in set(resolved)}
+    core = {(i, j) for (i, j) in cells if i in resolved}
     if core:
         seen = {next(iter(core))}
         queue = deque(seen)
@@ -386,7 +423,8 @@ def _check_region_layout(seed: int) -> CheckResult:
         if len(seen) != len(core):
             violations += 1
     for i, j in cells:
-        g, b = gammas[i], betas[j]
+        p = pts[i * n_b + j]
+        g, b = p.gamma, p.beta
         if b > l_a(g) + 1e-9:
             violations += 1
         if l_a(g) + 1e-9 < b < l_b(g) - 1e-9:
@@ -456,6 +494,7 @@ def run_all(
     """Run the verification battery (or the subset in ``only``, 1-based).
 
     ``only=None`` runs all twelve checks; an empty selection is an error.
+    Each result carries the wall time of its check in ``seconds``.
     """
     if only is not None and not only:
         raise ValueError("empty check selection (indices must be in 1..12)")
@@ -463,4 +502,9 @@ def run_all(
     for i in indices:
         if not 1 <= i <= 12:
             raise ValueError(f"check index must be in 1..12, got {i}")
-    return [_CHECKS[i - 1](seed) for i in indices]
+    results = []
+    for i in indices:
+        start = time.perf_counter()
+        result = _CHECKS[i - 1](seed)
+        results.append(replace(result, seconds=time.perf_counter() - start))
+    return results

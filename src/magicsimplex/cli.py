@@ -15,7 +15,8 @@ Subcommands:
 ``horodecki``
     Walk the one-parameter line, reporting both parametrizations.
 ``verify``
-    Replay the twelve-point verification battery; exit 1 on any failure.
+    Replay the twelve-point verification battery, as text lines or as JSON
+    records with per-check wall times; exit 1 on any failure.
 
 Points are addressed by exactly one of three flag groups: ``--alpha
 --beta --gamma`` (simplex coordinates), ``--b`` (the one-parameter line),
@@ -39,6 +40,7 @@ without numpy.  The numpy oracle (:mod:`.witness`, :mod:`.qmat`,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -362,19 +364,26 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 f"--only expects comma-separated integers, got {args.only!r}"
             ) from None
     results = run_all(seed=args.seed, only=only)
+    failures = sum(not r.passed for r in results)
     with _open_out(args.out) as out:
-        failures = 0
-        for r in results:
-            status = "PASS" if r.passed else "FAIL"
-            failures += 0 if r.passed else 1
-            _emit(
-                out,
-                "[%s] %2d %-30s expected=%s computed=%s tol=%s"
-                % (status, r.index, r.name, _fmt(r.expected), _fmt(r.computed), _fmt(r.tolerance)),
-            )
-            if r.detail:
-                _emit(out, f"         {r.detail}")
-        _emit(out, f"{len(results) - failures}/{len(results)} checks passed")
+        if args.format == "json":
+            payload = {
+                "checks": [dataclasses.asdict(r) for r in results],
+                "passed": len(results) - failures,
+                "total": len(results),
+            }
+            _emit(out, json.dumps(_json_round(payload), indent=2))
+        else:
+            for r in results:
+                status = "PASS" if r.passed else "FAIL"
+                _emit(
+                    out,
+                    "[%s] %2d %-30s expected=%s computed=%s tol=%s"
+                    % (status, r.index, r.name, _fmt(r.expected), _fmt(r.computed), _fmt(r.tolerance)),
+                )
+                if r.detail:
+                    _emit(out, f"         {r.detail}")
+            _emit(out, f"{len(results) - failures}/{len(results)} checks passed")
     return 1 if failures else 0
 
 
@@ -431,6 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(handler=_cmd_verify)
     p_verify.add_argument("--only", default=None, help="comma-separated check indices")
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--out", default=None)
 
     return parser

@@ -115,22 +115,30 @@ def _building_blocks() -> tuple[Array, Array, Array, Array]:
     return ident, block_a, block_b, block_c
 
 
-def family_state(p: FamilyPoint | tuple[float, float, float]) -> Array:
+def family_state(p: FamilyPoint | tuple[float, float, float] | Array) -> Array:
     """Density-like matrix of the family member at ``p``.
 
     The matrix always has unit trace; it is a physical state only when
     :func:`pyramid_margin` is non-negative.  Callers probing outside the
     positivity region (witness scans do) still get the matrix.
+
+    An ``(N, 3)`` float array of ``(alpha, beta, gamma)`` rows gives the
+    ``(N, 9, 9)`` stack of their matrices.  Each member is formed by the
+    same operations in the same order as the single-point call, so it is
+    bit-identical to ``family_state(row)``.
     """
-    pt = _point(p)
+    import numpy as np
+
+    if isinstance(p, np.ndarray) and p.ndim == 2:
+        if p.shape[1] != 3 or not np.all(np.isfinite(p)):
+            raise ValueError(f"expected finite (N, 3) coordinates, got shape {p.shape}")
+        alpha, beta, gamma = (p[:, k, None, None] for k in range(3))
+    else:
+        pt = _point(p)
+        alpha, beta, gamma = pt.alpha, pt.beta, pt.gamma
     ident, block_a, block_b, block_c = _building_blocks()
-    w = (1.0 - pt.alpha - pt.beta - pt.gamma) / 9.0
-    return (
-        w * ident
-        + pt.alpha * block_a
-        + pt.beta * block_b
-        + pt.gamma * block_c
-    )
+    w = (1.0 - alpha - beta - gamma) / 9.0
+    return w * ident + alpha * block_a + beta * block_b + gamma * block_c
 
 
 class BellSpectrum(NamedTuple):
@@ -193,12 +201,18 @@ def pyramid_margin(p: FamilyPoint | tuple[float, float, float]) -> float:
     return min(pyramid_slacks(p))
 
 
-def pt_min_eigenvalue(p: FamilyPoint | tuple[float, float, float]) -> float:
-    """Numeric oracle: smallest eigenvalue of the partial transpose."""
+def pt_min_eigenvalue(
+    p: FamilyPoint | tuple[float, float, float] | Array,
+) -> float | Array:
+    """Numeric oracle: smallest eigenvalue of the partial transpose.
+
+    An ``(N, 3)`` coordinate array gives the ``N`` minima from one stacked
+    eigensolve (see :func:`family_state`).
+    """
     from .qmat import hermitian_eigenvalues, partial_transpose
 
-    rho = family_state(p)
-    return float(hermitian_eigenvalues(partial_transpose(rho))[0])
+    smallest = hermitian_eigenvalues(partial_transpose(family_state(p)))[..., 0]
+    return smallest if smallest.ndim else float(smallest)
 
 
 def pt_block_eigenvalues(

@@ -96,12 +96,14 @@ def tensor_basis_element(n: int, m: int) -> Array:
 
 
 @lru_cache(maxsize=1)
-def _stacked_basis() -> tuple[Array, tuple[tuple[int, int], ...]]:
-    """All nine two-sided basis elements flattened into a (9, 81) stack."""
+def _stacked_basis() -> tuple[Array, Array, tuple[tuple[int, int], ...]]:
+    """The nine two-sided basis elements as a (9, 81) stack, and its conjugate."""
     index = tuple((n, m) for n in range(3) for m in range(3))
     rows = np.stack([tensor_basis_element(n, m).reshape(81) for n, m in index])
-    rows.setflags(write=False)
-    return rows, index
+    rows_conj = rows.conj()
+    for stack in (rows, rows_conj):
+        stack.setflags(write=False)
+    return rows, rows_conj, index
 
 
 @dataclass(frozen=True)
@@ -137,9 +139,9 @@ def weyl_tensor_decompose(c: Array) -> WeylCoefficients:
     a = np.asarray(c, dtype=complex)
     if a.shape != (9, 9):
         raise ValueError(f"expected shape (9, 9), got {a.shape}")
-    rows, index = _stacked_basis()
+    rows, rows_conj, index = _stacked_basis()
     flat = a.reshape(81)
-    t = (rows.conj() @ flat) / 9
+    t = (rows_conj @ flat) / 9
     resid = float(np.linalg.norm(flat - rows.T @ t))
     coeffs = {key: complex(t[i]) for i, key in enumerate(index)}
     return WeylCoefficients(coeffs=coeffs, residual=resid)

@@ -317,6 +317,29 @@ def test_verify_single_check(capsys):
     assert "1/1 checks passed" in out
 
 
+def test_verify_json_carries_per_check_timings(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--only", "4,11", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["passed"], payload["total"]) == (2, 2)
+    assert [c["index"] for c in payload["checks"]] == [4, 11]
+    for record in payload["checks"]:
+        assert record["passed"] is True
+        assert record["seconds"] >= 0.0
+        assert set(record) == {
+            "index", "name", "expected", "computed", "tolerance", "passed", "detail", "seconds"
+        }
+
+
+def test_region_layout_rejects_a_grid_of_the_wrong_size(monkeypatch):
+    from magicsimplex import checks
+
+    full = checks.plane_grid_points
+    monkeypatch.setattr(checks, "plane_grid_points", lambda g, b: full(g, b)[:-1])
+    with pytest.raises(ArithmeticError, match="facet grid"):
+        run_all(only=[11])
+
+
 def test_verify_rejects_bad_index(capsys):
     code, _, err = run_cli(capsys, "verify", "--only", "99")
     assert code == 2
@@ -369,6 +392,8 @@ def test_unknown_subcommand_exits_2(capsys):
         ("witness", ["witness"]),
         ("horodecki_0_5_0.25", ["horodecki", "--grid", "0:5:0.25"]),
         ("scan_small", ["scan", "--grid", "0:1:0.5,-0.3:0:0.15,0:0.5:0.25"]),
+        ("verify_seed1", ["verify", "--seed", "1"]),
+        ("verify_seed3_only_6-10", ["verify", "--seed", "3", "--only", "6,7,8,9,10"]),
     ],
 )
 def test_golden_output(capsys, name, argv):

@@ -45,6 +45,25 @@ def test_family_state_is_unit_trace_hermitian():
     assert np.max(np.abs(rho - rho.conj().T)) <= 1e-15
 
 
+def test_stacked_family_state_equals_per_point_calls():
+    rows = np.random.default_rng(43).uniform((-0.5, -1.0, -1.0), (1.5, 1.0, 1.2), (64, 3))
+    stack = family_state(rows)
+    assert stack.shape == (64, 9, 9)
+    for row, rho in zip(rows, stack):
+        assert np.array_equal(rho, family_state(FamilyPoint(*row)))
+    minima = pt_min_eigenvalue(rows)
+    assert minima.shape == (64,)
+    for row, smallest in zip(rows, minima):
+        assert smallest == pt_min_eigenvalue(tuple(row))
+
+
+def test_stacked_family_state_rejects_bad_rows():
+    with pytest.raises(ValueError):
+        family_state(np.zeros((4, 2)))
+    with pytest.raises(ValueError):
+        family_state(np.array([[0.0, np.nan, 0.0]]))
+
+
 def test_point_validation():
     with pytest.raises(ValueError):
         FamilyPoint(float("nan"), 0.0, 0.0)

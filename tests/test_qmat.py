@@ -98,6 +98,71 @@ def test_rejects_non_finite():
 
 
 # ---------------------------------------------------------------------------
+# Stacks of matrices
+# ---------------------------------------------------------------------------
+
+
+def hermitian_stack(rng, count, n=9):
+    return np.stack([random_hermitian(rng, n, scale=2.0) for _ in range(count)])
+
+
+def test_stacked_eigenvalues_equal_per_matrix_calls():
+    stack = hermitian_stack(np.random.default_rng(21), 40)
+    got = hermitian_eigenvalues(stack)
+    assert got.shape == (40, 9)
+    for m, eigs in zip(stack, got):
+        assert np.array_equal(eigs, hermitian_eigenvalues(m))
+    nested = hermitian_eigenvalues(stack.reshape(4, 10, 9, 9))
+    assert np.array_equal(nested.reshape(40, 9), got)
+
+
+def test_stacked_partial_transpose_equals_per_matrix_calls():
+    rng = np.random.default_rng(22)
+    stack = rng.standard_normal((12, 9, 9)) + 1j * rng.standard_normal((12, 9, 9))
+    got = partial_transpose(stack)
+    for m, pt in zip(stack, got):
+        assert np.array_equal(pt, partial_transpose(m))
+    assert np.array_equal(partial_transpose(got), stack)
+
+
+def test_stack_with_one_non_hermitian_member_is_rejected():
+    stack = hermitian_stack(np.random.default_rng(23), 5)
+    stack[3, 0, 1] += 1e-3
+    with pytest.raises(ValueError, match=r"index \(3,\) is not Hermitian"):
+        hermitian_eigenvalues(stack)
+
+
+def test_stack_with_one_non_finite_member_is_rejected():
+    stack = hermitian_stack(np.random.default_rng(24), 5)
+    stack[2, 4, 4] = np.nan
+    with pytest.raises(ValueError, match=r"index \(2,\) has non-finite"):
+        hermitian_eigenvalues(stack)
+
+
+def test_moment_posts_hold_per_matrix(monkeypatch):
+    # Perturbing one slice of the solver output must trip the post even
+    # though every other matrix in the stack is exact.
+    stack = hermitian_stack(np.random.default_rng(25), 6)
+    exact = np.linalg.eigvalsh
+
+    def perturbed(m):
+        eigs = exact(m)
+        eigs[4, 0] += 1e-6
+        return eigs
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", perturbed)
+    with pytest.raises(ArithmeticError):
+        hermitian_eigenvalues(stack)
+
+
+def test_rejects_non_square_stack():
+    with pytest.raises(ValueError, match="square"):
+        hermitian_eigenvalues(np.zeros((3, 9, 8)))
+    with pytest.raises(ValueError, match="9x9"):
+        partial_transpose(np.zeros((3, 4, 4)))
+
+
+# ---------------------------------------------------------------------------
 # Partial transpose
 # ---------------------------------------------------------------------------
 

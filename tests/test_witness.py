@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from conftest import witness_values
 from hypothesis import strategies as st
 
-from magicsimplex import planes
+from magicsimplex import checks, planes
 from magicsimplex.checks import run_all
 from magicsimplex.family import (
+    PPT_TOL,
+    STATE_TOL,
     FamilyPoint,
     family_state,
     horodecki_point,
@@ -421,6 +423,39 @@ def test_product_vectors_are_normalized_rank_one():
     for v in vecs[:8]:
         second_sv = np.linalg.svd(v.reshape(3, 3), compute_uv=False)[1]
         assert second_sv <= 1e-12
+
+
+def test_min_product_expectation_sweeps_a_stack_once():
+    # 30_000 vectors span two chunks; each witness must see the same vectors
+    # as its own call and get the same minimum to the last bit.
+    battery = deployed_witnesses()
+    minima = min_product_expectation(
+        np.stack([w.candidate.matrix for w in battery]), count=30_000
+    )
+    assert minima.shape == (len(battery),)
+    for w, value in zip(battery, minima):
+        single = min_product_expectation(w.candidate.matrix, count=30_000)
+        assert isinstance(single, float)
+        assert value == single
+
+
+def test_ppt_starts_match_a_point_by_point_loop():
+    def reference(rng, count):
+        out = []
+        while len(out) < count:
+            for row in rng.uniform((-0.5, -1.0, -1.0), (1.5, 1.0, 1.2), size=(256, 3)):
+                p = FamilyPoint(*row)
+                if pyramid_margin(p) >= STATE_TOL and pt_min_eigenvalue(p) >= PPT_TOL:
+                    out.append(p)
+                    if len(out) == count:
+                        break
+        return out
+
+    for count in (1, 37, 120):
+        rng, ref_rng = np.random.default_rng(count), np.random.default_rng(count)
+        assert checks._ppt_starts(rng, count) == reference(ref_rng, count)
+        # Both leave the generator at the same place for the draws that follow.
+        assert rng.uniform() == ref_rng.uniform()
 
 
 def test_min_product_expectation_on_identity():
