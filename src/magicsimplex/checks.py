@@ -441,8 +441,9 @@ def _check_region_layout(seed: int) -> CheckResult:
 
 
 def _check_gamma_zero_slice(seed: int) -> CheckResult:
-    alphas = np.linspace(-0.5, 1.5, 200)
-    betas = np.linspace(-1.0, 1.0, 200)
+    # Python floats: numpy scalars give the same IEEE results, several times slower.
+    alphas = np.linspace(-0.5, 1.5, 200).tolist()
+    betas = np.linspace(-1.0, 1.0, 200).tolist()
     pts = [FamilyPoint(a, b, 0.0) for a in alphas for b in betas]
     counts = scan(pts).counts()
     bound = counts.get("BoundEntangled", 0)

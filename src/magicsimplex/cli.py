@@ -314,7 +314,7 @@ def _cmd_horodecki(args: argparse.Namespace) -> int:
         raise ValueError("give exactly one of --b or --grid b0:b1:step")
     b_values = [args.b] if args.b is not None else parse_grid(args.grid)
     # Points on the line are states, so every row carries its PT minimum.
-    rows = [(b, classify(horodecki_point(b))) for b in b_values]
+    rows = list(zip(b_values, scan([horodecki_point(b) for b in b_values]).rows))
     with _open_out(args.out) as out:
         if args.format == "json":
             payload = [

@@ -36,9 +36,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .verdicts import Verdict
 
@@ -74,22 +73,36 @@ STATE_TOL = -1e-12
 PPT_TOL = -1e-10
 
 
-@dataclass(frozen=True)
-class FamilyPoint:
-    """Coordinates of one member of the three-parameter family."""
-
+class _Coordinates(NamedTuple):
     alpha: float
     beta: float
     gamma: float
 
-    def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "gamma"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
+
+class FamilyPoint(_Coordinates):
+    """Coordinates of one member of the three-parameter family.
+
+    An immutable tuple ``(alpha, beta, gamma)``: it unpacks, iterates and
+    compares like one.  Every coordinate must be finite.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, alpha: float, beta: float, gamma: float) -> FamilyPoint:
+        coords = (alpha, beta, gamma)
+        if not (math.isfinite(alpha) and math.isfinite(beta) and math.isfinite(gamma)):
+            for name, v in zip(cls._fields, coords):
+                if not math.isfinite(v):
+                    raise ValueError(f"{name} must be finite, got {v!r}")
+        return tuple.__new__(cls, coords)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[float]) -> FamilyPoint:
+        # ``_replace`` builds through ``_make``: keep the finiteness check.
+        return cls(*iterable)
 
     def as_tuple(self) -> tuple[float, float, float]:
-        return (self.alpha, self.beta, self.gamma)
+        return tuple(self)
 
 
 def _point(p: FamilyPoint | tuple[float, float, float]) -> FamilyPoint:
@@ -134,8 +147,7 @@ def family_state(p: FamilyPoint | tuple[float, float, float] | Array) -> Array:
             raise ValueError(f"expected finite (N, 3) coordinates, got shape {p.shape}")
         alpha, beta, gamma = (p[:, k, None, None] for k in range(3))
     else:
-        pt = _point(p)
-        alpha, beta, gamma = pt.alpha, pt.beta, pt.gamma
+        alpha, beta, gamma = _point(p)
     ident, block_a, block_b, block_c = _building_blocks()
     w = (1.0 - alpha - beta - gamma) / 9.0
     return w * ident + alpha * block_a + beta * block_b + gamma * block_c
@@ -183,8 +195,7 @@ def pyramid_slacks(
     matches the spectrum's exactly.  Given ``Fraction`` coordinates, the
     slacks are exact.
     """
-    pt = _point(p)
-    a, b, g = pt.alpha, pt.beta, pt.gamma
+    a, b, g = _point(p)
     s1 = 7 * b / 2 + 1 - g - a
     s2 = -b + 1 - g - a
     s3 = -b + 1 + 2 * g - a
@@ -232,8 +243,7 @@ def pt_block_eigenvalues(
     classifier; :func:`pt_min_eigenvalue` is the numeric oracle it is
     tested against.
     """
-    pt = _point(p)
-    a, b, g = pt.alpha, pt.beta, pt.gamma
+    a, b, g = _point(p)
     w = (1.0 - a - b - g) / 9.0
     y = a - b / 2.0
     e0 = w + (a + b) / 3.0

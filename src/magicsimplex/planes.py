@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .family import FamilyPoint, mirror, plane_point
 
@@ -104,8 +103,7 @@ def pl1_cone_start() -> FamilyPoint:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlaneCoefficients:
+class PlaneCoefficients(NamedTuple):
     """Normalized plane ``alpha = b * beta + g * gamma + c`` of a witness.
 
     ``trace_scale`` is the factor ``k`` in ``Tr(W rho_p) = k * residual(p)``
@@ -119,22 +117,8 @@ class PlaneCoefficients:
     trace_scale: float
 
     def residual(self, p: FamilyPoint | tuple[float, float, float]) -> float:
-        if not isinstance(p, FamilyPoint):
-            p = FamilyPoint(*p)
-        return p.alpha - (
-            self.beta_coeff * p.beta
-            + self.gamma_coeff * p.gamma
-            + self.offset
-        )
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "beta_coeff": self.beta_coeff,
-            "gamma_coeff": self.gamma_coeff,
-            "offset": self.offset,
-            "trace_scale": self.trace_scale,
-        }
-
+        a, b, g = p if isinstance(p, FamilyPoint) else FamilyPoint(*p)
+        return a - (self.beta_coeff * b + self.gamma_coeff * g + self.offset)
 
 
 def _line_plane(start: FamilyPoint, lam: float) -> PlaneCoefficients:

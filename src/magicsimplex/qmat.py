@@ -96,6 +96,10 @@ def hermitian_eigenvalues(m: Array) -> Array:
     # ndarray methods rather than np.* functions: on 9x9 inputs the call
     # overhead is most of the cost.
     a = _as_matrix(m)
+    # Finiteness first: the asymmetry of an infinite entry is inf - inf.
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    if not finite.all():
+        raise ValueError(f"matrix{_member(a, int(finite.argmin()))} has non-finite entries")
     a_h = a.conj().swapaxes(-1, -2)
     defect = np.abs(a - a_h).max(axis=(-2, -1), initial=0.0)
     asymmetric = defect > HERMITICITY_TOL
@@ -105,9 +109,6 @@ def hermitian_eigenvalues(m: Array) -> Array:
             f"matrix{_member(a, k)} is not Hermitian: "
             f"max asymmetry {defect.flat[k]:.3e}"
         )
-    finite = np.isfinite(a).all(axis=(-2, -1))
-    if not finite.all():
-        raise ValueError(f"matrix{_member(a, int(finite.argmin()))} has non-finite entries")
 
     tr_in = a.diagonal(0, -2, -1).real.sum(-1)
     tr2_in = (np.abs(a) ** 2).sum(axis=(-2, -1))  # Tr M^2 for Hermitian M

@@ -14,6 +14,13 @@ The classifier stacks four certificates, cheapest arguments first:
 Anything that survives all four is reported ``Undetermined``: the
 certificates are sound but not complete.
 
+One loop runs the pipeline: it walks the points once, reads the witness
+battery once and builds the polytope only when a point reaches stage 4,
+and it stops each point at its first decisive stage.  :func:`scan` is its
+batch call and :func:`classify` its one-row call, so a scanned row equals
+``classify`` of its point.  Its records (:class:`Classification`, holding
+a :class:`~.family.FamilyPoint`) are immutable named tuples.
+
 On the positivity facet ``alpha = 7 beta / 2 + 1 - gamma`` everything is
 available in closed form.  Two curves organize that facet in the
 ``(gamma, beta)`` coordinates: the trace of the flat-face witness plane
@@ -55,7 +62,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .family import (
     PPT_TOL,
@@ -145,8 +152,7 @@ def format_number(x: float | None) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Verdict for one point plus the evidence that produced it.
 
     Stages the pipeline never reached stay ``None`` (e.g. no witness data
@@ -181,41 +187,51 @@ class Classification:
 CSV_HEADER = "alpha,beta,gamma,verdict,pt_min_eig,witness_name,witness_value,polygon_member"
 
 
+def _classify_rows(
+    points: Iterable[FamilyPoint | tuple[float, float, float]],
+) -> list[Classification]:
+    """The four-certificate pipeline over ``points``, in input order.
+
+    This is the one classification loop: :func:`classify` is its one-row
+    call and :func:`scan` its batch call.  The witness battery is read once
+    per call, the polytope only once a point reaches stage 4.
+    """
+    planes = witness_planes()
+    polygon = None
+    rows: list[Classification] = []
+    for p in points:
+        pt = p if isinstance(p, FamilyPoint) else FamilyPoint(*p)
+        margin = pyramid_margin(pt)
+        if margin < STATE_TOL:
+            rows.append(Classification(pt, Verdict.NOT_A_STATE, margin))
+            continue
+        pt_eig = float(min(pt_block_eigenvalues(pt)))
+        if pt_eig < PPT_TOL:
+            rows.append(Classification(pt, Verdict.NPT_ENTANGLED, margin, pt_eig))
+            continue
+        # Tr(W rho) is affine in the coordinates, so each witness plane gives
+        # it as trace_scale * residual (to rounding); ties keep battery order.
+        name = value = None
+        for plane_name, plane in planes:
+            v = plane.trace_scale * plane.residual(pt)
+            if value is None or v < value:
+                name, value = plane_name, v
+        if value < DETECTION_TOL:
+            rows.append(
+                Classification(pt, Verdict.BOUND_ENTANGLED, margin, pt_eig, name, value)
+            )
+            continue
+        if polygon is None:
+            polygon = build_polygon()
+        member = polygon.contains(pt)
+        verdict = Verdict.SEPARABLE if member else Verdict.UNDETERMINED
+        rows.append(Classification(pt, verdict, margin, pt_eig, name, value, member))
+    return rows
+
+
 def classify(p: FamilyPoint | tuple[float, float, float]) -> Classification:
-    """Run the four-certificate pipeline on one family point."""
-    pt = p if isinstance(p, FamilyPoint) else FamilyPoint(*p)
-    margin = pyramid_margin(pt)
-    if margin < STATE_TOL:
-        return Classification(pt, Verdict.NOT_A_STATE, margin)
-    pt_eig = float(min(pt_block_eigenvalues(pt)))
-    if pt_eig < PPT_TOL:
-        return Classification(pt, Verdict.NPT_ENTANGLED, margin, pt_eig)
-    # Tr(W rho) is affine in the coordinates, so each witness plane gives
-    # it as trace_scale * residual (to rounding); ties keep battery order.
-    name, value = min(
-        ((name, plane.trace_scale * plane.residual(pt)) for name, plane in witness_planes()),
-        key=lambda nv: nv[1],
-    )
-    if value < DETECTION_TOL:
-        return Classification(
-            pt,
-            Verdict.BOUND_ENTANGLED,
-            margin,
-            pt_eig,
-            witness_name=name,
-            witness_value=value,
-        )
-    member = build_polygon().contains(pt)
-    verdict = Verdict.SEPARABLE if member else Verdict.UNDETERMINED
-    return Classification(
-        pt,
-        verdict,
-        margin,
-        pt_eig,
-        witness_name=name,
-        witness_value=value,
-        polygon_member=member,
-    )
+    """Run the four-certificate pipeline on one family point: a one-row scan."""
+    return _classify_rows((p,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +259,8 @@ class SeparablePolygon:
 
     def membership_residual(self, p: FamilyPoint | tuple[float, float, float]) -> float:
         """Largest distance of ``p`` outside a facet plane; 0 on and inside the hull."""
-        if not isinstance(p, FamilyPoint):
-            p = FamilyPoint(*p)
-        a, b, g = p.alpha, p.beta, p.gamma
-        excess = max(na * a + nb * b + ng * g - c for na, nb, ng, c in self.halfspaces)
+        a, b, g = p if isinstance(p, FamilyPoint) else FamilyPoint(*p)
+        excess = max([na * a + nb * b + ng * g - c for na, nb, ng, c in self.halfspaces])
         return float(max(excess, 0.0))
 
     def contains(self, p: FamilyPoint | tuple[float, float, float]) -> bool:
@@ -362,11 +376,14 @@ class ScanResult:
 
 
 def scan(points: Iterable[FamilyPoint | tuple[float, float, float]]) -> ScanResult:
-    """Classify every point, preserving input order."""
-    pts = [p if isinstance(p, FamilyPoint) else FamilyPoint(*p) for p in points]
+    """Classify every point, preserving input order.
+
+    Each row equals :func:`classify` of its point: both run the same loop.
+    """
+    pts = list(points)
     if not pts:
         raise ValueError("scan called with an empty grid")
-    return ScanResult(rows=[classify(p) for p in pts])
+    return ScanResult(rows=_classify_rows(pts))
 
 
 def _grid_axis(spec: str) -> tuple[float, float, float, int]:

@@ -329,32 +329,43 @@ def deployed_witnesses() -> tuple[DeployedWitness, ...]:
     (onset 1) or :func:`c_lambda`, the plane by :func:`witness_plane`.  The
     operator must pass the safety criterion and a seeded product-state
     sweep, and the onset and all four plane fields must match their closed
-    forms to 1e-12; otherwise ``ArithmeticError``.
+    forms to 1e-12; otherwise ``ArithmeticError`` for the first failing
+    member in battery order.  One stacked sweep serves all members.
     """
-    battery: list[DeployedWitness] = []
+    built: list[tuple[str, WitnessCandidate, PlaneCoefficients]] = []
+    failure = None
     for (name, start, onset), (_, closed) in zip(_battery_lines(), witness_planes()):
         lam = lambda_min(start)
         if lam is None or abs(lam - onset) > _ORACLE_TOL:
-            raise ArithmeticError(
+            failure = ArithmeticError(
                 f"witness {name}: onset {lam!r} is not its closed form {onset!r}"
             )
+            break
         cand = c_limit(start) if onset == 1.0 else c_lambda(LineSpec(start, lam))
         if not cand.feasible:
-            raise ArithmeticError(f"witness {name} failed the safety criterion")
-        worst = min_product_expectation(cand.matrix, count=_BUILD_CHECK_SAMPLES)
-        if worst < -1e-10:
+            failure = ArithmeticError(f"witness {name} failed the safety criterion")
+            break
+        built.append((name, cand, closed))
+    # The members before a failed build are checked first, as in battery order.
+    worst = min_product_expectation(
+        np.array([cand.matrix for _, cand, _ in built]).reshape(-1, 9, 9),
+        count=_BUILD_CHECK_SAMPLES,
+    )
+    battery: list[DeployedWitness] = []
+    for (name, cand, closed), low in zip(built, worst):
+        if low < -1e-10:
             raise ArithmeticError(
-                f"witness {name} went negative on a product state ({worst:.3e})"
+                f"witness {name} went negative on a product state ({low:.3e})"
             )
         plane = witness_plane(cand)
-        drift = max(
-            abs(x - y) for x, y in zip(plane.as_dict().values(), closed.as_dict().values())
-        )
+        drift = max(abs(x - y) for x, y in zip(plane, closed))
         if drift > _ORACLE_TOL:
             raise ArithmeticError(
                 f"witness {name}: probed plane is {drift:.2e} from its closed form"
             )
         battery.append(DeployedWitness(name=name, candidate=cand, plane=plane))
+    if failure is not None:
+        raise failure
     return tuple(battery)
 
 

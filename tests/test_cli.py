@@ -399,10 +399,10 @@ def test_unknown_subcommand_exits_2(capsys):
         ("witness", ["witness"]),
         ("horodecki_0_5_0.25", ["horodecki", "--grid", "0:5:0.25"]),
         ("scan_small", ["scan", "--grid", "0:1:0.5,-0.3:0:0.15,0:0.5:0.25"]),
-        ("scan_plane_facet_grid", ["scan", "--plane", "--grid", "0:1:0.01,-0.35:0.05:0.01"]),
-        ("scan_box_0.05", ["scan", "--grid=-0.5:1.5:0.05,-1:1:0.05,-1:1.2:0.05"]),
         ("verify_seed1", ["verify", "--seed", "1"]),
         ("verify_seed3_only_6-10", ["verify", "--seed", "3", "--only", "6,7,8,9,10"]),
+        ("scan_plane_facet_grid", ["scan", "--plane", "--grid", "0:1:0.01,-0.35:0.05:0.01"]),
+        ("scan_box_0.05", ["scan", "--grid=-0.5:1.5:0.05,-1:1:0.05,-1:1.2:0.05"]),
     ],
 )
 def test_golden_output(capsys, name, argv):

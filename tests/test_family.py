@@ -1,5 +1,7 @@
 """Tests for the three-parameter family: states, positivity, PT, lines."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,10 +67,22 @@ def test_stacked_family_state_rejects_bad_rows():
 
 
 def test_point_validation():
-    with pytest.raises(ValueError):
-        FamilyPoint(float("nan"), 0.0, 0.0)
-    with pytest.raises(ValueError):
-        FamilyPoint(0.0, float("inf"), 0.0)
+    for index, name in enumerate(FamilyPoint._fields):
+        for bad in (math.nan, math.inf, -math.inf):
+            coords = [0.1, -0.2, 0.3]
+            coords[index] = bad
+            with pytest.raises(ValueError, match=rf"^{name} must be finite, got {bad!r}$"):
+                FamilyPoint(*coords)
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                FamilyPoint(0.1, -0.2, 0.3)._replace(**{name: bad})
+
+
+def test_point_is_a_tuple():
+    p = FamilyPoint(0.1, -0.2, 0.3)
+    assert p == (0.1, -0.2, 0.3)
+    a, b, g = p
+    assert (a, b, g) == (p.alpha, p.beta, p.gamma)
+    assert p.as_tuple() == (0.1, -0.2, 0.3) and type(p.as_tuple()) is tuple
 
 
 def test_mirrored_point():

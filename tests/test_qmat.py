@@ -7,6 +7,7 @@ Frobenius identities, partial-transpose involution).
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,16 @@ def test_stack_with_one_non_finite_member_is_rejected():
     stack[2, 4, 4] = np.nan
     with pytest.raises(ValueError, match=r"index \(2,\) has non-finite"):
         hermitian_eigenvalues(stack)
+
+
+def test_stack_with_an_infinite_member_raises_without_a_warning():
+    # inf - inf in the asymmetry defect would warn; finiteness is tested first.
+    stack = hermitian_stack(np.random.default_rng(26), 5)
+    stack[1, 3, 3] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"index \(1,\) has non-finite"):
+            hermitian_eigenvalues(stack)
 
 
 def test_moment_posts_hold_per_matrix(monkeypatch):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from magicsimplex import regions
+from magicsimplex import planes, regions
 from magicsimplex.family import (
     PPT_TOL,
     STATE_TOL,
@@ -26,6 +26,7 @@ from magicsimplex.regions import (
     plane_grid_points,
     scan,
 )
+from magicsimplex.planes import witness_planes
 from magicsimplex.verdicts import Verdict
 from magicsimplex.witness import deployed_witnesses
 
@@ -348,3 +349,67 @@ def test_scan_counts():
     lines = list(result.csv_lines())
     assert lines[0] == CSV_HEADER
     assert len(lines) == 3
+
+
+def _bits(value):
+    """A field as something ``==`` compares bit for bit (floats by their hex)."""
+    if isinstance(value, float):
+        return (float, value.hex())
+    if isinstance(value, tuple):
+        return (type(value), tuple(_bits(v) for v in value))
+    return (type(value), value)
+
+
+def test_scan_rows_equal_classify_bit_for_bit():
+    rng = np.random.default_rng(53)
+    box = rng.uniform((-0.5, -1.0, -1.0), (1.5, 1.0, 1.2), size=(3000, 3))
+    gamma = rng.uniform(-1.0, 1.0, 1000)
+    beta = rng.uniform(-0.35, 0.05, 1000)
+    facet = np.column_stack([3.5 * beta + 1.0 - gamma, beta, gamma])
+    probes = [horodecki_point(k + s * 1e-9) for k in (1, 2, 3, 4) for s in (-1, 1)]
+    rows = [tuple(r) for r in np.vstack([box, facet]).tolist()]
+    # tuples and FamilyPoints alternate, so both input forms are covered
+    points = [FamilyPoint(*r) if i % 2 else r for i, r in enumerate(rows)] + probes
+    scanned = scan(points).rows
+    assert {row.verdict for row in scanned} == set(Verdict)
+    assert len(scanned) == len(points)
+    for p, row in zip(points, scanned):
+        single = classify(p)
+        assert type(row.point) is FamilyPoint
+        for field in Classification._fields:
+            assert _bits(getattr(row, field)) == _bits(getattr(single, field)), (p, field)
+
+
+def test_records_refuse_attribute_assignment():
+    row = classify(horodecki_point(2.5))
+    records = [
+        (row.point, "alpha"),
+        (row, "verdict"),
+        (witness_planes()[0][1], "offset"),
+    ]
+    for record, name in records:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0.0)
+        with pytest.raises(AttributeError):
+            record.extra = 0.0
+
+
+def test_classify_reads_a_rebuilt_witness_table(monkeypatch):
+    # The loop keeps no copy of the plane table: once the cache is cleared
+    # and rebuilt from renamed lines, classify and scan report the new names.
+    original = planes._battery_lines
+    point = horodecki_point(1.5)
+    before = classify(point).witness_name
+    monkeypatch.setattr(
+        planes,
+        "_battery_lines",
+        lambda: ((name + "x", start, onset) for name, start, onset in original()),
+    )
+    witness_planes.cache_clear()
+    try:
+        assert classify(point).witness_name == before + "x"
+        assert scan([point]).rows[0].witness_name == before + "x"
+    finally:
+        monkeypatch.undo()
+        witness_planes.cache_clear()
+    assert classify(point).witness_name == before

@@ -343,8 +343,8 @@ def test_battery_tangent_at_shared_corner():
 def test_closed_form_planes_match_the_oracle():
     for (name, closed), w in zip(witness_planes(), deployed_witnesses()):
         assert name == w.name
-        probed = witness_plane(w.candidate).as_dict()
-        for field, value in closed.as_dict().items():
+        probed = witness_plane(w.candidate)._asdict()
+        for field, value in closed._asdict().items():
             assert abs(probed[field] - value) <= 1e-12, (name, field)
 
 
@@ -437,6 +437,62 @@ def test_min_product_expectation_sweeps_a_stack_once():
         single = min_product_expectation(w.candidate.matrix, count=30_000)
         assert isinstance(single, float)
         assert value == single
+
+
+def _build_oracle_with(monkeypatch, sweep, cone_start=None):
+    """``deployed_witnesses()`` rebuilt with its product sweep replaced."""
+    monkeypatch.setattr("magicsimplex.witness.min_product_expectation", sweep)
+    if cone_start is not None:
+        monkeypatch.setattr(planes, "pl1_cone_start", lambda: cone_start)
+    for cache in (witness_planes, deployed_witnesses):
+        cache.cache_clear()
+    try:
+        return deployed_witnesses()
+    finally:
+        monkeypatch.undo()
+        for cache in (witness_planes, deployed_witnesses):
+            cache.cache_clear()
+
+
+def test_battery_build_makes_one_product_sweep(monkeypatch):
+    # The six members share one seeded sweep, and its minima equal six
+    # per-witness calls to the last bit.
+    sweeps = []
+
+    def recording(w, count):
+        minima = min_product_expectation(w, count=count)
+        sweeps.append((w, count, minima))
+        return minima
+
+    battery = _build_oracle_with(monkeypatch, recording)
+    [(stack, count, minima)] = sweeps
+    assert stack.shape == (6, 9, 9)
+    for w, mat, value in zip(battery, stack, minima):
+        assert np.array_equal(mat, w.candidate.matrix)
+        assert value == min_product_expectation(w.candidate.matrix, count=count)
+
+
+@pytest.mark.parametrize(
+    "negative, shrink_cone_start, first",
+    [
+        ((1, 4), False, "Pl1m"),
+        # Pl3's onset fails, but the members before it are checked first.
+        ((3,), True, "Pl2m"),
+    ],
+)
+def test_battery_build_raises_for_the_first_failing_member(
+    monkeypatch, negative, shrink_cone_start, first
+):
+    def sweep(w, count):
+        minima = np.zeros(len(w))
+        minima[list(negative)] = -1.0
+        return minima
+
+    start = pl1_cone_start()
+    cone_start = FamilyPoint(*(0.999999 * x for x in start)) if shrink_cone_start else None
+    message = rf"witness {first} went negative on a product state \(-1\.000e\+00\)"
+    with pytest.raises(ArithmeticError, match=message):
+        _build_oracle_with(monkeypatch, sweep, cone_start)
 
 
 def test_ppt_starts_match_a_point_by_point_loop():
