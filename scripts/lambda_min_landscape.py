@@ -12,9 +12,8 @@ import math
 import sys
 
 from magicsimplex.family import is_ppt, plane_point
-from magicsimplex.planes import OPTIMAL_EPSILON, OPTIMAL_GAMMA, OPTIMAL_LAMBDA
+from magicsimplex.planes import OPTIMAL_EPSILON, OPTIMAL_GAMMA, OPTIMAL_LAMBDA, lambda_min
 from magicsimplex.regions import parse_grid
-from magicsimplex.witness import lambda_min
 
 
 def main(argv=None) -> int:

@@ -10,9 +10,10 @@ states.  See :mod:`magicsimplex.regions` for the pipeline,
 
 The production modules (``verdicts``, ``family``, ``planes``, ``regions``,
 ``cli``) import only the standard library; importing the package loads no
-numpy.  The matrix oracle (``qmat``, ``weyl``, ``witness``, ``checks``)
-needs numpy and is imported on its own, e.g. ``from magicsimplex.witness
-import lambda_min``.
+numpy, and neither does any command but ``witness --name`` and ``verify``.
+The matrix oracle (``qmat``, ``weyl``, ``witness``, ``checks``) needs
+numpy and is imported on its own, e.g. ``from magicsimplex.witness import
+deployed_witnesses``.
 """
 
 from __future__ import annotations

@@ -31,10 +31,10 @@ point: it returns the exit code instead of exiting.
 
 The module imports only the standard library and the production modules
 (:mod:`.family`, :mod:`.planes`, :mod:`.regions`, :mod:`.verdicts`), so
-``classify``, ``scan``, ``horodecki`` and the ``witness`` table run
-without numpy.  The numpy oracle (:mod:`.witness`, :mod:`.qmat`,
-:mod:`.checks`) is imported inside the handlers of ``lambda-min``,
-``witness --name`` and ``verify``.
+``classify``, ``scan``, ``lambda-min``, ``horodecki`` and the ``witness``
+table run without numpy.  The numpy oracle (:mod:`.witness`, :mod:`.qmat`,
+:mod:`.checks`) is imported inside the handlers of ``witness --name`` and
+``verify``.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .family import (
     horodecki_point,
     plane_point,
 )
-from .planes import DEFAULT_SEED, witness_planes
+from .planes import DEFAULT_SEED, lambda_min, witness_planes
 from .regions import (
     CSV_HEADER,
     FACET_DOMAIN,
@@ -239,8 +239,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_lambda_min(args: argparse.Namespace) -> int:
-    from .witness import lambda_min
-
     point = _resolve_point(args)
     value = lambda_min(point)
     with _open_out(args.out) as out:

@@ -13,6 +13,10 @@ cone edge) -- each followed by the same construction from the
 region.  :func:`~.witness.deployed_witnesses` is the matrix oracle that
 checks every plane.
 
+The onset of any line is a closed form too: :func:`lambda_min` reads it
+off the Weyl character table of the Bell-diagonal simplex, and
+:func:`~.witness.lambda_min` is its matrix oracle.
+
 This module imports only the standard library, like the rest of the
 production path.
 """
@@ -24,15 +28,17 @@ import math
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .family import FamilyPoint, mirror, plane_point
+from .family import FamilyPoint, bell_spectrum, is_ppt, mirror, plane_point
 
 __all__ = [
     "CONE_EDGE_LAMBDA",
     "DEFAULT_SEED",
+    "FEASIBLE_SLACK",
     "OPTIMAL_EPSILON",
     "OPTIMAL_GAMMA",
     "OPTIMAL_LAMBDA",
     "PlaneCoefficients",
+    "lambda_min",
     "optimal_plane_start",
     "pl1_cone_start",
     "plane_tip_start",
@@ -43,6 +49,9 @@ logger = logging.getLogger(__name__)
 
 #: Default RNG seed for anything sampled in this package.
 DEFAULT_SEED = 20101
+
+#: Relative slack in the coefficient comparison of the product-safety test.
+FEASIBLE_SLACK = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +105,104 @@ def pl1_cone_start() -> FamilyPoint:
     gamma = 2.0 / 7.0
     beta = 10.0 * (6.0 - math.sqrt(39.0)) / 63.0
     return FamilyPoint((4.0 * beta + 2.0 * (1.0 - gamma)) / 5.0, beta, gamma)
+
+
+# ---------------------------------------------------------------------------
+# The onset of a line
+# ---------------------------------------------------------------------------
+
+
+def _require_ppt(start: FamilyPoint | tuple[float, float, float]) -> None:
+    """Raise ``ValueError`` unless ``start`` is a PPT state.
+
+    The line construction hunts entanglement the partial transpose cannot
+    see, so every entry point that takes a start checks it here.
+    """
+    point = start if isinstance(start, FamilyPoint) else FamilyPoint(*start)
+    result = is_ppt(point)  # raises for a point that is not a state
+    if not result.is_ppt:
+        raise ValueError(
+            f"start {point.as_tuple()} is NPT (smallest partial-transpose "
+            f"eigenvalue {result.pt_min_eigenvalue:.3e}); use a PPT start"
+        )
+
+
+#: The cube roots of unity ``omega ** j``.
+_OMEGA = (1.0, complex(-0.5, math.sqrt(3.0) / 2.0), complex(-0.5, -math.sqrt(3.0) / 2.0))
+
+
+def _character_table(
+    start: FamilyPoint | tuple[float, float, float],
+) -> tuple[float, dict[tuple[int, int], complex]]:
+    """``sum (p - 1/9)^2`` and the table ``t[n,m]`` of the start's Bell weights.
+
+    The first value is ``purity - 1/9`` with nothing cancelled; the table
+    is summed term by term from the nine weights.
+    """
+    weights = bell_spectrum(start).weights
+    excess = sum((p - 1.0 / 9.0) ** 2 for p in weights.values())
+    table = {
+        (n, m): sum(p * _OMEGA[(n * l - m * k) % 3] for (k, l), p in weights.items()) / 9.0
+        for n in range(3)
+        for m in range(3)
+    }
+    return excess, table
+
+
+def lambda_min(start: FamilyPoint | tuple[float, float, float]) -> float | None:
+    """Smallest ``l`` in ``[0, 1]`` whose line operator is product-safe.
+
+    The start is Bell-diagonal with weights ``p_kl`` on the projectors
+    ``P[k,l]``, and its two-sided Weyl coefficients are the character table
+
+        t[n,m] = (1/9) * sum_kl p_kl * omega^(n l - m k),   omega = e^(2 pi i/3).
+
+    The family's weights are ``w + alpha`` at ``(0,0)``, ``w + beta/2`` at
+    ``(1,0)`` and ``(2,0)``, ``w + gamma/3`` at ``(k,1)`` and ``w`` at
+    ``(k,2)``.  Summing over ``k`` first, a column ``l`` with equal weights
+    drops out of every ``m != 0`` entry, so each of the six ``m != 0``
+    entries is ``y/9`` with ``y = alpha - beta/2``.  Summing over ``k``
+    first for ``m = 0`` leaves the column sums ``3w + alpha + beta``,
+    ``3w + gamma`` and ``3w``, so ``t[n,0] = (alpha + beta + gamma
+    omega^n)/9`` for ``n != 0``, of modulus ``r/9`` with
+
+        r = sqrt((alpha + beta - gamma/2)^2 + 3 gamma^2 / 4).
+
+    Along the line ``C_l / (1 - l)`` (see :mod:`.witness`) has identity
+    coefficient ``l * (purity - 1/9)`` while its other coefficients are the
+    negated table, and ``purity - 1/9 = 9 * sum |t|^2 = (6 y^2 + 2 r^2)/9``
+    over the eight off-identity entries (Parseval).  The safety threshold
+    ``t00 = 2 * max|t|`` is therefore crossed at
+
+        l = max(|y|, r) / (3 y^2 + r^2).
+
+    Returns ``None`` when the denominator vanishes (the maximally mixed
+    state, where every line operator vanishes) or when ``l`` exceeds
+    ``1 + FEASIBLE_SLACK``, which is exactly where the endpoint operator
+    ``purity * 1 - rho`` fails the criterion; ``l`` is clamped to 1.  As a
+    post, the operator at the returned ``l`` must pass the criterion on the
+    table summed term by term, else ``ArithmeticError``.  Raises
+    ``ValueError`` for a start that is not a PPT state.
+    """
+    _require_ppt(start)
+    a, b, g = start
+    y = a - b / 2.0
+    u = a + b - g / 2.0
+    r_sq = u * u + 0.75 * g * g
+    denom = 3.0 * y * y + r_sq
+    if denom <= 0.0:
+        return None
+    lam = max(abs(y), math.sqrt(r_sq)) / denom
+    if lam > 1.0 + FEASIBLE_SLACK:
+        return None
+    lam = min(lam, 1.0)
+    excess, table = _character_table(start)
+    t_max = max(abs(v) for key, v in table.items() if key != (0, 0))
+    if t_max > (lam * excess / 2.0) * (1.0 + FEASIBLE_SLACK):
+        raise ArithmeticError(
+            f"the line operator at the closed-form onset {lam!r} is not product-safe"
+        )
+    return lam
 
 
 # ---------------------------------------------------------------------------

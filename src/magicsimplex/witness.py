@@ -29,8 +29,10 @@ identity coefficient grows affinely while the off-identity table is
 ``l``-independent up to a common positive factor), so the smallest
 witness-yielding parameter ``lambda_min`` is where the identity
 coefficient reaches twice the largest off-identity one; it is computed in
-closed form from the start's coefficient table.  The ``l -> 1`` limit of
-``C_l / (l (1 - l))`` is the tangent-plane witness ``purity * 1 - rho``.
+closed form from the start's coefficient table
+(:func:`~.planes.lambda_min`); :func:`lambda_min` here is its matrix
+oracle.  The ``l -> 1`` limit of ``C_l / (l (1 - l))`` is the tangent-plane
+witness ``purity * 1 - rho``.
 
 Geometrically each witness is an affine functional of the family
 coordinates, i.e. a plane ``alpha = b * beta + g * gamma + c``.  The six
@@ -41,7 +43,7 @@ builds no matrix.  This module is their matrix oracle:
 :func:`witness_plane`, samples product states, and raises unless every
 plane matches its closed form.  Like :mod:`.qmat`, :mod:`.weyl` and
 :mod:`.checks` it imports numpy, so the command line loads it only for
-``lambda-min``, ``witness --name`` and ``verify``.
+``witness --name`` and ``verify``.
 """
 
 from __future__ import annotations
@@ -52,8 +54,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .family import FamilyPoint, family_state, is_ppt
-from .planes import DEFAULT_SEED, PlaneCoefficients, _battery_lines, witness_planes
+from . import planes
+from .family import FamilyPoint, family_state
+from .planes import (
+    DEFAULT_SEED,
+    FEASIBLE_SLACK,
+    PlaneCoefficients,
+    _battery_lines,
+    _require_ppt,
+    witness_planes,
+)
 from .qmat import Array, hs_inner
 from .weyl import WeylCoefficients, weyl_tensor_decompose
 
@@ -78,8 +88,8 @@ __all__ = [
 #: Operators further than this (Frobenius) from the basis span are rejected.
 SPAN_TOL = 1e-10
 
-#: Relative slack in the coefficient comparison of the product-safety test.
-FEASIBLE_SLACK = 1e-12
+#: Largest gap between an oracle onset or plane field and its closed form.
+_ORACLE_TOL = 1e-12
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -148,21 +158,6 @@ def witness_candidate(matrix: Array) -> WitnessCandidate:
     )
 
 
-def _require_ppt(start: FamilyPoint | tuple[float, float, float]) -> None:
-    """Raise ``ValueError`` unless ``start`` is a PPT state.
-
-    The line construction hunts entanglement the partial transpose cannot
-    see, so every entry point that takes a start checks it here.
-    """
-    point = start if isinstance(start, FamilyPoint) else FamilyPoint(*start)
-    result = is_ppt(point)  # raises for a point that is not a state
-    if not result.is_ppt:
-        raise ValueError(
-            f"start {point.as_tuple()} is NPT (smallest partial-transpose "
-            f"eigenvalue {result.pt_min_eigenvalue:.3e}); use a PPT start"
-        )
-
-
 # ---------------------------------------------------------------------------
 # The line construction
 # ---------------------------------------------------------------------------
@@ -228,7 +223,7 @@ def c_limit(start: FamilyPoint) -> WitnessCandidate:
 
 
 def lambda_min(start: FamilyPoint) -> float | None:
-    """Smallest ``l`` in ``[0, 1]`` whose line operator is product-safe.
+    """Matrix oracle of :func:`~.planes.lambda_min`, from the Weyl decomposition.
 
     Along the line ``C_l / (1 - l)`` has identity coefficient
     ``l * (purity - 1/9)`` while its off-identity coefficients are the
@@ -241,9 +236,11 @@ def lambda_min(start: FamilyPoint) -> float | None:
     maximally mixed state cannot cancel it to rounding noise.  Returns
     ``None`` when this exceeds ``1 + FEASIBLE_SLACK``, which is exactly
     where the endpoint operator ``purity * 1 - rho`` fails the criterion.
-    As a post, the operator at the returned ``l`` must pass
-    :func:`witness_candidate`, else ``ArithmeticError``.  Raises
-    ``ValueError`` for a start that is not a PPT state.
+    As posts, the operator at the returned ``l`` must pass
+    :func:`witness_candidate`, and the onset must match the closed form of
+    :func:`~.planes.lambda_min` to 1e-12 (``None`` for ``None``), else
+    ``ArithmeticError``.  Raises ``ValueError`` for a start that is not a
+    PPT state.
     """
     _require_ppt(start)
     rho = family_state(start)
@@ -251,16 +248,21 @@ def lambda_min(start: FamilyPoint) -> float | None:
     slope = 9.0 * sum(
         abs(v) ** 2 for key, v in coeffs.coeffs.items() if key != (0, 0)
     )
-    if slope <= 0.0:
-        return None  # the maximally mixed state: every line operator vanishes
-    lam = 2.0 * coeffs.max_off_identity() / slope
+    # At the maximally mixed state every line operator vanishes: never safe.
+    lam = 2.0 * coeffs.max_off_identity() / slope if slope > 0.0 else math.inf
     if lam > 1.0 + FEASIBLE_SLACK:
-        return None
-    lam = min(lam, 1.0)
-    if not witness_candidate(_scaled_line_operator(rho, lam)).feasible:
-        raise ArithmeticError(
-            f"the line operator at the closed-form onset {lam!r} is not product-safe"
-        )
+        lam = None
+    else:
+        lam = min(lam, 1.0)
+        if not witness_candidate(_scaled_line_operator(rho, lam)).feasible:
+            raise ArithmeticError(
+                f"the line operator at the closed-form onset {lam!r} is not product-safe"
+            )
+    closed = planes.lambda_min(start)
+    if (lam is None) != (closed is None) or (
+        lam is not None and abs(lam - closed) > _ORACLE_TOL
+    ):
+        raise ArithmeticError(f"onset {lam!r} is not its closed form {closed!r}")
     return lam
 
 
@@ -315,9 +317,6 @@ class DeployedWitness:
 
 
 _BUILD_CHECK_SAMPLES = 2000
-
-#: Largest gap between an oracle onset or plane field and its closed form.
-_ORACLE_TOL = 1e-12
 
 
 @lru_cache(maxsize=1)

@@ -403,6 +403,9 @@ def test_unknown_subcommand_exits_2(capsys):
         ("verify_seed3_only_6-10", ["verify", "--seed", "3", "--only", "6,7,8,9,10"]),
         ("scan_plane_facet_grid", ["scan", "--plane", "--grid", "0:1:0.01,-0.35:0.05:0.01"]),
         ("scan_box_0.05", ["scan", "--grid=-0.5:1.5:0.05,-1:1:0.05,-1:1.2:0.05"]),
+        ("lambda_min_optimal", ["lambda-min", "--epsilon", "0.119429", "--gamma", "0.345586"]),
+        ("lambda_min_b1.5_json", ["lambda-min", "--b", "1.5", "--format", "json"]),
+        ("lambda_min_origin", ["lambda-min", "--alpha", "0", "--beta", "0", "--gamma", "0"]),
     ],
 )
 def test_golden_output(capsys, name, argv):
@@ -463,8 +466,8 @@ def test_logging_handler_attached_once(capsys, monkeypatch):
 
 
 def test_production_commands_build_no_witness_matrix(capsys, monkeypatch):
-    # classify, scan, horodecki and the witness table read the closed-form
-    # planes; the matrix battery, the Weyl decomposition and the
+    # classify, scan, lambda-min, horodecki and the witness table read
+    # closed forms; the matrix battery, the Weyl decomposition and the
     # product-state sweeps belong to the oracle.
     def forbidden(*args, **kwargs):
         raise AssertionError("the production path reached the witness oracle")
@@ -485,6 +488,7 @@ def test_production_commands_build_no_witness_matrix(capsys, monkeypatch):
             ("scan", "--grid=-0.5:1.5:0.5,-1:1:0.5,-1:1.2:0.55"),
             ("scan", "--plane", "--grid=-1:1:0.25,-0.35:0.05:0.1", "--format", "json"),
             ("horodecki", "--grid", "0:5:0.25"),
+            ("lambda-min", "--epsilon", "0.119429", "--gamma", "0.345586"),
             ("witness",),
         ):
             code, out, err = run_cli(capsys, *argv)
@@ -557,6 +561,8 @@ def test_production_commands_run_without_numpy():
             ["scan", "--grid=-0.5:1.5:0.5,-1:1:0.5,-1:1.2:0.55"],
             ["scan", "--plane", "--grid=-1:1:0.25,-0.35:0.05:0.1"],
             ["horodecki", "--grid", "0:5:0.25"],
+            ["lambda-min", "--epsilon", "0.119429", "--gamma", "0.345586"],
+            ["lambda-min", "--epsilon", "0.11963", "--gamma", "0.35"],  # NPT start
             ["witness"],
         ]
     )
@@ -564,7 +570,10 @@ def test_production_commands_run_without_numpy():
     blocked = _child(_MAIN_LOOP, "block", commands)
     assert normal.returncode == 0, normal.stderr
     assert blocked.returncode == 0, blocked.stderr
-    assert normal.stdout.count("exit 0") == 9
+    assert normal.stdout.count("exit 0") == 10
+    assert normal.stdout.count("exit 2") == 1
+    assert "lambda_min: 0.825694571492" in normal.stdout
+    assert "is NPT" in blocked.stderr
     verdicts = {line for line in normal.stdout.splitlines() if line.startswith("verdict: ")}
     assert len(verdicts) == 5
     assert blocked.stdout == normal.stdout
@@ -573,7 +582,6 @@ def test_production_commands_run_without_numpy():
 def test_oracle_commands_run_in_a_fresh_process():
     commands = json.dumps(
         [
-            ["lambda-min", "--epsilon", "0.119429", "--gamma", "0.345586"],
             ["witness", "--name", "Pl1"],
             ["verify", "--only", "4"],
         ]
@@ -582,4 +590,4 @@ def test_oracle_commands_run_in_a_fresh_process():
     assert proc.returncode == 0, proc.stderr
     assert [line for line in proc.stdout.splitlines() if line.startswith("exit")] == [
         "exit 0"
-    ] * 3
+    ] * 2

@@ -1,4 +1,4 @@
-"""Smoke test for the study script under ``scripts/``."""
+"""Smoke test for the study script under ``scripts/``, which needs no numpy."""
 
 import os
 import subprocess
@@ -6,6 +6,15 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+#: Runs the script named by the first argument as ``__main__`` with the
+#: rest as its arguments, with ``import numpy`` raising ImportError.
+_RUN_WITHOUT_NUMPY = """
+import runpy, sys
+sys.modules["numpy"] = None
+sys.argv = sys.argv[1:]
+runpy.run_path(sys.argv[0], run_name="__main__")
+"""
 
 
 def test_lambda_min_landscape_small_grid():
@@ -16,6 +25,8 @@ def test_lambda_min_landscape_small_grid():
     proc = subprocess.run(
         [
             sys.executable,
+            "-c",
+            _RUN_WITHOUT_NUMPY,
             str(ROOT / "scripts" / "lambda_min_landscape.py"),
             "--epsilon",
             "0.1:0.12:0.01",

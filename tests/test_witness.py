@@ -38,6 +38,7 @@ from magicsimplex.planes import (
     witness_planes,
 )
 from magicsimplex.qmat import hs_inner
+from magicsimplex.regions import format_number
 from magicsimplex.weyl import bell_projector
 from magicsimplex.witness import (
     FEASIBLE,
@@ -216,14 +217,18 @@ def seeded_ppt_starts(count, seed=17):
 
 
 def test_lambda_min_argument_errors():
-    with pytest.raises(ValueError, match="NPT"):
-        lambda_min(FamilyPoint(1.0, 0.0, 0.0))
-    with pytest.raises(ValueError, match="NPT"):
-        lambda_min((1.0, 0.0, 0.0))  # plain tuples are accepted as points
+    for onset in (lambda_min, planes.lambda_min):
+        with pytest.raises(ValueError, match="NPT"):
+            onset(FamilyPoint(1.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="NPT"):
+            onset((1.0, 0.0, 0.0))  # plain tuples are accepted as points
+        with pytest.raises(ValueError, match="not a state"):
+            onset((3.0, 0.0, 0.0))
 
 
 def test_lambda_min_degenerate_line():
-    assert lambda_min(ORIGIN) is None
+    for onset in (lambda_min, planes.lambda_min):
+        assert onset(ORIGIN) is None
 
 
 def test_lambda_min_at_facet_tip_is_one():
@@ -257,6 +262,58 @@ def test_mirror_starts_share_the_onset():
     ):
         assert lambda_min(mirror(start)) == lambda_min(start)
         assert lambda_min(start) == pytest.approx(onset, abs=1e-12)
+        for p in (start, mirror(start)):
+            assert abs(planes.lambda_min(p) - onset) <= 1e-15, p
+
+
+def _agreement_starts():
+    """Seeded PPT starts: 1,000 from the box, the rest from the facet patch."""
+    rng = np.random.default_rng(12345)
+    box = checks._ppt_starts(rng, 1000)
+    patch = [plane_point(*row) for row in rng.uniform((-0.05, -0.6), (0.3, 0.6), (2400, 2))]
+    return box + [p for p in patch if pyramid_margin(p) >= STATE_TOL and is_ppt(p).is_ppt]
+
+
+def test_closed_form_onset_matches_the_matrix_oracle():
+    starts = _agreement_starts()
+    assert len(starts) >= 2000
+    found = 0
+    for p in starts:
+        closed, oracle = planes.lambda_min(p), lambda_min(p)
+        assert (closed is None) == (oracle is None), p
+        mirrored = planes.lambda_min(mirror(p))
+        assert (mirrored is None) == (closed is None), p
+        if closed is not None:
+            assert abs(closed - oracle) <= 1e-12, p
+            assert format_number(closed) == format_number(oracle), p
+            assert abs(mirrored - closed) <= 1e-15, p
+            found += 1
+    assert 200 <= found <= len(starts) - 200  # both outcomes well represented
+
+
+def test_closed_form_onset_post_rejects_an_unsafe_operator(monkeypatch):
+    # A table whose largest off-identity entry is 1e-9 too large for the
+    # operator at the onset: the product-safety post must refuse it.
+    table = planes._character_table
+
+    def inflated(start):
+        excess, t = table(start)
+        worst = max((k for k in t if k != (0, 0)), key=lambda k: abs(t[k]))
+        return excess, {k: v * (1.0 + 1e-9) if k == worst else v for k, v in t.items()}
+
+    monkeypatch.setattr(planes, "_character_table", inflated)
+    with pytest.raises(ArithmeticError, match="not product-safe"):
+        planes.lambda_min(optimal_plane_start())
+
+
+def test_matrix_onset_raises_when_the_closed_form_moves(monkeypatch):
+    closed = planes.lambda_min
+    monkeypatch.setattr(planes, "lambda_min", lambda start: closed(start) + 1e-9)
+    with pytest.raises(ArithmeticError, match="is not its closed form"):
+        lambda_min(optimal_plane_start())
+    monkeypatch.setattr(planes, "lambda_min", lambda start: None)
+    with pytest.raises(ArithmeticError, match="is not its closed form"):
+        lambda_min(optimal_plane_start())
 
 
 def test_line_crossing_checks_are_exact():
