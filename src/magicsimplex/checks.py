@@ -10,8 +10,10 @@ the CLI ``verify`` subcommand renders those one line per check, or as
 JSON.
 
 The matrix sweeps hand the oracle kernels stacks of at most
-:data:`_STACK` matrices (one LAPACK call per chunk, not per point) and
-draw the product states once for all six witnesses.  Stacked kernels give
+:data:`_STACK` matrices (one LAPACK call per chunk, not per point).  The
+product-state check draws each seeded chunk of product vectors once for
+all six witnesses and gives each witness one BLAS product on it, so its
+memory does not grow with the number of witnesses.  Stacked kernels give
 each member bit-identical results to the one-matrix call, so every check
 reads the same numbers as a point-by-point loop would.
 
@@ -494,9 +496,13 @@ def run_all(
 ) -> list[CheckResult]:
     """Run the verification battery (or the subset in ``only``, 1-based).
 
-    ``only=None`` runs all twelve checks; an empty selection is an error.
-    Each result carries the wall time of its check in ``seconds``.
+    ``only=None`` runs all twelve checks; an empty selection is an error,
+    and so is a negative ``seed``, before any check runs (numpy seeds are
+    non-negative).  Each result carries the wall time of its check in
+    ``seconds``.
     """
+    if seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {seed}")
     if only is not None and not only:
         raise ValueError("empty check selection (indices must be in 1..12)")
     indices = list(range(1, 13)) if only is None else sorted(set(only))

@@ -216,6 +216,7 @@ def _scan_points(args: argparse.Namespace):
 def _cmd_scan(args: argparse.Namespace) -> int:
     points = _scan_points(args)
     result = scan(points)
+    counts = result.counts()
     with _open_out(args.out) as out:
         if args.format == "json":
             gammas = sorted({p.gamma for p in points})
@@ -226,15 +227,15 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             ]
             payload = {
                 "rows": len(result.rows),
-                "counts": result.counts(),
+                "counts": counts,
                 "boundary_samples": samples,
             }
             _emit(out, json.dumps(_json_round(payload), indent=2))
         else:
             for line in result.csv_lines():
                 _emit(out, line)
-    counts = ", ".join(f"{k}={v}" for k, v in sorted(result.counts().items()))
-    print(f"scanned {len(result.rows)} points: {counts}", file=sys.stderr)
+    summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
+    print(f"scanned {len(result.rows)} points: {summary}", file=sys.stderr)
     return 0
 
 

@@ -169,19 +169,15 @@ def bell_spectrum(p: FamilyPoint | tuple[float, float, float]) -> BellSpectrum:
     ``w + beta/2``; the three ``(n, 1)`` carry ``w + gamma/3``; the three
     ``(n, 2)`` carry the bare ``w``.
     """
-    pt = _point(p)
-    w = (1.0 - pt.alpha - pt.beta - pt.gamma) / 9.0
-    weights: dict[tuple[int, int], float] = {}
-    for n in range(3):
-        for m in range(3):
-            if (n, m) == (0, 0):
-                weights[(n, m)] = w + pt.alpha
-            elif m == 0:
-                weights[(n, m)] = w + pt.beta / 2.0
-            elif m == 1:
-                weights[(n, m)] = w + pt.gamma / 3.0
-            else:
-                weights[(n, m)] = w
+    a, b, g = _point(p)
+    w = (1.0 - a - b - g) / 9.0
+    wb = w + b / 2.0
+    wg = w + g / 3.0
+    weights = {
+        (0, 0): w + a, (0, 1): wg, (0, 2): w,
+        (1, 0): wb, (1, 1): wg, (1, 2): w,
+        (2, 0): wb, (2, 1): wg, (2, 2): w,
+    }
     return BellSpectrum(weights)
 
 

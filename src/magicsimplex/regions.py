@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -364,10 +365,9 @@ class ScanResult:
     rows: list[Classification] = field(default_factory=list)
 
     def counts(self) -> dict[str, int]:
-        tally: dict[str, int] = {}
-        for row in self.rows:
-            tally[row.verdict.value] = tally.get(row.verdict.value, 0) + 1
-        return tally
+        """Rows per verdict name, in order of first occurrence."""
+        tally = Counter(row.verdict for row in self.rows)
+        return {verdict.value: n for verdict, n in tally.items()}
 
     def csv_lines(self) -> Iterator[str]:
         yield CSV_HEADER

@@ -1,6 +1,8 @@
 """Shared test oracles."""
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,12 @@ import pytest
 from magicsimplex.family import PPT_TOL, FamilyPoint, pt_min_eigenvalue, pyramid_margin
 from magicsimplex.qmat import hs_inner
 from magicsimplex.witness import deployed_witnesses
+
+#: PYTHONPATH for subprocesses: this checkout's sources first, so the
+#: tests pass without installing the package.
+PYTHONPATH = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])
+)
 
 
 def witness_values(rho: np.ndarray) -> list[tuple[str, float]]:

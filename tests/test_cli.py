@@ -10,6 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import PYTHONPATH
 
 from magicsimplex import cli, regions, weyl, witness
 from magicsimplex.checks import run_all
@@ -24,12 +25,6 @@ GOLDEN_DIGESTS = {
     "scan_plane_facet_grid": "16bae9f6f818df52038e20c67b48b1386895253d396e7750cbcec8b95e5480bc",
     "scan_box_0.05": "0c80714d44f9f42b1ab2b18d565f6c1507d2b5be34108431886f7512b7bd09f2",
 }
-
-#: PYTHONPATH for subprocesses: this checkout's sources first, so the
-#: tests pass without installing the package.
-PYTHONPATH = os.pathsep.join(
-    filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])
-)
 
 
 def run_cli(capsys, *argv):
@@ -355,6 +350,13 @@ def test_verify_rejects_bad_index(capsys):
 def test_verify_rejects_non_integer(capsys):
     code, _, err = run_cli(capsys, "verify", "--only", "two")
     assert code == 2
+
+
+def test_verify_rejects_a_negative_seed_before_any_check(capsys):
+    code, out, err = run_cli(capsys, "verify", "--seed", "-1", "--only", "4")
+    assert code == 2
+    assert "--seed" in err
+    assert out == ""
 
 
 def test_verify_rejects_empty_selection(capsys):

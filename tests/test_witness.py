@@ -4,11 +4,15 @@ and the closed-form battery against its matrix oracle."""
 
 import logging
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from conftest import witness_values
+from conftest import PYTHONPATH, witness_values
 from hypothesis import strategies as st
 
 from magicsimplex import checks, planes
@@ -494,6 +498,71 @@ def test_min_product_expectation_sweeps_a_stack_once():
         single = min_product_expectation(w.candidate.matrix, count=30_000)
         assert isinstance(single, float)
         assert value == single
+
+
+def _three_operand_minima(stack, count):
+    """The sweep with the generic ``<v|W|v>`` einsum, chunked and seeded alike."""
+    rng = np.random.default_rng(DEFAULT_SEED)
+    worst = np.full(len(stack), math.inf)
+    remaining = count
+    while remaining > 0:
+        take = min(20_000, remaining)
+        v = product_state_vectors(take, rng)
+        bra = v.conj()
+        for k, mat in enumerate(stack):
+            vals = np.einsum("ni,ij,nj->n", bra, mat, v).real
+            worst[k] = min(worst[k], vals.min())
+        remaining -= take
+    return worst
+
+
+def test_min_product_expectation_matches_the_three_operand_kernel():
+    rng = np.random.default_rng(2024)
+    raw = rng.standard_normal((20, 9, 9)) + 1j * rng.standard_normal((20, 9, 9))
+    hermitian = raw + raw.conj().transpose(0, 2, 1)
+    stack = np.concatenate(
+        [np.stack([w.candidate.matrix for w in deployed_witnesses()]), hermitian]
+    )
+    minima = min_product_expectation(stack, count=30_000)
+    for mat, value, ref in zip(stack, minima, _three_operand_minima(stack, 30_000)):
+        bound = 81 * np.finfo(float).eps * max(1.0, float(np.linalg.norm(mat)))
+        assert abs(value - ref) <= bound
+
+
+def test_min_product_expectation_memory_does_not_grow_with_the_stack():
+    battery = np.stack([w.candidate.matrix for w in deployed_witnesses()])
+
+    def peak(stack):
+        tracemalloc.start()
+        try:
+            min_product_expectation(stack, count=40_000)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(battery) <= peak(battery[:1]) + 2**20
+
+
+def test_product_sweep_is_the_same_for_any_blas_thread_count():
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ,
+            PYTHONPATH=PYTHONPATH,
+            OPENBLAS_NUM_THREADS=threads,
+            OMP_NUM_THREADS=threads,
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "magicsimplex.cli", "verify", "--only", "9"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert "product-state-safety" in outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 def _build_oracle_with(monkeypatch, sweep, cone_start=None):
