@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import time
 from collections import defaultdict, deque
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,8 +69,7 @@ from .witness import (
 __all__ = ["CheckResult", "CHECK_NAMES", "run_all"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One check's outcome; ``seconds`` is its wall time, set by :func:`run_all`."""
 
     index: int
@@ -513,5 +512,5 @@ def run_all(
     for i in indices:
         start = time.perf_counter()
         result = _CHECKS[i - 1](seed)
-        results.append(replace(result, seconds=time.perf_counter() - start))
+        results.append(result._replace(seconds=time.perf_counter() - start))
     return results

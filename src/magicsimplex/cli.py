@@ -34,19 +34,22 @@ The module imports only the standard library and the production modules
 ``classify``, ``scan``, ``lambda-min``, ``horodecki`` and the ``witness``
 table run without numpy.  The numpy oracle (:mod:`.witness`, :mod:`.qmat`,
 :mod:`.checks`) is imported inside the handlers of ``witness --name`` and
-``verify``.
+``verify``.  So are the costlier standard-library modules: :mod:`json`
+only for JSON output, :mod:`logging` only when ``MAGIC_SIMPLEX_LOG`` is
+set, and :mod:`fractions` only when a command builds the separable
+polytope (:func:`.regions.build_polygon`).  JSON output is strict: a
+non-finite number prints as ``null``.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
-import logging
+import math
 import os
 import sys
 from contextlib import nullcontext
-from typing import Any, ContextManager, Sequence, TextIO
+from functools import lru_cache
+from typing import TYPE_CHECKING, Any, ContextManager, Sequence, TextIO
 
 from .family import (
     FamilyPoint,
@@ -68,11 +71,18 @@ from .regions import (
     scan,
 )
 
+if TYPE_CHECKING:
+    import logging
+
 
 def _json_round(value: Any) -> Any:
-    """Round floats to 12 significant digits for JSON emission."""
+    """Round floats to 12 significant digits for JSON emission.
+
+    A non-finite float becomes ``None`` (JSON ``null``): strict JSON has no
+    ``Infinity`` or ``NaN`` token.
+    """
     if isinstance(value, float):
-        return float(_fmt(value))
+        return float(_fmt(value)) if math.isfinite(value) else None
     if isinstance(value, dict):
         return {k: _json_round(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -80,23 +90,37 @@ def _json_round(value: Any) -> Any:
     return value
 
 
-#: The one stderr handler :func:`main` attaches, however often it runs.
-_LOG_HANDLER = logging.StreamHandler()
-_LOG_HANDLER.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+def _emit_json(out: TextIO, payload: Any) -> None:
+    import json  # only JSON output needs it
+
+    _emit(out, json.dumps(_json_round(payload), indent=2, allow_nan=False))
+
+
+@lru_cache(maxsize=1)
+def _log_handler() -> logging.StreamHandler:
+    """The one stderr handler :func:`main` attaches, however often it runs."""
+    import logging
+
+    handler = logging.StreamHandler()
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    return handler
 
 
 def _configure_logging() -> None:
     level_name = os.environ.get("MAGIC_SIMPLEX_LOG")
     if not level_name:
         return
+    import logging  # only loaded when asked for; see family._log
+
     level = getattr(logging, level_name.upper(), None)
     if not isinstance(level, int):
         print(f"ignoring unknown MAGIC_SIMPLEX_LOG level {level_name!r}", file=sys.stderr)
         return
+    handler = _log_handler()
     # In-process callers may have swapped sys.stderr since the last call.
-    _LOG_HANDLER.stream = sys.stderr
+    handler.stream = sys.stderr
     pkg_logger = logging.getLogger("magicsimplex")
-    pkg_logger.addHandler(_LOG_HANDLER)  # no-op when already attached
+    pkg_logger.addHandler(handler)  # no-op when already attached
     pkg_logger.setLevel(level)
 
 
@@ -175,7 +199,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                 "polygon_member": row.polygon_member,
                 "detail": row.detail,
             }
-            _emit(out, json.dumps(_json_round(payload), indent=2))
+            _emit_json(out, payload)
         else:
             _emit(out, f"verdict: {row.verdict.value}")
             _emit(
@@ -230,7 +254,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                 "counts": counts,
                 "boundary_samples": samples,
             }
-            _emit(out, json.dumps(_json_round(payload), indent=2))
+            _emit_json(out, payload)
         else:
             for line in result.csv_lines():
                 _emit(out, line)
@@ -250,7 +274,7 @@ def _cmd_lambda_min(args: argparse.Namespace) -> int:
                 "gamma": point.gamma,
                 "lambda_min": value,
             }
-            _emit(out, json.dumps(_json_round(payload), indent=2))
+            _emit_json(out, payload)
         elif value is None:
             _emit(out, "lambda_min: never feasible (degenerate line)")
         else:
@@ -301,7 +325,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
                 )
             return 0
         payload = _witness_payload(args.name)
-        _emit(out, json.dumps(_json_round(payload), indent=2))
+        _emit_json(out, payload)
     return 0
 
 
@@ -329,7 +353,7 @@ def _cmd_horodecki(args: argparse.Namespace) -> int:
                 }
                 for b, c in rows
             ]
-            _emit(out, json.dumps(_json_round(payload), indent=2))
+            _emit_json(out, payload)
         else:
             _emit(out, _HORODECKI_CSV_HEADER)
             for b, c in rows:
@@ -367,11 +391,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     with _open_out(args.out) as out:
         if args.format == "json":
             payload = {
-                "checks": [dataclasses.asdict(r) for r in results],
+                "checks": [r._asdict() for r in results],
                 "passed": len(results) - failures,
                 "total": len(results),
             }
-            _emit(out, json.dumps(_json_round(payload), indent=2))
+            _emit_json(out, payload)
         else:
             for r in results:
                 status = "PASS" if r.passed else "FAIL"

@@ -34,8 +34,8 @@ the classic Horodecki line of states (:func:`horodecki_point`, parameter
 
 from __future__ import annotations
 
-import logging
 import math
+import sys
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
@@ -43,8 +43,6 @@ from .verdicts import Verdict
 
 if TYPE_CHECKING:
     from .qmat import Array
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "PPT_TOL",
@@ -71,6 +69,22 @@ STATE_TOL = -1e-12
 
 #: A state is PPT when the smallest partial-transpose eigenvalue clears this.
 PPT_TOL = -1e-10
+
+#: The two :mod:`logging` levels the package logs at.
+_DEBUG, _INFO = 10, 20
+
+
+def _log(name: str, level: int, msg: str, *args: object) -> None:
+    """Log ``msg % args`` to the logger ``name`` once :mod:`logging` is loaded.
+
+    No handler can exist before some code imports :mod:`logging`, so until
+    then the record would go nowhere; checking ``sys.modules`` keeps the
+    import off the production path.  ``MAGIC_SIMPLEX_LOG`` (see
+    :mod:`.cli`) or the host application loads it.
+    """
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(name).log(level, msg, *args)
 
 
 class _Coordinates(NamedTuple):
@@ -271,8 +285,13 @@ def is_ppt(p: FamilyPoint | tuple[float, float, float]) -> PptResult:
         )
     spectrum = pt_block_eigenvalues(pt)
     smallest = float(min(spectrum))
-    logger.debug(
-        "is_ppt%s: smallest %.3e, block spectrum %s", pt.as_tuple(), smallest, spectrum
+    _log(
+        __name__,
+        _DEBUG,
+        "is_ppt%s: smallest %.3e, block spectrum %s",
+        pt.as_tuple(),
+        smallest,
+        spectrum,
     )
     return PptResult(smallest >= PPT_TOL, smallest)
 

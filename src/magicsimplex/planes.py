@@ -23,12 +23,11 @@ production path.
 
 from __future__ import annotations
 
-import logging
 import math
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .family import FamilyPoint, bell_spectrum, is_ppt, mirror, plane_point
+from .family import _INFO, FamilyPoint, _log, bell_spectrum, is_ppt, mirror, plane_point
 
 __all__ = [
     "CONE_EDGE_LAMBDA",
@@ -44,8 +43,6 @@ __all__ = [
     "plane_tip_start",
     "witness_planes",
 ]
-
-logger = logging.getLogger(__name__)
 
 #: Default RNG seed for anything sampled in this package.
 DEFAULT_SEED = 20101
@@ -287,7 +284,9 @@ def witness_planes() -> tuple[tuple[str, PlaneCoefficients], ...]:
         (name, _line_plane(start, onset)) for name, start, onset in _battery_lines()
     )
     for name, plane in battery[::2]:  # the three unmirrored members
-        logger.info(
+        _log(
+            __name__,
+            _INFO,
             "witness %s: alpha = %.9f beta + %.9f gamma + %.9f (k=%.6f)",
             name,
             plane.beta_coeff,

@@ -18,8 +18,9 @@ One loop runs the pipeline: it walks the points once, reads the witness
 battery once and builds the polytope only when a point reaches stage 4,
 and it stops each point at its first decisive stage.  :func:`scan` is its
 batch call and :func:`classify` its one-row call, so a scanned row equals
-``classify`` of its point.  Its records (:class:`Classification`, holding
-a :class:`~.family.FamilyPoint`) are immutable named tuples.
+``classify`` of its point.  Its records -- :class:`Classification`
+(holding a :class:`~.family.FamilyPoint`), :class:`ScanResult` and
+:class:`SeparablePolygon` -- are immutable named tuples.
 
 On the positivity facet ``alpha = 7 beta / 2 + 1 - gamma`` everything is
 available in closed form.  Two curves organize that facet in the
@@ -51,24 +52,24 @@ The separable polytope is the pyramid over the ``gamma = 0`` slice's PPT
 quadrilateral (corners :data:`SLICE_CORNERS`, in closed form) with apex
 ``(0, 0, 1)``, where the facet triangle closes.  When it is built, each
 vertex is certified a PPT state in exact rational arithmetic on the
-closed forms.  It lies in ``gamma >= 0``; on the ``gamma < 0`` side,
-points that no witness detects are left ``Undetermined``.
+closed forms (the only use of :mod:`fractions`, imported there).  It
+lies in ``gamma >= 0``; on the ``gamma < 0`` side, points that no witness
+detects are left ``Undetermined``.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .family import (
+    _INFO,
     PPT_TOL,
     STATE_TOL,
     FamilyPoint,
+    _log,
     pt_block_eigenvalues,
     pyramid_margin,
     pyramid_slacks,
@@ -97,8 +98,6 @@ __all__ = [
     "plane_grid_points",
     "scan",
 ]
-
-logger = logging.getLogger(__name__)
 
 #: A witness expectation below this fires the bound-entanglement certificate.
 DETECTION_TOL = -1e-10
@@ -240,8 +239,7 @@ def classify(p: FamilyPoint | tuple[float, float, float]) -> Classification:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeparablePolygon:
+class SeparablePolygon(NamedTuple):
     """Convex hull of known-separable extreme points, as half-spaces.
 
     ``halfspaces`` holds one ``(n_alpha, n_beta, n_gamma, offset)`` per
@@ -322,6 +320,8 @@ def _require_ppt_state(v: FamilyPoint) -> None:
     is involved, so a corner the closed forms put a hair outside the PPT
     region is rejected however small the miss.
     """
+    from fractions import Fraction
+
     a, b, g = (Fraction(x) for x in v.as_tuple())
     if min(pyramid_slacks((a, b, g))) < 0:
         raise ArithmeticError(f"polytope vertex {v.as_tuple()} is not a state")
@@ -349,8 +349,12 @@ def build_polygon() -> SeparablePolygon:
     for v in verts:
         _require_ppt_state(v)
     halfspaces = _pyramid_halfspaces(verts[:-1], verts[-1])
-    logger.info(
-        "separable polytope built: %d vertices, %d facets", len(verts), len(halfspaces)
+    _log(
+        __name__,
+        _INFO,
+        "separable polytope built: %d vertices, %d facets",
+        len(verts),
+        len(halfspaces),
     )
     return SeparablePolygon(vertices=tuple(verts), halfspaces=halfspaces)
 
@@ -360,9 +364,10 @@ def build_polygon() -> SeparablePolygon:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ScanResult:
-    rows: list[Classification] = field(default_factory=list)
+class ScanResult(NamedTuple):
+    """The rows of one :func:`scan`, in input order."""
+
+    rows: list[Classification]
 
     def counts(self) -> dict[str, int]:
         """Rows per verdict name, in order of first occurrence."""

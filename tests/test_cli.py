@@ -3,6 +3,7 @@
 import hashlib
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -68,6 +69,27 @@ def test_classify_json(capsys):
     assert payload["verdict"] == "BoundEntangled"
     assert payload["witness_value"] < 0
     assert set(payload) >= {"alpha", "beta", "gamma", "pt_min_eig", "pyramid_margin"}
+
+
+def _strict_json(text: str):
+    def reject(token: str):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_classify_json_prints_an_overflowing_margin_as_null(capsys):
+    # The pyramid slacks overflow to -inf for these finite coordinates;
+    # strict JSON has no Infinity token, while the text output keeps -inf.
+    point = ("--alpha", "1e308", "--beta", "1e308", "--gamma", "0")
+    code, out, _ = run_cli(capsys, "classify", *point, "--format", "json")
+    assert code == 0
+    payload = _strict_json(out)
+    assert payload["verdict"] == "NotAState"
+    assert payload["pyramid_margin"] is None
+    code, out, _ = run_cli(capsys, "classify", *point)
+    assert code == 0
+    assert "pyramid_margin: -inf" in out
 
 
 def test_classify_csv(capsys):
@@ -328,9 +350,27 @@ def test_verify_json_carries_per_check_timings(capsys):
     for record in payload["checks"]:
         assert record["passed"] is True
         assert record["seconds"] >= 0.0
-        assert set(record) == {
+        assert list(record) == [
             "index", "name", "expected", "computed", "tolerance", "passed", "detail", "seconds"
-        }
+        ]
+
+
+def test_verify_json_prints_an_infinite_record_value_as_null(capsys, monkeypatch):
+    # Checks 1 and 2 report computed = inf when the line has no onset.
+    from magicsimplex import checks
+
+    def no_onset(seed):
+        return checks.CheckResult(1, checks.CHECK_NAMES[0], 1.0, math.inf, 1e-9, False)
+
+    monkeypatch.setattr(checks, "_CHECKS", (no_onset, *checks._CHECKS[1:]))
+    code, out, _ = run_cli(capsys, "verify", "--only", "1", "--format", "json")
+    assert code == 1
+    (record,) = _strict_json(out)["checks"]
+    assert record["computed"] is None
+    assert record["expected"] == 1.0
+    code, out, _ = run_cli(capsys, "verify", "--only", "1")
+    assert code == 1
+    assert "computed=inf" in out
 
 
 def test_region_layout_rejects_a_grid_of_the_wrong_size(monkeypatch):
@@ -593,3 +633,71 @@ def test_oracle_commands_run_in_a_fresh_process():
     assert [line for line in proc.stdout.splitlines() if line.startswith("exit")] == [
         "exit 0"
     ] * 2
+
+
+#: Runs ``main`` on the argv it is given in a fresh process, then prints
+#: whether the polytope was built and every top-level module that importing
+#: the CLI and running the command loaded.
+_FRESH_IMPORTS = """
+import sys
+before = set(sys.modules)
+from magicsimplex.cli import main
+from magicsimplex.regions import build_polygon
+code = main(sys.argv[1:])
+loaded = sorted({m.split(".")[0] for m in set(sys.modules) - before})
+print("exit", code, "polytope", build_polygon.cache_info().currsize, *loaded)
+"""
+
+#: Standard-library modules a command loads only when it uses them.
+_LAZY_STDLIB = {"logging", "dataclasses", "json", "fractions", "decimal", "inspect"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--b", "1.5"],
+        ["classify", "--alpha", "0", "--beta", "0", "--gamma", "0"],
+        ["lambda-min", "--epsilon", "0.119429", "--gamma", "0.345586"],
+        ["scan", "--grid", "1.5:2:0.5,0,0"],
+        ["scan", "--grid", "0:1:0.5,-0.3:0:0.15,0:0.5:0.25"],
+        ["horodecki", "--b", "3.5"],
+        ["horodecki", "--grid", "0:5:0.25"],
+        ["witness"],
+        ["classify", "--b", "1.5", "--format", "json"],
+        ["scan", "--plane", "--grid=-1:1:0.25,-0.35:0.05:0.1", "--format", "json"],
+    ],
+)
+def test_production_commands_load_only_what_they_use(argv):
+    # json only for JSON output, fractions (and the decimal it pulls in)
+    # only for the exact vertex proof of a polytope build, and logging only
+    # under MAGIC_SIMPLEX_LOG, which this child does not set.
+    env = {k: v for k, v in os.environ.items() if k != "MAGIC_SIMPLEX_LOG"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_IMPORTS, *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(env, PYTHONPATH=PYTHONPATH),
+    )
+    assert proc.returncode == 0, proc.stderr
+    _, code, _, built, *loaded = proc.stdout.splitlines()[-1].split()
+    assert code == "0", proc.stderr
+    allowed = {"json"} if "json" in argv else set()
+    if built == "1":
+        allowed |= {"fractions", "decimal"}
+    assert set(loaded) & _LAZY_STDLIB <= allowed, loaded
+    assert ("fractions" in loaded) == (built == "1"), loaded
+
+
+def test_logging_configured_after_import_still_reaches_the_package():
+    # The package does not import logging; a host that configures it only
+    # after importing the package must still get its records.
+    proc = _child(
+        "import magicsimplex.regions as regions\n"
+        "import logging\n"
+        "logging.basicConfig(level=logging.INFO)\n"
+        "regions.classify((0.0, 0.0, 0.0))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "separable polytope built" in proc.stderr
+    assert "witness Pl1" in proc.stderr

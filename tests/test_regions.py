@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from magicsimplex import planes, regions
+from magicsimplex.checks import CheckResult
 from magicsimplex.family import (
     PPT_TOL,
     STATE_TOL,
@@ -386,6 +387,9 @@ def test_records_refuse_attribute_assignment():
         (row.point, "alpha"),
         (row, "verdict"),
         (witness_planes()[0][1], "offset"),
+        (build_polygon(), "halfspaces"),
+        (scan([horodecki_point(2.5)]), "rows"),
+        (CheckResult(4, "facet-curve-crossings", 0.0, 0.0, 1e-12, True), "passed"),
     ]
     for record, name in records:
         with pytest.raises(AttributeError):
