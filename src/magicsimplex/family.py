@@ -203,7 +203,7 @@ def pyramid_slacks(
     The four values are positive rescalings of the distinct entangled-basis
     weights (by 9, 9, 9 and 9/8 respectively), so their joint sign pattern
     matches the spectrum's exactly.  Given ``Fraction`` coordinates, the
-    slacks are exact.
+    slacks are exact.  ``regions._classify_rows`` evaluates a copy inline.
     """
     a, b, g = _point(p)
     s1 = 7 * b / 2 + 1 - g - a
@@ -251,7 +251,7 @@ def pt_block_eigenvalues(
 
     The smallest of the three decides PPT in :func:`is_ppt` and in the
     classifier; :func:`pt_min_eigenvalue` is the numeric oracle it is
-    tested against.
+    tested against.  ``regions._classify_rows`` evaluates a copy inline.
     """
     a, b, g = _point(p)
     w = (1.0 - a - b - g) / 9.0

@@ -20,7 +20,11 @@ and it stops each point at its first decisive stage.  :func:`scan` is its
 batch call and :func:`classify` its one-row call, so a scanned row equals
 ``classify`` of its point.  Its records -- :class:`Classification`
 (holding a :class:`~.family.FamilyPoint`), :class:`ScanResult` and
-:class:`SeparablePolygon` -- are immutable named tuples.
+:class:`SeparablePolygon` -- are immutable named tuples.  Stages 1 and 2
+evaluate their closed forms inline, as copies of
+:func:`~.family.pyramid_slacks` and :func:`~.family.pt_block_eigenvalues`
+with the same operations in the same order; a pin test in
+``tests/test_regions.py`` holds every row bit for bit to those functions.
 
 On the positivity facet ``alpha = 7 beta / 2 + 1 - gamma`` everything is
 available in closed form.  Two curves organize that facet in the
@@ -71,7 +75,6 @@ from .family import (
     FamilyPoint,
     _log,
     pt_block_eigenvalues,
-    pyramid_margin,
     pyramid_slacks,
 )
 from .planes import witness_planes
@@ -184,6 +187,15 @@ class Classification(NamedTuple):
         )
 
 
+#: The loop's verdicts as module names: on Python 3.11 reading an Enum
+#: member off its class costs about as much as one stage-1 slack.
+_NOT_A_STATE, _NPT_ENTANGLED, _BOUND_ENTANGLED = (
+    Verdict.NOT_A_STATE,
+    Verdict.NPT_ENTANGLED,
+    Verdict.BOUND_ENTANGLED,
+)
+_SEPARABLE, _UNDETERMINED = Verdict.SEPARABLE, Verdict.UNDETERMINED
+
 CSV_HEADER = "alpha,beta,gamma,verdict,pt_min_eig,witness_name,witness_value,polygon_member"
 
 
@@ -195,19 +207,66 @@ def _classify_rows(
     This is the one classification loop: :func:`classify` is its one-row
     call and :func:`scan` its batch call.  The witness battery is read once
     per call, the polytope only once a point reaches stage 4.
+
+    Stages 1 and 2 decide most points, so they evaluate their closed forms
+    inline rather than through calls: the slacks of
+    :func:`~.family.pyramid_slacks` and the spectrum of
+    :func:`~.family.pt_block_eigenvalues`, with the same operations in the
+    same order, and ``tuple.__new__`` builds the records.  A finite plain
+    3-tuple becomes a :class:`~.family.FamilyPoint` without its constructor;
+    anything else goes through it and raises as it does.  A pin test in
+    ``tests/test_regions.py`` holds every row bit for bit to the ``family``
+    functions.
     """
     planes = witness_planes()
     polygon = None
     rows: list[Classification] = []
+    append = rows.append
+    new = tuple.__new__
+    isfinite = math.isfinite
+    sqrt = math.sqrt
     for p in points:
-        pt = p if isinstance(p, FamilyPoint) else FamilyPoint(*p)
-        margin = pyramid_margin(pt)
+        if type(p) is tuple and len(p) == 3:
+            a, b, g = p
+            if isfinite(a) and isfinite(b) and isfinite(g):
+                pt = new(FamilyPoint, p)
+            else:
+                pt = FamilyPoint(*p)  # raises its ValueError
+        else:
+            pt = p if isinstance(p, FamilyPoint) else FamilyPoint(*p)
+            a, b, g = pt
+        # Stage 1: min(family.pyramid_slacks(pt)), the min as comparisons.
+        margin = 7 * b / 2 + 1 - g - a
+        s = -b + 1 - g - a
+        if s < margin:
+            margin = s
+        s = -b + 1 + 2 * g - a
+        if s < margin:
+            margin = s
+        s = a - (b - 1 + g) / 8
+        if s < margin:
+            margin = s
         if margin < STATE_TOL:
-            rows.append(Classification(pt, Verdict.NOT_A_STATE, margin))
+            row = (pt, _NOT_A_STATE, margin, None, None, None, None, "")
+            append(new(Classification, row))
             continue
-        pt_eig = float(min(pt_block_eigenvalues(pt)))
+        # Stage 2: float(min(family.pt_block_eigenvalues(pt))), the same way.
+        w = (1.0 - a - b - g) / 9.0
+        y = a - b / 2.0
+        e0 = w + (a + b) / 3.0
+        half = g / 6.0
+        root = sqrt(g * g / 36.0 + y * y / 9.0)
+        pt_eig = e0
+        s = w + half - root
+        if s < pt_eig:
+            pt_eig = s
+        s = w + half + root
+        if s < pt_eig:
+            pt_eig = s
+        pt_eig = float(pt_eig)
         if pt_eig < PPT_TOL:
-            rows.append(Classification(pt, Verdict.NPT_ENTANGLED, margin, pt_eig))
+            row = (pt, _NPT_ENTANGLED, margin, pt_eig, None, None, None, "")
+            append(new(Classification, row))
             continue
         # Tr(W rho) is affine in the coordinates, so each witness plane gives
         # it as trace_scale * residual (to rounding); ties keep battery order.
@@ -217,15 +276,15 @@ def _classify_rows(
             if value is None or v < value:
                 name, value = plane_name, v
         if value < DETECTION_TOL:
-            rows.append(
-                Classification(pt, Verdict.BOUND_ENTANGLED, margin, pt_eig, name, value)
-            )
+            row = (pt, _BOUND_ENTANGLED, margin, pt_eig, name, value, None, "")
+            append(new(Classification, row))
             continue
         if polygon is None:
             polygon = build_polygon()
         member = polygon.contains(pt)
-        verdict = Verdict.SEPARABLE if member else Verdict.UNDETERMINED
-        rows.append(Classification(pt, verdict, margin, pt_eig, name, value, member))
+        verdict = _SEPARABLE if member else _UNDETERMINED
+        row = (pt, verdict, margin, pt_eig, name, value, member, "")
+        append(new(Classification, row))
     return rows
 
 

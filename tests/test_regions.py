@@ -1,7 +1,11 @@
 """Region machinery tests: facet curves, polytope, classifier, scans."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from magicsimplex import planes, regions
 from magicsimplex.checks import CheckResult
@@ -11,11 +15,13 @@ from magicsimplex.family import (
     FamilyPoint,
     horodecki_b_from_gamma,
     horodecki_point,
+    pt_block_eigenvalues,
     pt_min_eigenvalue,
     pyramid_margin,
 )
 from magicsimplex.regions import (
     CSV_HEADER,
+    DETECTION_TOL,
     FACET_DOMAIN,
     Classification,
     build_polygon,
@@ -417,3 +423,117 @@ def test_classify_reads_a_rebuilt_witness_table(monkeypatch):
         monkeypatch.undo()
         witness_planes.cache_clear()
     assert classify(point).witness_name == before
+
+
+# ---------------------------------------------------------------------------
+# The loop's inline closed forms, pinned to the family functions
+# ---------------------------------------------------------------------------
+
+
+def _reference_row(p) -> Classification:
+    """The row of ``p`` from the public closed forms, with nothing inlined."""
+    pt = p if isinstance(p, FamilyPoint) else FamilyPoint(*p)
+    margin = pyramid_margin(pt)
+    if margin < STATE_TOL:
+        return Classification(pt, Verdict.NOT_A_STATE, margin)
+    pt_eig = float(min(pt_block_eigenvalues(pt)))
+    if pt_eig < PPT_TOL:
+        return Classification(pt, Verdict.NPT_ENTANGLED, margin, pt_eig)
+    name = value = None
+    for plane_name, plane in witness_planes():
+        v = plane.trace_scale * plane.residual(pt)
+        if value is None or v < value:
+            name, value = plane_name, v
+    if value < DETECTION_TOL:
+        return Classification(pt, Verdict.BOUND_ENTANGLED, margin, pt_eig, name, value)
+    member = build_polygon().contains(pt)
+    verdict = Verdict.SEPARABLE if member else Verdict.UNDETERMINED
+    return Classification(pt, verdict, margin, pt_eig, name, value, member)
+
+
+def _assert_pinned(points) -> list[Classification]:
+    rows = regions._classify_rows(points)
+    assert len(rows) == len(points)
+    for p, row in zip(points, rows):
+        assert type(row.point) is FamilyPoint, p
+        # repr prints every float round-trip exactly, -0.0 included
+        assert repr(row) == repr(_reference_row(p)), p
+    return rows
+
+
+def test_loop_rows_are_the_family_closed_forms_bit_for_bit():
+    box = np.random.default_rng(12345).uniform((-0.5, -1, -1), (1.5, 1, 1.2), size=(20000, 3))
+    facet = plane_grid_points("0:1:0.01", "-0.35:0.05:0.01")
+    probes = [horodecki_point(k + s * 1e-9) for k in (1, 2, 3, 4) for s in (-1, 1)]
+    points = [tuple(r) for r in box.tolist()] + facet + probes
+    rows = _assert_pinned(points)
+    assert {row.verdict for row in rows} == set(Verdict)
+
+
+@given(st.tuples(*[st.floats(-1e308, 1e308)] * 3))
+@example((1e308, 1e308, 0.0))  # slacks overflow to -inf
+@example((-1e308, -1e308, 1e308))  # and to +inf
+@example((-0.0, -0.0, -0.0))
+@settings(max_examples=300, deadline=None)
+def test_loop_rows_are_pinned_at_any_finite_coordinates(p):
+    _assert_pinned([p])
+
+
+# ---------------------------------------------------------------------------
+# Input contract of classify and scan
+# ---------------------------------------------------------------------------
+
+
+def _both(p):
+    """``classify(p)`` and the one-row ``scan([p])``, which must agree."""
+    single = classify(p)
+    assert scan([p]).rows == [single]
+    return single
+
+
+@pytest.mark.parametrize("bad", [(0.1, 0.2), (0.1, 0.2, 0.3, 0.4)])
+def test_wrong_length_points_raise_type_error(bad):
+    with pytest.raises(TypeError):
+        classify(bad)
+    with pytest.raises(TypeError):
+        scan([(0.0, 0.0, 0.0), bad])
+
+
+def test_non_finite_coordinates_raise_value_error():
+    for index, name in enumerate(FamilyPoint._fields):
+        for bad in (math.nan, math.inf, -math.inf):
+            coords = [0.1, -0.2, 0.3]
+            coords[index] = bad
+            message = rf"^{name} must be finite, got {bad!r}$"
+            for p in (tuple(coords), coords):
+                with pytest.raises(ValueError, match=message):
+                    classify(p)
+                with pytest.raises(ValueError, match=message):
+                    scan([(0.0, 0.0, 0.0), p])
+
+
+def test_list_and_generator_inputs():
+    coords = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0), horodecki_point(1.5)]
+    expected = [classify(tuple(c)) for c in coords]
+    assert [_both(list(c)) for c in coords] == expected
+    assert scan(list(c) for c in coords).rows == expected
+    assert scan(tuple(c) for c in coords).rows == expected
+    assert regions._classify_rows(iter(coords)) == expected
+
+
+def test_family_point_subclass_comes_back_as_the_same_object():
+    class Labelled(FamilyPoint):
+        __slots__ = ()
+
+    p = Labelled(*horodecki_point(1.5))
+    assert classify(p).point is p
+    assert scan([p, (0.0, 0.0, 0.0)]).rows[0].point is p
+    assert classify(p) == classify(tuple(p))
+
+
+def test_integer_coordinates_give_the_row_of_their_float_values():
+    points = [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0)]
+    for p in points:
+        row, floats = _both(p), _both(tuple(float(x) for x in p))
+        assert row == floats, p
+        assert row.csv_row() == floats.csv_row(), p
