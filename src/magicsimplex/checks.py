@@ -57,9 +57,7 @@ from .qmat import hermitian_eigenvalues, hs_inner
 from .regions import l_a, l_b, parse_grid, plane_grid_points, scan
 from .verdicts import Verdict
 from .witness import (
-    LineSpec,
     c_lambda,
-    c_limit,
     deployed_witness,
     deployed_witnesses,
     lambda_min,
@@ -70,7 +68,11 @@ __all__ = ["CheckResult", "CHECK_NAMES", "run_all"]
 
 
 class CheckResult(NamedTuple):
-    """One check's outcome; ``seconds`` is its wall time, set by :func:`run_all`."""
+    """One check's outcome; ``seconds`` is its wall time.
+
+    Each check returns the fields from ``expected`` to ``detail`` as a
+    dict; :func:`run_all` adds ``index``, ``name`` and ``seconds``.
+    """
 
     index: int
     name: str
@@ -131,14 +133,12 @@ def _ppt_starts(rng: np.random.Generator, count: int) -> list[FamilyPoint]:
 # ---------------------------------------------------------------------------
 
 
-def _check_deepest_line(seed: int) -> CheckResult:
+def _check_deepest_line(seed: int) -> dict:
     expected = OPTIMAL_LAMBDA
     computed = lambda_min(optimal_plane_start())
     if computed is None:
         computed = math.inf
-    return CheckResult(
-        index=1,
-        name="deepest-line-crossing",
+    return dict(
         expected=expected,
         computed=computed,
         tolerance=1e-6,
@@ -150,15 +150,13 @@ def _check_deepest_line(seed: int) -> CheckResult:
     )
 
 
-def _check_cone_edge_line(seed: int) -> CheckResult:
+def _check_cone_edge_line(seed: int) -> dict:
     expected = CONE_EDGE_LAMBDA
     start = pl1_cone_start()
     computed = lambda_min(start)
     if computed is None:
         computed = math.inf
-    return CheckResult(
-        index=2,
-        name="cone-edge-line-crossing",
+    return dict(
         expected=expected,
         computed=computed,
         tolerance=1e-5,
@@ -167,7 +165,7 @@ def _check_cone_edge_line(seed: int) -> CheckResult:
     )
 
 
-def _check_horodecki_boundaries(seed: int) -> CheckResult:
+def _check_horodecki_boundaries(seed: int) -> dict:
     # Bisect the PPT/NPT transition in the gamma parametrization.
     def npt_at(gamma: float) -> bool:
         p = horodecki_point(horodecki_b_from_gamma(gamma))
@@ -199,9 +197,7 @@ def _check_horodecki_boundaries(seed: int) -> CheckResult:
         if row.verdict is not Verdict.BOUND_ENTANGLED:
             mislabels += 1
     passed = abs(transition - expected) <= 1e-6 and mislabels == 0
-    return CheckResult(
-        index=3,
-        name="horodecki-line-boundaries",
+    return dict(
         expected=expected,
         computed=transition,
         tolerance=1e-6,
@@ -210,11 +206,9 @@ def _check_horodecki_boundaries(seed: int) -> CheckResult:
     )
 
 
-def _check_facet_crossings(seed: int) -> CheckResult:
+def _check_facet_crossings(seed: int) -> dict:
     computed = max(abs(l_a(0.0) - l_b(0.0)), abs(l_a(1.0) - l_b(1.0)))
-    return CheckResult(
-        index=4,
-        name="facet-curve-crossings",
+    return dict(
         expected=0.0,
         computed=computed,
         tolerance=1e-12,
@@ -223,7 +217,7 @@ def _check_facet_crossings(seed: int) -> CheckResult:
     )
 
 
-def _check_flat_face_functional(seed: int) -> CheckResult:
+def _check_flat_face_functional(seed: int) -> dict:
     rng = np.random.default_rng(seed + 5)
     witness = deployed_witness("Pl1")
     pts = _family_points(_box_points(rng, 100))
@@ -237,9 +231,7 @@ def _check_flat_face_functional(seed: int) -> CheckResult:
     rel_dev = float(
         np.max(np.abs(values - k * target) / np.maximum(1.0, np.abs(values)))
     )
-    return CheckResult(
-        index=5,
-        name="flat-face-functional",
+    return dict(
         expected=0.0,
         computed=rel_dev,
         tolerance=1e-9,
@@ -248,23 +240,20 @@ def _check_flat_face_functional(seed: int) -> CheckResult:
     )
 
 
-def _check_line_identities(seed: int) -> CheckResult:
+def _check_line_identities(seed: int) -> dict:
     rng = np.random.default_rng(seed + 6)
     starts = _ppt_starts(rng, 1000)
     worst = 0.0
     for start in starts:
         lam = float(rng.uniform(0.0, 1.0 - 1e-12))
-        spec = LineSpec(start, lam)
-        cand = c_lambda(spec)
+        cand = c_lambda(start, lam)
         rho = family_state(start)
         rho_l = lam * rho + (1.0 - lam) * np.eye(9, dtype=complex) / 9.0
         on_line = abs(hs_inner(cand.matrix, rho_l).real)
         dist_sq = float(np.linalg.norm(rho_l - rho)) ** 2
         at_start = abs(hs_inner(cand.matrix, rho).real + dist_sq)
         worst = max(worst, on_line, at_start)
-    return CheckResult(
-        index=6,
-        name="line-operator-identities",
+    return dict(
         expected=0.0,
         computed=worst,
         tolerance=1e-12,
@@ -273,7 +262,7 @@ def _check_line_identities(seed: int) -> CheckResult:
     )
 
 
-def _check_spectrum_pyramid(seed: int) -> CheckResult:
+def _check_spectrum_pyramid(seed: int) -> dict:
     rng = np.random.default_rng(seed + 7)
     draws = _box_points(rng, 10_000)
     worst = 0.0
@@ -291,9 +280,7 @@ def _check_spectrum_pyramid(seed: int) -> CheckResult:
             np.count_nonzero(decided & ((margin > 0.0) != (closed[:, 0] > 0.0)))
         )
     passed = worst <= 1e-9 and sign_mismatch == 0
-    return CheckResult(
-        index=7,
-        name="spectrum-pyramid-agreement",
+    return dict(
         expected=0.0,
         computed=worst,
         tolerance=1e-9,
@@ -302,21 +289,19 @@ def _check_spectrum_pyramid(seed: int) -> CheckResult:
     )
 
 
-def _check_limit_law(seed: int) -> CheckResult:
+def _check_limit_law(seed: int) -> dict:
     rng = np.random.default_rng(seed + 8)
     starts = _ppt_starts(rng, 10)
     worst_ratio = 0.0
     for start in starts:
         rho = family_state(start)
-        limit = c_limit(start).matrix
+        limit = c_lambda(start, 1.0).matrix
         for k in range(3, 7):
             lam = 1.0 - 10.0**-k
-            cand = c_lambda(LineSpec(start, lam))
+            cand = c_lambda(start, lam)
             gap = float(np.linalg.norm(cand.matrix / (lam * (1.0 - lam)) - limit))
             worst_ratio = max(worst_ratio, gap / (10.0 * (1.0 - lam)))
-    return CheckResult(
-        index=8,
-        name="endpoint-limit-law",
+    return dict(
         expected=1.0,
         computed=worst_ratio,
         tolerance=1.0,
@@ -325,16 +310,14 @@ def _check_limit_law(seed: int) -> CheckResult:
     )
 
 
-def _check_product_safety(seed: int) -> CheckResult:
+def _check_product_safety(seed: int) -> dict:
     battery = deployed_witnesses()
     minima = min_product_expectation(
         np.stack([w.candidate.matrix for w in battery]), count=100_000
     ).tolist()
     worst = min(minima)
     details = [f"{w.name}:{value:.2e}" for w, value in zip(battery, minima)]
-    return CheckResult(
-        index=9,
-        name="product-state-safety",
+    return dict(
         expected=0.0,
         computed=worst,
         tolerance=1e-10,
@@ -343,7 +326,7 @@ def _check_product_safety(seed: int) -> CheckResult:
     )
 
 
-def _check_mirror_conjugation(seed: int) -> CheckResult:
+def _check_mirror_conjugation(seed: int) -> dict:
     rng = np.random.default_rng(seed + 10)
     worst = 0.0
     accepted = 0
@@ -357,15 +340,13 @@ def _check_mirror_conjugation(seed: int) -> CheckResult:
         if pt_min_eigenvalue(plus) < PPT_TOL or pt_min_eigenvalue(minus) < PPT_TOL:
             continue
         lam = float(rng.uniform(0.05, 0.999))
-        table_plus = c_lambda(LineSpec(plus, lam)).coeffs
-        table_minus = c_lambda(LineSpec(minus, lam)).coeffs
+        table_plus = c_lambda(plus, lam).coeffs
+        table_minus = c_lambda(minus, lam).coeffs
         for key, value in table_plus.coeffs.items():
             gap = abs(value - np.conj(table_minus.coeffs[key]))
             worst = max(worst, float(gap))
         accepted += 1
-    return CheckResult(
-        index=10,
-        name="mirror-coefficient-conjugation",
+    return dict(
         expected=0.0,
         computed=worst,
         tolerance=1e-12,
@@ -374,7 +355,7 @@ def _check_mirror_conjugation(seed: int) -> CheckResult:
     )
 
 
-def _check_region_layout(seed: int) -> CheckResult:
+def _check_region_layout(seed: int) -> dict:
     gamma_spec, beta_spec = "0:1:0.01", f"{-1.0 / 3.0}:0.1:0.01"
     n_g, n_b = len(parse_grid(gamma_spec)), len(parse_grid(beta_spec))
     pts = plane_grid_points(gamma_spec, beta_spec)
@@ -430,9 +411,7 @@ def _check_region_layout(seed: int) -> CheckResult:
             violations += 1
         if l_a(g) + 1e-9 < b < l_b(g) - 1e-9:
             violations += 1
-    return CheckResult(
-        index=11,
-        name="facet-region-layout",
+    return dict(
         expected=0.0,
         computed=float(violations),
         tolerance=0.0,
@@ -441,16 +420,14 @@ def _check_region_layout(seed: int) -> CheckResult:
     )
 
 
-def _check_gamma_zero_slice(seed: int) -> CheckResult:
+def _check_gamma_zero_slice(seed: int) -> dict:
     # Python floats: numpy scalars give the same IEEE results, several times slower.
     alphas = np.linspace(-0.5, 1.5, 200).tolist()
     betas = np.linspace(-1.0, 1.0, 200).tolist()
     pts = [FamilyPoint(a, b, 0.0) for a in alphas for b in betas]
     counts = scan(pts).counts()
     bound = counts.get("BoundEntangled", 0)
-    return CheckResult(
-        index=12,
-        name="gamma-zero-no-bound",
+    return dict(
         expected=0.0,
         computed=float(bound),
         tolerance=0.0,
@@ -474,6 +451,8 @@ _CHECKS = (
     _check_gamma_zero_slice,
 )
 
+#: The name of each check, in the order of ``_CHECKS``; :func:`run_all` reads
+#: each record's name here, not from the check.
 CHECK_NAMES = (
     "deepest-line-crossing",
     "cone-edge-line-crossing",
@@ -511,6 +490,13 @@ def run_all(
     results = []
     for i in indices:
         start = time.perf_counter()
-        result = _CHECKS[i - 1](seed)
-        results.append(result._replace(seconds=time.perf_counter() - start))
+        fields = _CHECKS[i - 1](seed)
+        results.append(
+            CheckResult(
+                index=i,
+                name=CHECK_NAMES[i - 1],
+                **fields,
+                seconds=time.perf_counter() - start,
+            )
+        )
     return results

@@ -231,9 +231,9 @@ def _line_plane(start: FamilyPoint, lam: float) -> PlaneCoefficients:
     ``Tr(rho_s rho_p)`` is affine in ``p``; its ``alpha``, ``beta`` and
     ``gamma`` slopes are the deviations ``a'``, ``b'``, ``g'`` of the start's
     Bell weights ``p_00``, ``p_10`` and ``p_01`` from 1/9.  The operator
-    ``kappa * ((l * purity + (1 - l) / 9) * 1 - rho_s)`` -- ``kappa = 1 - l``
-    for :func:`~.witness.c_lambda`, and ``1`` for :func:`~.witness.c_limit`,
-    which is ``l = 1`` -- therefore has ``beta_coeff = -b'/a'``, ``gamma_coeff = -g'/a'``,
+    ``kappa * ((l * purity + (1 - l) / 9) * 1 - rho_s)`` of
+    :func:`~.witness.c_lambda` -- ``kappa = 1 - l`` below the endpoint and
+    ``1`` at ``l = 1`` -- therefore has ``beta_coeff = -b'/a'``, ``gamma_coeff = -g'/a'``,
     ``offset = l * e / a'`` and ``trace_scale = -kappa * a'``, where
     ``e = purity - 1/9`` is the sum of the nine squared weight deviations.
     """
@@ -260,8 +260,8 @@ def _line_plane(start: FamilyPoint, lam: float) -> PlaneCoefficients:
 def _battery_lines() -> Iterator[tuple[str, FamilyPoint, float]]:
     """Name, start and onset of every battery member, in battery order.
 
-    An onset of 1 stands for the rescaled endpoint operator of
-    :func:`~.witness.c_limit`.
+    An onset of 1 stands for the rescaled endpoint operator that
+    :func:`~.witness.c_lambda` returns at ``l = 1``.
     """
     for name, start, onset in (
         ("Pl1", plane_tip_start(), 1.0),

@@ -453,17 +453,18 @@ def scan(points: Iterable[FamilyPoint | tuple[float, float, float]]) -> ScanResu
 def _grid_axis(spec: str) -> tuple[float, float, float, int]:
     """``(lo, hi, step, count)`` of a grid spec, validated but not expanded.
 
-    A single value ``"x"`` has ``hi == lo`` and step 0.
+    A single value ``"x"`` has ``hi == lo`` and step 0.  Every value must
+    be finite.
     """
     parts = spec.split(":")
-    if len(parts) == 1:
-        x = float(parts[0])
-        return x, x, 0.0, 1
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise ValueError(f"grid spec must be 'lo:hi:step' or 'x', got {spec!r}")
-    lo, hi, step = (float(v) for v in parts)
-    if not all(math.isfinite(v) for v in (lo, hi, step)):
+    values = [float(v) for v in parts]
+    if not all(math.isfinite(v) for v in values):
         raise ValueError(f"grid spec must be finite, got {spec!r}")
+    if len(values) == 1:
+        return values[0], values[0], 0.0, 1
+    lo, hi, step = values
     if step <= 0.0:
         raise ValueError(f"grid step must be positive, got {step}")
     if hi < lo:

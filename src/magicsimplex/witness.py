@@ -32,14 +32,14 @@ coefficient reaches twice the largest off-identity one; it is computed in
 closed form from the start's coefficient table
 (:func:`~.planes.lambda_min`); :func:`lambda_min` here is its matrix
 oracle.  The ``l -> 1`` limit of ``C_l / (l (1 - l))`` is the tangent-plane
-witness ``purity * 1 - rho``.
+witness ``purity * 1 - rho``, which :func:`c_lambda` returns at ``l = 1``.
 
 Geometrically each witness is an affine functional of the family
 coordinates, i.e. a plane ``alpha = b * beta + g * gamma + c``.  The six
 planes the classifier reads are closed forms in :mod:`.planes`, which
 builds no matrix.  This module is their matrix oracle:
 :func:`deployed_witnesses` runs the same six lines through
-:func:`c_limit` and :func:`c_lambda`, probes each plane with
+:func:`c_lambda`, probes each plane with
 :func:`witness_plane`, samples product states, and raises unless every
 plane matches its closed form.  Like :mod:`.qmat`, :mod:`.weyl` and
 :mod:`.checks` it imports numpy, so the command line loads it only for
@@ -72,10 +72,8 @@ __all__ = [
     "INFEASIBLE",
     "NOT_IN_SPAN",
     "DeployedWitness",
-    "LineSpec",
     "WitnessCandidate",
     "c_lambda",
-    "c_limit",
     "deployed_witness",
     "deployed_witnesses",
     "lambda_min",
@@ -140,45 +138,20 @@ def witness_candidate(matrix: Array) -> WitnessCandidate:
     and the ``a_interval`` by the same factor and leaves the verdict
     unchanged.
     """
-    coeffs = weyl_tensor_decompose(np.asarray(matrix, dtype=complex))
-    scale = max(1.0, float(np.linalg.norm(matrix)))
-    if coeffs.residual > SPAN_TOL * scale:
-        return WitnessCandidate(
-            matrix=np.asarray(matrix, dtype=complex),
-            coeffs=coeffs,
-            status=NOT_IN_SPAN,
-            a_interval=None,
-        )
-    status, interval = _analyze_coefficients(coeffs)
+    mat = np.asarray(matrix, dtype=complex)
+    coeffs = weyl_tensor_decompose(mat)
+    if coeffs.residual > SPAN_TOL * max(1.0, float(np.linalg.norm(mat))):
+        status, interval = NOT_IN_SPAN, None
+    else:
+        status, interval = _analyze_coefficients(coeffs)
     return WitnessCandidate(
-        matrix=np.asarray(matrix, dtype=complex),
-        coeffs=coeffs,
-        status=status,
-        a_interval=interval,
+        matrix=mat, coeffs=coeffs, status=status, a_interval=interval
     )
 
 
 # ---------------------------------------------------------------------------
 # The line construction
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LineSpec:
-    """A point on the segment from the maximally mixed state to ``start``.
-
-    Construction validates that ``start`` is a PPT state (the construction
-    is designed to hunt entanglement the partial transpose cannot see) and
-    that the parameter lies in ``[0, 1]``.
-    """
-
-    start: FamilyPoint
-    lam: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"line parameter must lie in [0, 1], got {self.lam}")
-        _require_ppt(self.start)
 
 
 def _scaled_line_operator(rho: Array, lam: float) -> Array:
@@ -192,34 +165,25 @@ def _scaled_line_operator(rho: Array, lam: float) -> Array:
     return (lam * purity + (1.0 - lam) / 9.0) * np.eye(9, dtype=complex) - rho
 
 
-def c_lambda(spec: LineSpec) -> WitnessCandidate:
-    """The separating operator at ``spec.lam``, with its safety verdict.
+def c_lambda(start: FamilyPoint, lam: float) -> WitnessCandidate:
+    """The line operator from ``start`` at ``lam``, with its safety verdict.
 
-    By construction ``Tr(C_l rho_l) = 0`` and ``Tr(C_l rho)`` equals minus
-    the squared distance between the line point and the start.  The matrix
-    is formed as ``(1 - l)`` times the rescaled operator, which keeps its
+    Below the endpoint this is the separating operator ``C_l``: by
+    construction ``Tr(C_l rho_l) = 0`` and ``Tr(C_l rho)`` equals minus the
+    squared distance between the line point and the start.  The matrix is
+    formed as ``(1 - l)`` times the rescaled operator, which keeps its
     safety verdict clear of the cancellation in ``rho_l - rho`` as
-    ``l -> 1``.  At the far endpoint the operator vanishes identically, so
-    ``lam == 1`` is rejected; use :func:`c_limit` for the rescaled endpoint
-    operator.
+    ``l -> 1``.  At ``lam == 1``, where ``C_l`` vanishes identically, it is
+    the rescaled endpoint limit ``purity * 1 - rho``, tangent to the line at
+    its far end (``Tr(C rho) = 0`` exactly); :func:`~.planes._line_plane`
+    uses the same convention.  Raises ``ValueError`` for ``lam`` outside
+    ``[0, 1]`` (NaN included), then for a start that is not a PPT state.
     """
-    lam = spec.lam
-    if lam == 1.0:
-        raise ValueError(
-            "the separating operator vanishes at the endpoint lam=1; "
-            "call c_limit(start) for the rescaled limit instead"
-        )
-    rho = family_state(spec.start)
-    return witness_candidate((1.0 - lam) * _scaled_line_operator(rho, lam))
-
-
-def c_limit(start: FamilyPoint) -> WitnessCandidate:
-    """Rescaled endpoint limit of the line construction: ``purity*1 - rho``.
-
-    Tangent to the line at its far end: ``Tr(C rho) = 0`` exactly.
-    """
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"line parameter must lie in [0, 1], got {lam}")
     _require_ppt(start)
-    return witness_candidate(_scaled_line_operator(family_state(start), 1.0))
+    op = _scaled_line_operator(family_state(start), lam)
+    return witness_candidate(op if lam == 1.0 else (1.0 - lam) * op)
 
 
 def lambda_min(start: FamilyPoint) -> float | None:
@@ -271,7 +235,7 @@ def lambda_min(start: FamilyPoint) -> float | None:
 # ---------------------------------------------------------------------------
 
 
-def witness_plane(w: Array | WitnessCandidate) -> PlaneCoefficients:
+def witness_plane(w: WitnessCandidate) -> PlaneCoefficients:
     """Extract the plane a witness cuts through the family coordinates.
 
     ``Tr(W rho_p)`` is affine in ``(alpha, beta, gamma)``, so four probe
@@ -279,7 +243,7 @@ def witness_plane(w: Array | WitnessCandidate) -> PlaneCoefficients:
     coefficient.  Raises if the functional does not depend on ``alpha`` or
     if the orientation convention (negative residual at the origin) fails.
     """
-    mat = w.matrix if isinstance(w, WitnessCandidate) else np.asarray(w, dtype=complex)
+    mat = w.matrix
 
     def f(alpha: float, beta: float, gamma: float) -> float:
         return hs_inner(mat, family_state((alpha, beta, gamma))).real
@@ -324,12 +288,13 @@ def deployed_witnesses() -> tuple[DeployedWitness, ...]:
     """The matrix oracle of :func:`witness_planes`, built once.
 
     Each member runs its line through the matrix pipeline from the same
-    start: the onset by :func:`lambda_min`, the operator by :func:`c_limit`
-    (onset 1) or :func:`c_lambda`, the plane by :func:`witness_plane`.  The
-    operator must pass the safety criterion and a seeded product-state
-    sweep, and the onset and all four plane fields must match their closed
-    forms to 1e-12; otherwise ``ArithmeticError`` for the first failing
-    member in battery order.  One stacked sweep serves all members.
+    start: the onset by :func:`lambda_min`, the operator by :func:`c_lambda`
+    at that onset (the endpoint limit when the onset is 1), the plane by
+    :func:`witness_plane`.  The operator must pass the safety criterion and
+    a seeded product-state sweep, and the onset and all four plane fields
+    must match their closed forms to 1e-12; otherwise ``ArithmeticError``
+    for the first failing member in battery order.  One stacked sweep
+    serves all members.
     """
     built: list[tuple[str, WitnessCandidate, PlaneCoefficients]] = []
     failure = None
@@ -340,7 +305,7 @@ def deployed_witnesses() -> tuple[DeployedWitness, ...]:
                 f"witness {name}: onset {lam!r} is not its closed form {onset!r}"
             )
             break
-        cand = c_limit(start) if onset == 1.0 else c_lambda(LineSpec(start, lam))
+        cand = c_lambda(start, lam)
         if not cand.feasible:
             failure = ArithmeticError(f"witness {name} failed the safety criterion")
             break

@@ -1,6 +1,7 @@
 """CLI behavior: flag handling, exit codes, formats, determinism."""
 
 import hashlib
+import importlib
 import json
 import logging
 import math
@@ -263,6 +264,17 @@ def test_horodecki_requires_exactly_one_selector(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_a_non_finite_single_value_grid_spec_is_named_as_such(capsys, value):
+    for argv in (
+        ["horodecki", f"--grid={value}"],
+        ["scan", "--plane", "--grid", f"0:1:0.5,{value}"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"grid spec must be finite, got '{value}'" in err
+
+
 # ---------------------------------------------------------------------------
 # scan
 # ---------------------------------------------------------------------------
@@ -360,7 +372,7 @@ def test_verify_json_prints_an_infinite_record_value_as_null(capsys, monkeypatch
     from magicsimplex import checks
 
     def no_onset(seed):
-        return checks.CheckResult(1, checks.CHECK_NAMES[0], 1.0, math.inf, 1e-9, False)
+        return dict(expected=1.0, computed=math.inf, tolerance=1e-9, passed=False)
 
     monkeypatch.setattr(checks, "_CHECKS", (no_onset, *checks._CHECKS[1:]))
     code, out, _ = run_cli(capsys, "verify", "--only", "1", "--format", "json")
@@ -577,6 +589,25 @@ def test_cli_import_leaves_the_numpy_oracle_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        "magicsimplex",
+        "magicsimplex.checks",
+        "magicsimplex.family",
+        "magicsimplex.planes",
+        "magicsimplex.qmat",
+        "magicsimplex.regions",
+        "magicsimplex.verdicts",
+        "magicsimplex.weyl",
+        "magicsimplex.witness",
+    ],
+)
+def test_every_exported_name_exists(module):
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 #: Runs each JSON-encoded argv through ``main`` in one process and prints

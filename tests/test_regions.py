@@ -335,6 +335,14 @@ def test_grid_size_is_capped_before_expansion():
         parse_grid("0:inf:1")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_single_value_grid_spec_must_be_finite(value):
+    with pytest.raises(ValueError, match=rf"^grid spec must be finite, got '{value}'$"):
+        parse_grid(value)
+    with pytest.raises(ValueError, match="finite"):
+        plane_grid_points("0:1:0.5", value)
+
+
 def test_grid_points_order():
     pts = grid_points("0:1:1", "0:0:1", "0:1:1")
     assert [p.as_tuple() for p in pts] == [

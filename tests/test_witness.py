@@ -48,9 +48,8 @@ from magicsimplex.witness import (
     FEASIBLE,
     INFEASIBLE,
     NOT_IN_SPAN,
-    LineSpec,
+    _scaled_line_operator,
     c_lambda,
-    c_limit,
     deployed_witness,
     deployed_witnesses,
     lambda_min,
@@ -113,13 +112,36 @@ def test_feasibility_scale_invariance(scale):
 # ---------------------------------------------------------------------------
 
 
-def test_line_spec_validation():
-    with pytest.raises(ValueError):
-        LineSpec(ORIGIN, -0.01)
-    with pytest.raises(ValueError):
-        LineSpec(ORIGIN, 1.01)
-    with pytest.raises(ValueError, match="NPT"):
-        LineSpec(FamilyPoint(1.0, 0.0, 0.0), 0.5)
+def test_c_lambda_validation():
+    for lam in (-0.01, 1.01, math.nan):
+        with pytest.raises(
+            ValueError, match=rf"^line parameter must lie in \[0, 1\], got {lam}$"
+        ):
+            c_lambda(ORIGIN, lam)
+    # the parameter is checked before the start
+    with pytest.raises(ValueError, match="line parameter"):
+        c_lambda(FamilyPoint(1.0, 0.0, 0.0), 1.01)
+    with pytest.raises(
+        ValueError,
+        match=r"^start \(1\.0, 0\.0, 0\.0\) is NPT \(smallest partial-transpose "
+        r"eigenvalue -3\.333e-01\); use a PPT start$",
+    ):
+        c_lambda(FamilyPoint(1.0, 0.0, 0.0), 0.5)
+    with pytest.raises(
+        ValueError,
+        match=r"^point \(3\.0, 0\.0, 0\.0\) is not a state \(positivity margin -2\.000e\+00\)$",
+    ):
+        c_lambda((3.0, 0.0, 0.0), 0.5)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.25, 0.7, 1.0 - 1e-9, 1.0])
+def test_c_lambda_is_the_line_formula_bit_for_bit(lam):
+    # (1 - l) times the rescaled operator below the endpoint, the rescaled
+    # operator itself at l = 1: the same operations, so the same bits.
+    for start in seeded_ppt_starts(8, seed=23) + [plane_tip_start()]:
+        scaled = _scaled_line_operator(family_state(start), lam)
+        ref = scaled if lam == 1.0 else (1.0 - lam) * scaled
+        assert np.array_equal(c_lambda(start, lam).matrix, ref)
 
 
 def _line_state(start: FamilyPoint, lam: float) -> np.ndarray:
@@ -136,7 +158,7 @@ def test_line_state_endpoints():
 def test_c_lambda_identities():
     start = horodecki_point(1.5)
     lam = 0.7
-    cand = c_lambda(LineSpec(start, lam))
+    cand = c_lambda(start, lam)
     rho = family_state(start)
     rho_l = _line_state(start, lam)
     assert abs(hs_inner(cand.matrix, rho_l).real) <= 1e-13
@@ -156,32 +178,27 @@ def test_c_lambda_stays_safe_near_the_endpoint():
         for j in range(1, 10):
             lam = onset + (1.0 - onset) * j / 10.0
             assert onset < lam < 1.0
-            if not c_lambda(LineSpec(start, lam)).feasible:
+            if not c_lambda(start, lam).feasible:
                 unsafe.append((k, j))
     assert unsafe == []
 
 
-def test_c_lambda_rejects_endpoint():
-    with pytest.raises(ValueError, match="c_limit"):
-        c_lambda(LineSpec(horodecki_point(1.5), 1.0))
-
-
 def test_c_lambda_degenerate_start_is_zero():
-    cand = c_lambda(LineSpec(ORIGIN, 0.4))
+    cand = c_lambda(ORIGIN, 0.4)
     assert np.max(np.abs(cand.matrix)) <= 1e-15
     assert cand.status == INFEASIBLE  # zero identity coefficient
 
 
-def test_c_limit_closed_form():
+def test_c_lambda_endpoint_is_the_tangent_limit():
     start = horodecki_point(1.2)
     rho = family_state(start)
     purity = hs_inner(rho, rho).real
-    cand = c_limit(start)
+    cand = c_lambda(start, 1.0)
     assert np.allclose(cand.matrix, purity * np.eye(9) - rho, atol=1e-14)
     # tangency: expectation on the start itself vanishes exactly
     assert abs(hs_inner(cand.matrix, rho).real) <= 1e-14
     with pytest.raises(ValueError, match="NPT"):
-        c_limit(FamilyPoint(1.0, 0.0, 0.0))
+        c_lambda(FamilyPoint(1.0, 0.0, 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +208,12 @@ def test_c_limit_closed_form():
 
 def bisected_lambda_min(start, tol=1e-10):
     """Oracle: bisect the (monotone) safety verdict of the line operator."""
-    if not c_limit(start).feasible:
+    if not c_lambda(start, 1.0).feasible:
         return None
     lo, hi = 0.0, 1.0  # lo is always infeasible: C_0 has zero identity part
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if c_lambda(LineSpec(start, mid)).feasible:
+        if c_lambda(start, mid).feasible:
             hi = mid
         else:
             lo = mid
@@ -369,7 +386,7 @@ def test_cone_start_is_on_the_cone():
 
 
 def test_witness_plane_of_flat_face():
-    plane = witness_plane(c_limit(plane_tip_start()))
+    plane = witness_plane(c_lambda(plane_tip_start(), 1.0))
     assert plane.beta_coeff == pytest.approx(0.8, abs=1e-12)
     assert plane.gamma_coeff == pytest.approx(-0.4, abs=1e-12)
     assert plane.offset == pytest.approx(0.4, abs=1e-12)
