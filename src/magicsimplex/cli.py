@@ -46,6 +46,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from contextlib import nullcontext
 from functools import lru_cache
@@ -472,6 +473,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     _configure_logging()
     parser = build_parser()
+    # argparse reads ``--flag -1e-3`` (unlike ``--flag -0.1``) as a missing value.
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if re.match(r"--[^=]+$", argv[i - 1]) and re.match(r"-[\d.in]", argv[i]):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -210,19 +210,15 @@ def lambda_min(start: FamilyPoint | tuple[float, float, float]) -> float | None:
 class PlaneCoefficients(NamedTuple):
     """Normalized plane ``alpha = b * beta + g * gamma + c`` of a witness.
 
-    ``trace_scale`` is the factor ``k`` in ``Tr(W rho_p) = k * residual(p)``
-    -- negative for the deployed witnesses, so detected points have
-    *positive* residual (they lie above the plane in ``alpha``).
+    The fields are ``b, g, c, k`` of ``Tr(W rho_p) = k * (alpha - (b beta +
+    g gamma + c))``, ``k`` negative for the deployed witnesses, so detected
+    points lie above the plane in ``alpha``.
     """
 
     beta_coeff: float
     gamma_coeff: float
     offset: float
     trace_scale: float
-
-    def residual(self, p: FamilyPoint | tuple[float, float, float]) -> float:
-        a, b, g = p if isinstance(p, FamilyPoint) else FamilyPoint(*p)
-        return a - (self.beta_coeff * b + self.gamma_coeff * g + self.offset)
 
 
 def _line_plane(start: FamilyPoint, lam: float) -> PlaneCoefficients:

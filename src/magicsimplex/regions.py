@@ -20,11 +20,12 @@ and it stops each point at its first decisive stage.  :func:`scan` is its
 batch call and :func:`classify` its one-row call, so a scanned row equals
 ``classify`` of its point.  Its records -- :class:`Classification`
 (holding a :class:`~.family.FamilyPoint`), :class:`ScanResult` and
-:class:`SeparablePolygon` -- are immutable named tuples.  Stages 1 and 2
-evaluate their closed forms inline, as copies of
+:class:`SeparablePolygon` -- are immutable named tuples.  All four stages
+evaluate their closed forms inline, stages 1 and 2 as copies of
 :func:`~.family.pyramid_slacks` and :func:`~.family.pt_block_eigenvalues`
 with the same operations in the same order; a pin test in
-``tests/test_regions.py`` holds every row bit for bit to those functions.
+``tests/test_regions.py`` holds every row bit for bit to those functions
+and to the witness-plane and facet fields.
 
 On the positivity facet ``alpha = 7 beta / 2 + 1 - gamma`` everything is
 available in closed form.  Two curves organize that facet in the
@@ -208,18 +209,18 @@ def _classify_rows(
     call and :func:`scan` its batch call.  The witness battery is read once
     per call, the polytope only once a point reaches stage 4.
 
-    Stages 1 and 2 decide most points, so they evaluate their closed forms
-    inline rather than through calls: the slacks of
-    :func:`~.family.pyramid_slacks` and the spectrum of
-    :func:`~.family.pt_block_eigenvalues`, with the same operations in the
-    same order, and ``tuple.__new__`` builds the records.  A finite plain
+    All four stages evaluate their closed forms inline rather than through
+    calls: the slacks of :func:`~.family.pyramid_slacks` and the spectrum of
+    :func:`~.family.pt_block_eigenvalues` with the same operations in the
+    same order, then each witness plane and each polytope facet read as a
+    plain tuple; ``tuple.__new__`` builds the records.  A finite plain
     3-tuple becomes a :class:`~.family.FamilyPoint` without its constructor;
     anything else goes through it and raises as it does.  A pin test in
     ``tests/test_regions.py`` holds every row bit for bit to the ``family``
-    functions.
+    functions and the plane and facet fields.
     """
     planes = witness_planes()
-    polygon = None
+    halfspaces = None
     rows: list[Classification] = []
     append = rows.append
     new = tuple.__new__
@@ -268,21 +269,24 @@ def _classify_rows(
             row = (pt, _NPT_ENTANGLED, margin, pt_eig, None, None, None, "")
             append(new(Classification, row))
             continue
-        # Tr(W rho) is affine in the coordinates, so each witness plane gives
-        # it as trace_scale * residual (to rounding); ties keep battery order.
+        # Stage 3: Tr(W rho) = k * (alpha - (b beta + g gamma + c)); ties keep battery order.
         name = value = None
-        for plane_name, plane in planes:
-            v = plane.trace_scale * plane.residual(pt)
+        for plane_name, (nb, ng, c, k) in planes:
+            v = k * (a - (nb * b + ng * g + c))
             if value is None or v < value:
                 name, value = plane_name, v
         if value < DETECTION_TOL:
             row = (pt, _BOUND_ENTANGLED, margin, pt_eig, name, value, None, "")
             append(new(Classification, row))
             continue
-        if polygon is None:
-            polygon = build_polygon()
-        member = polygon.contains(pt)
-        verdict = _SEPARABLE if member else _UNDETERMINED
+        # Stage 4: inside every half-space of the polytope, to MEMBERSHIP_TOL.
+        if halfspaces is None:
+            halfspaces = build_polygon().halfspaces
+        verdict, member = _SEPARABLE, True
+        for na, nb, ng, c in halfspaces:
+            if na * a + nb * b + ng * g - c > MEMBERSHIP_TOL:
+                verdict, member = _UNDETERMINED, False
+                break
         row = (pt, verdict, margin, pt_eig, name, value, member, "")
         append(new(Classification, row))
     return rows
@@ -314,15 +318,6 @@ class SeparablePolygon(NamedTuple):
         import numpy as np
 
         return np.array([v.as_tuple() for v in self.vertices])
-
-    def membership_residual(self, p: FamilyPoint | tuple[float, float, float]) -> float:
-        """Largest distance of ``p`` outside a facet plane; 0 on and inside the hull."""
-        a, b, g = p if isinstance(p, FamilyPoint) else FamilyPoint(*p)
-        excess = max([na * a + nb * b + ng * g - c for na, nb, ng, c in self.halfspaces])
-        return float(max(excess, 0.0))
-
-    def contains(self, p: FamilyPoint | tuple[float, float, float]) -> bool:
-        return self.membership_residual(p) <= MEMBERSHIP_TOL
 
 
 def _pyramid_halfspaces(

@@ -241,7 +241,7 @@ def witness_plane(w: WitnessCandidate) -> PlaneCoefficients:
     ``Tr(W rho_p)`` is affine in ``(alpha, beta, gamma)``, so four probe
     evaluations determine it; the result is normalized to unit ``alpha``
     coefficient.  Raises if the functional does not depend on ``alpha`` or
-    if the orientation convention (negative residual at the origin) fails.
+    if the origin does not lie below the plane (``offset <= 0``).
     """
     mat = w.matrix
 
@@ -260,10 +260,10 @@ def witness_plane(w: WitnessCandidate) -> PlaneCoefficients:
         offset=-f0 / fa,
         trace_scale=fa,
     )
-    if plane.residual((0.0, 0.0, 0.0)) >= 0.0:
+    if plane.offset <= 0.0:
         raise ValueError(
             "witness plane violates the orientation convention "
-            "(residual at the origin must be negative)"
+            "(the origin must lie below the plane: offset > 0)"
         )
     return plane
 

@@ -61,6 +61,14 @@ def test_classify_facet_flags(capsys):
     assert "verdict:" in out
 
 
+def test_classify_takes_a_negative_value_in_scientific_notation(capsys):
+    # argparse alone reads "-1e-3" after a flag as a missing argument
+    code, out, err = run_cli(capsys, "classify", "--alpha", "-1e-3", "--beta", "0", "--gamma", "0")
+    assert (code, err) == (0, "")
+    assert "point: alpha=-0.001 beta=0 gamma=0" in out
+    assert out == run_cli(capsys, "classify", "--alpha=-1e-3", "--beta=0", "--gamma=0")[1]
+
+
 def test_classify_json(capsys):
     code, out, _ = run_cli(
         capsys, "classify", "--b", "1.5", "--format", "json"
@@ -268,6 +276,7 @@ def test_horodecki_requires_exactly_one_selector(capsys):
 def test_a_non_finite_single_value_grid_spec_is_named_as_such(capsys, value):
     for argv in (
         ["horodecki", f"--grid={value}"],
+        ["horodecki", "--grid", value],
         ["scan", "--plane", "--grid", f"0:1:0.5,{value}"],
     ):
         code, out, err = run_cli(capsys, *argv)
@@ -460,6 +469,7 @@ def test_unknown_subcommand_exits_2(capsys):
         ("lambda_min_optimal", ["lambda-min", "--epsilon", "0.119429", "--gamma", "0.345586"]),
         ("lambda_min_b1.5_json", ["lambda-min", "--b", "1.5", "--format", "json"]),
         ("lambda_min_origin", ["lambda-min", "--alpha", "0", "--beta", "0", "--gamma", "0"]),
+        ("scan_box_0.05", ["scan", "--grid", "-0.5:1.5:0.05,-1:1:0.05,-1:1.2:0.05"]),
     ],
 )
 def test_golden_output(capsys, name, argv):
@@ -540,7 +550,9 @@ def test_production_commands_build_no_witness_matrix(capsys, monkeypatch):
             ("classify", "--b", "2.5"),
             ("classify", "--b", "2.75"),
             ("scan", "--grid=-0.5:1.5:0.5,-1:1:0.5,-1:1.2:0.55"),
+            ("scan", "--grid", "-0.5:1.5:0.5,-1:1:0.5,-1:1.2:0.55"),
             ("scan", "--plane", "--grid=-1:1:0.25,-0.35:0.05:0.1", "--format", "json"),
+            ("scan", "--plane", "--grid", "-1:1:0.25,-0.35:0.05:0.1", "--format", "json"),
             ("horodecki", "--grid", "0:5:0.25"),
             ("lambda-min", "--epsilon", "0.119429", "--gamma", "0.345586"),
             ("witness",),
@@ -632,7 +644,9 @@ def test_production_commands_run_without_numpy():
             ["classify", "--b", "2.5"],
             ["classify", "--b", "2.75"],
             ["scan", "--grid=-0.5:1.5:0.5,-1:1:0.5,-1:1.2:0.55"],
+            ["scan", "--grid", "-0.5:1.5:0.5,-1:1:0.5,-1:1.2:0.55"],
             ["scan", "--plane", "--grid=-1:1:0.25,-0.35:0.05:0.1"],
+            ["scan", "--plane", "--grid", "-1:1:0.25,-0.35:0.05:0.1"],
             ["horodecki", "--grid", "0:5:0.25"],
             ["lambda-min", "--epsilon", "0.119429", "--gamma", "0.345586"],
             ["lambda-min", "--epsilon", "0.11963", "--gamma", "0.35"],  # NPT start
@@ -643,7 +657,7 @@ def test_production_commands_run_without_numpy():
     blocked = _child(_MAIN_LOOP, "block", commands)
     assert normal.returncode == 0, normal.stderr
     assert blocked.returncode == 0, blocked.stderr
-    assert normal.stdout.count("exit 0") == 10
+    assert normal.stdout.count("exit 0") == 12
     assert normal.stdout.count("exit 2") == 1
     assert "lambda_min: 0.825694571492" in normal.stdout
     assert "is NPT" in blocked.stderr
@@ -696,6 +710,7 @@ _LAZY_STDLIB = {"logging", "dataclasses", "json", "fractions", "decimal", "inspe
         ["witness"],
         ["classify", "--b", "1.5", "--format", "json"],
         ["scan", "--plane", "--grid=-1:1:0.25,-0.35:0.05:0.1", "--format", "json"],
+        ["scan", "--plane", "--grid", "-1:1:0.25,-0.35:0.05:0.1", "--format", "json"],
     ],
 )
 def test_production_commands_load_only_what_they_use(argv):

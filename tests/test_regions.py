@@ -23,6 +23,7 @@ from magicsimplex.regions import (
     CSV_HEADER,
     DETECTION_TOL,
     FACET_DOMAIN,
+    MEMBERSHIP_TOL,
     Classification,
     build_polygon,
     classify,
@@ -118,10 +119,10 @@ def test_trapezoid_corners_match_closed_forms(probed_slice_corners):
 
 
 def test_polygon_membership_examples():
-    poly = build_polygon()
-    assert poly.contains(FamilyPoint(0.0, 0.0, 0.0))
-    assert poly.contains(FamilyPoint(0.0, 0.0, 1.0))  # a vertex
-    assert not poly.contains(FamilyPoint(1.0, 0.0, 0.0))  # NPT point
+    assert classify(FamilyPoint(0.0, 0.0, 0.0)).polygon_member is True
+    assert classify(FamilyPoint(0.0, 0.0, 1.0)).polygon_member is True  # a vertex
+    assert classify(FamilyPoint(0.0, 0.0, -0.2)).polygon_member is False  # below it
+    assert classify(FamilyPoint(1.0, 0.0, 0.0)).polygon_member is None  # NPT point
 
 
 def test_polygon_vertices_are_ppt_states():
@@ -178,14 +179,6 @@ def test_polygon_subset_of_ppt():
         a, b, g = wvec @ pts
         worst = min(worst, pt_min_eigenvalue(FamilyPoint(a, b, g)))
     assert worst >= -1e-8
-
-
-def test_membership_residual_scales():
-    poly = build_polygon()
-    inside = poly.membership_residual(FamilyPoint(0.01, -0.01, 0.05))
-    outside = poly.membership_residual(FamilyPoint(1.0, 0.0, 0.0))
-    assert inside <= 1e-9
-    assert outside > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -447,14 +440,18 @@ def _reference_row(p) -> Classification:
     pt_eig = float(min(pt_block_eigenvalues(pt)))
     if pt_eig < PPT_TOL:
         return Classification(pt, Verdict.NPT_ENTANGLED, margin, pt_eig)
+    a, b, g = pt
     name = value = None
     for plane_name, plane in witness_planes():
-        v = plane.trace_scale * plane.residual(pt)
+        v = plane.trace_scale * (
+            a - (plane.beta_coeff * b + plane.gamma_coeff * g + plane.offset)
+        )
         if value is None or v < value:
             name, value = plane_name, v
     if value < DETECTION_TOL:
         return Classification(pt, Verdict.BOUND_ENTANGLED, margin, pt_eig, name, value)
-    member = build_polygon().contains(pt)
+    excess = [na * a + nb * b + ng * g - c for na, nb, ng, c in build_polygon().halfspaces]
+    member = max(excess) <= MEMBERSHIP_TOL
     verdict = Verdict.SEPARABLE if member else Verdict.UNDETERMINED
     return Classification(pt, verdict, margin, pt_eig, name, value, member)
 
@@ -469,13 +466,57 @@ def _assert_pinned(points) -> list[Classification]:
     return rows
 
 
+def _membership_edge_points() -> list[tuple[float, float, float]]:
+    """Points just outside the polytope faces that bound no positivity facet.
+
+    Each face centroid is pushed along the outward normal by 0.5, 1 and 2
+    times ``MEMBERSHIP_TOL``; the faces on a pyramid facet are skipped,
+    since pushing out of them leaves the state space.
+    """
+    poly = build_polygon()
+    points = []
+    for na, nb, ng, c in poly.halfspaces:
+        on = [(a, b, g) for a, b, g in poly.vertices if abs(na * a + nb * b + ng * g - c) <= 1e-12]
+        centroid = [sum(axis) / len(on) for axis in zip(*on)]
+        if pyramid_margin(FamilyPoint(*centroid)) < 0.1:
+            continue
+        for k in (0.5, 1.0, 2.0):
+            t = k * MEMBERSHIP_TOL
+            points.append(tuple(x + t * n for x, n in zip(centroid, (na, nb, ng))))
+    return points
+
+
 def test_loop_rows_are_the_family_closed_forms_bit_for_bit():
     box = np.random.default_rng(12345).uniform((-0.5, -1, -1), (1.5, 1, 1.2), size=(20000, 3))
     facet = plane_grid_points("0:1:0.01", "-0.35:0.05:0.01")
     probes = [horodecki_point(k + s * 1e-9) for k in (1, 2, 3, 4) for s in (-1, 1)]
-    points = [tuple(r) for r in box.tolist()] + facet + probes
+    edge = _membership_edge_points()
+    points = [tuple(r) for r in box.tolist()] + facet + probes + edge
     rows = _assert_pinned(points)
     assert {row.verdict for row in rows} == set(Verdict)
+    # within MEMBERSHIP_TOL of a face is inside, twice it is not
+    edge_verdicts = [row.verdict for row in rows[-len(edge):]]
+    inside, outside = Verdict.SEPARABLE, Verdict.UNDETERMINED
+    assert edge_verdicts == [inside, inside, outside] * 3
+
+
+def test_witness_ties_keep_battery_order():
+    # At gamma = 0 the Pl3 and Pl3m planes differ only in gamma_coeff, so
+    # every stage-3 value ties exactly; the first in battery order wins.
+    pl3, pl3m = (plane for name, plane in witness_planes() if name in ("Pl3", "Pl3m"))
+    assert (pl3.beta_coeff, pl3.offset, pl3.trace_scale) == (
+        pl3m.beta_coeff, pl3m.offset, pl3m.trace_scale
+    )
+    points = plane_grid_points("0", "-0.35:0.05:0.01")
+    points += [(0.0, 0.0, 0.0), (0.1, 0.0, 0.0), (0.05, -0.02, 0.0)]
+    rows = [row for row in map(classify, points) if row.witness_name is not None]
+    assert len(rows) == 14
+    nb, ng, c, k = pl3m
+    for row in rows:
+        a, b, g = row.point
+        tied = k * (a - (nb * b + ng * g + c))
+        assert _bits(tied) == _bits(row.witness_value), row
+        assert row.witness_name == "Pl3", row
 
 
 @given(st.tuples(*[st.floats(-1e308, 1e308)] * 3))

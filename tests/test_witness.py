@@ -357,7 +357,9 @@ def test_cone_start_closed_form_beta():
     assert start.beta == pytest.approx(want, abs=1e-9)
     assert start.gamma == pytest.approx(2.0 / 7.0, abs=1e-15)
     # the point sits on the flat witness plane
-    assert abs(dict(witness_planes())["Pl1"].residual(start)) <= 1e-12
+    pl1 = dict(witness_planes())["Pl1"]
+    a, b, g = start
+    assert abs(a - (pl1.beta_coeff * b + pl1.gamma_coeff * g + pl1.offset)) <= 1e-12
 
 
 def test_cone_start_is_on_the_cone():
@@ -453,9 +455,12 @@ def test_planes_are_logged_once_per_battery_build(caplog):
 
 
 def test_plane_residual_examples():
+    # alpha - (b beta + g gamma + c) of Pl1 vanishes at (0.4, 0, 0) and is
+    # -0.4 at the origin
     pl1 = dict(witness_planes())["Pl1"]
-    assert pl1.residual(FamilyPoint(0.4, 0.0, 0.0)) == pytest.approx(0.0, abs=1e-12)
-    assert pl1.residual(ORIGIN) == pytest.approx(-0.4, abs=1e-12)
+    for (a, b, g), want in (((0.4, 0.0, 0.0), 0.0), (ORIGIN, -0.4)):
+        got = a - (pl1.beta_coeff * b + pl1.gamma_coeff * g + pl1.offset)
+        assert got == pytest.approx(want, abs=1e-12)
     with pytest.raises(ValueError, match="unknown witness"):
         deployed_witness("Pl9")
 
@@ -464,12 +469,12 @@ def test_witness_value_proportional_to_residual():
     rng = np.random.default_rng(13)
     battery = {w.name: w for w in deployed_witnesses()}
     w = battery["Pl2"]
+    nb, ng, c, k = w.plane
     for _ in range(20):
         p = FamilyPoint(*rng.uniform((-0.5, -1, -1), (1.5, 1, 1.2)))
         value = hs_inner(w.candidate.matrix, family_state(p)).real
-        assert value == pytest.approx(
-            w.plane.trace_scale * w.plane.residual(p), abs=1e-12
-        )
+        a, b, g = p
+        assert value == pytest.approx(k * (a - (nb * b + ng * g + c)), abs=1e-12)
 
 
 def test_mirror_detects_mirrored_bound_point():
