@@ -39,9 +39,11 @@ coordinates, i.e. a plane ``alpha = b * beta + g * gamma + c``.  The six
 planes the classifier reads are closed forms in :mod:`.planes`, which
 builds no matrix.  This module is their matrix oracle:
 :func:`deployed_witnesses` runs the same six lines through
-:func:`c_lambda`, probes each plane with
-:func:`witness_plane`, samples product states, and raises unless every
-plane matches its closed form.  Like :mod:`.qmat`, :mod:`.weyl` and
+:func:`c_lambda` and probes each plane with :func:`witness_plane`; it
+raises unless every onset matches its closed form, every operator passes
+the safety criterion and every plane matches its closed form.  Product
+states are sampled only by check 9 of :mod:`.checks`, through
+:func:`min_product_expectation`.  Like :mod:`.qmat`, :mod:`.weyl` and
 :mod:`.checks` it imports numpy, so the command line loads it only for
 ``witness --name`` and ``verify``.
 """
@@ -280,9 +282,6 @@ class DeployedWitness:
     plane: PlaneCoefficients
 
 
-_BUILD_CHECK_SAMPLES = 2000
-
-
 @lru_cache(maxsize=1)
 def deployed_witnesses() -> tuple[DeployedWitness, ...]:
     """The matrix oracle of :func:`witness_planes`, built once.
@@ -290,37 +289,24 @@ def deployed_witnesses() -> tuple[DeployedWitness, ...]:
     Each member runs its line through the matrix pipeline from the same
     start: the onset by :func:`lambda_min`, the operator by :func:`c_lambda`
     at that onset (the endpoint limit when the onset is 1), the plane by
-    :func:`witness_plane`.  The operator must pass the safety criterion and
-    a seeded product-state sweep, and the onset and all four plane fields
-    must match their closed forms to 1e-12; otherwise ``ArithmeticError``
-    for the first failing member in battery order.  One stacked sweep
-    serves all members.
+    :func:`witness_plane`.  In battery order, each member's onset must match
+    its closed form to 1e-12, its operator must pass the safety criterion,
+    and all four plane fields must match their closed forms to 1e-12;
+    otherwise ``ArithmeticError`` for the first failing member.  The
+    criterion certifies product safety, so no product state is sampled
+    here: check 9 of :mod:`.checks` (``product-state-safety``) is the one
+    product-state sweep.
     """
-    built: list[tuple[str, WitnessCandidate, PlaneCoefficients]] = []
-    failure = None
+    battery: list[DeployedWitness] = []
     for (name, start, onset), (_, closed) in zip(_battery_lines(), witness_planes()):
         lam = lambda_min(start)
         if lam is None or abs(lam - onset) > _ORACLE_TOL:
-            failure = ArithmeticError(
+            raise ArithmeticError(
                 f"witness {name}: onset {lam!r} is not its closed form {onset!r}"
             )
-            break
         cand = c_lambda(start, lam)
         if not cand.feasible:
-            failure = ArithmeticError(f"witness {name} failed the safety criterion")
-            break
-        built.append((name, cand, closed))
-    # The members before a failed build are checked first, as in battery order.
-    worst = min_product_expectation(
-        np.array([cand.matrix for _, cand, _ in built]).reshape(-1, 9, 9),
-        count=_BUILD_CHECK_SAMPLES,
-    )
-    battery: list[DeployedWitness] = []
-    for (name, cand, closed), low in zip(built, worst):
-        if low < -1e-10:
-            raise ArithmeticError(
-                f"witness {name} went negative on a product state ({low:.3e})"
-            )
+            raise ArithmeticError(f"witness {name} failed the safety criterion")
         plane = witness_plane(cand)
         drift = max(abs(x - y) for x, y in zip(plane, closed))
         if drift > _ORACLE_TOL:
@@ -328,8 +314,6 @@ def deployed_witnesses() -> tuple[DeployedWitness, ...]:
                 f"witness {name}: probed plane is {drift:.2e} from its closed form"
             )
         battery.append(DeployedWitness(name=name, candidate=cand, plane=plane))
-    if failure is not None:
-        raise failure
     return tuple(battery)
 
 

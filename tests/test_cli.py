@@ -26,6 +26,12 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_DIGESTS = {
     "scan_plane_facet_grid": "16bae9f6f818df52038e20c67b48b1386895253d396e7750cbcec8b95e5480bc",
     "scan_box_0.05": "0c80714d44f9f42b1ab2b18d565f6c1507d2b5be34108431886f7512b7bd09f2",
+    "witness_Pl1": "9793dfacfde8d950fe1dd7ece87194a9f5ac6165cf72e892c58b735697bc2652",
+    "witness_Pl1m": "83a2cfd2b7976ffc4a87b7aedff9dde84824acc52580947a7d55781cb5f22749",
+    "witness_Pl2": "5e4df4bc5c6d9a2ff44d14dcaf8fa453e6af81da353e7245ae499e694b953d96",
+    "witness_Pl2m": "fb90765f187f4003be69fd1cb549d12cb7f67172ab5be798752e39fec6d504c5",
+    "witness_Pl3": "da9a0209d61b279db177f939401bc25880d489174551e7b7cc60b4c4dc1c23b8",
+    "witness_Pl3m": "efb2c923402c93e59943b7f9d3f8b7947bcb668a01d5cfc889ee1d2c8a251ae0",
 }
 
 
@@ -470,6 +476,10 @@ def test_unknown_subcommand_exits_2(capsys):
         ("lambda_min_b1.5_json", ["lambda-min", "--b", "1.5", "--format", "json"]),
         ("lambda_min_origin", ["lambda-min", "--alpha", "0", "--beta", "0", "--gamma", "0"]),
         ("scan_box_0.05", ["scan", "--grid", "-0.5:1.5:0.05,-1:1:0.05,-1:1.2:0.05"]),
+        *(
+            (f"witness_{name}", ["witness", "--name", name])
+            for name in ("Pl1", "Pl1m", "Pl2", "Pl2m", "Pl3", "Pl3m")
+        ),
     ],
 )
 def test_golden_output(capsys, name, argv):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from conftest import PYTHONPATH, witness_values
 from hypothesis import strategies as st
 
-from magicsimplex import checks, planes
+from magicsimplex import checks, planes, witness
 from magicsimplex.checks import run_all
 from magicsimplex.family import (
     PPT_TOL,
@@ -428,19 +428,48 @@ def test_closed_form_planes_match_the_oracle():
             assert abs(probed[field] - value) <= 1e-12, (name, field)
 
 
-def test_oracle_raises_when_a_start_leaves_its_closed_form(monkeypatch):
-    # toward the center: still a PPT state, but its onset moves by 1e-6
-    shrunk = FamilyPoint(*(0.999999 * x for x in pl1_cone_start().as_tuple()))
-    monkeypatch.setattr(planes, "pl1_cone_start", lambda: shrunk)
+def _rebuild_oracle(monkeypatch, *shrunk_starts):
+    """``deployed_witnesses()`` rebuilt, with the named ``planes`` starts moved."""
+    for start in shrunk_starts:
+        # toward the center: still a PPT state, but its onset moves by 1e-6
+        shrunk = FamilyPoint(*(0.999999 * x for x in getattr(planes, start)()))
+        monkeypatch.setattr(planes, start, lambda shrunk=shrunk: shrunk)
     for cache in (witness_planes, deployed_witnesses):
         cache.cache_clear()
     try:
-        with pytest.raises(ArithmeticError, match="Pl3: .* closed form"):
-            deployed_witnesses()
+        return deployed_witnesses()
     finally:
         monkeypatch.undo()
         for cache in (witness_planes, deployed_witnesses):
             cache.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "shrunk_starts, message",
+    [
+        (("pl1_cone_start",), "Pl3: .* closed form"),
+        # Pl2 comes before Pl3 in the battery
+        (("optimal_plane_start", "pl1_cone_start"), "witness Pl2: onset"),
+    ],
+    ids=["Pl3", "Pl2-first"],
+)
+def test_oracle_raises_when_a_start_leaves_its_closed_form(
+    monkeypatch, shrunk_starts, message
+):
+    with pytest.raises(ArithmeticError, match=message):
+        _rebuild_oracle(monkeypatch, *shrunk_starts)
+
+
+def test_battery_build_samples_no_product_state(monkeypatch):
+    # The safety criterion certifies every member; verify check 9 is the one
+    # product-state sweep.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the battery build sampled product states")
+
+    monkeypatch.setattr(witness, "min_product_expectation", refuse)
+    monkeypatch.setattr(witness, "product_state_vectors", refuse)
+    battery = _rebuild_oracle(monkeypatch)
+    assert [w.name for w in battery] == [name for name, _ in witness_planes()]
 
 
 def test_planes_are_logged_once_per_battery_build(caplog):
@@ -585,62 +614,6 @@ def test_product_sweep_is_the_same_for_any_blas_thread_count():
         outputs.append(proc.stdout)
     assert "product-state-safety" in outputs[0]
     assert outputs[0] == outputs[1]
-
-
-def _build_oracle_with(monkeypatch, sweep, cone_start=None):
-    """``deployed_witnesses()`` rebuilt with its product sweep replaced."""
-    monkeypatch.setattr("magicsimplex.witness.min_product_expectation", sweep)
-    if cone_start is not None:
-        monkeypatch.setattr(planes, "pl1_cone_start", lambda: cone_start)
-    for cache in (witness_planes, deployed_witnesses):
-        cache.cache_clear()
-    try:
-        return deployed_witnesses()
-    finally:
-        monkeypatch.undo()
-        for cache in (witness_planes, deployed_witnesses):
-            cache.cache_clear()
-
-
-def test_battery_build_makes_one_product_sweep(monkeypatch):
-    # The six members share one seeded sweep, and its minima equal six
-    # per-witness calls to the last bit.
-    sweeps = []
-
-    def recording(w, count):
-        minima = min_product_expectation(w, count=count)
-        sweeps.append((w, count, minima))
-        return minima
-
-    battery = _build_oracle_with(monkeypatch, recording)
-    [(stack, count, minima)] = sweeps
-    assert stack.shape == (6, 9, 9)
-    for w, mat, value in zip(battery, stack, minima):
-        assert np.array_equal(mat, w.candidate.matrix)
-        assert value == min_product_expectation(w.candidate.matrix, count=count)
-
-
-@pytest.mark.parametrize(
-    "negative, shrink_cone_start, first",
-    [
-        ((1, 4), False, "Pl1m"),
-        # Pl3's onset fails, but the members before it are checked first.
-        ((3,), True, "Pl2m"),
-    ],
-)
-def test_battery_build_raises_for_the_first_failing_member(
-    monkeypatch, negative, shrink_cone_start, first
-):
-    def sweep(w, count):
-        minima = np.zeros(len(w))
-        minima[list(negative)] = -1.0
-        return minima
-
-    start = pl1_cone_start()
-    cone_start = FamilyPoint(*(0.999999 * x for x in start)) if shrink_cone_start else None
-    message = rf"witness {first} went negative on a product state \(-1\.000e\+00\)"
-    with pytest.raises(ArithmeticError, match=message):
-        _build_oracle_with(monkeypatch, sweep, cone_start)
 
 
 def test_ppt_starts_match_a_point_by_point_loop():
