@@ -356,7 +356,11 @@ def plane_point(epsilon: float, gamma: float) -> FamilyPoint:
 
     ``plane_point(0, gamma)`` reproduces the Horodecki line; the extra
     coordinate ``epsilon`` moves along the facet transversally to it.
+    Both inputs must be finite; ``ValueError`` names the first that is not.
     """
+    for name, v in (("epsilon", epsilon), ("gamma", gamma)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v!r}")
     alpha = (1.0 + gamma + epsilon) / 6.0
     beta = (-5.0 + 7.0 * gamma + epsilon) / 21.0
     return FamilyPoint(alpha, beta, gamma)

@@ -332,47 +332,88 @@ def deployed_witness(name: str) -> DeployedWitness:
 # ---------------------------------------------------------------------------
 
 
+#: Rows of product vectors formed and evaluated at once by
+#: :func:`min_product_expectation`; every step is row-wise, so the size
+#: changes no value, only how much of a chunk is held as complex arrays.
+_BLOCK = 2_000
+
+
+def _draw_normals(count: int, rng: np.random.Generator) -> tuple[Array, Array]:
+    """The real normals, then the imaginary ones, of ``count`` product vectors."""
+    return rng.standard_normal((count, 2, 3)), rng.standard_normal((count, 2, 3))
+
+
+def _product_vectors(re: Array, im: Array) -> Array:
+    """Product vectors, one per row, from the normals of :func:`_draw_normals`.
+
+    Each factor ``re + i im`` on C^3 is normalised and the two factors of a
+    row form its Kronecker product on C^3 (x) C^3.  Row ``n`` depends only on
+    row ``n`` of the normals.
+    """
+    raw = re + 1j * im
+    raw /= np.linalg.norm(raw, axis=2, keepdims=True)
+    return np.einsum("ni,nj->nij", raw[:, 0, :], raw[:, 1, :]).reshape(len(raw), 9)
+
+
 def product_state_vectors(
     count: int, seed: int | np.random.Generator = DEFAULT_SEED
 ) -> Array:
     """``count`` Haar-random product vectors on C^3 (x) C^3, one per row."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    raw = rng.standard_normal((count, 2, 3)) + 1j * rng.standard_normal((count, 2, 3))
-    raw /= np.linalg.norm(raw, axis=2, keepdims=True)
-    return np.einsum("ni,nj->nij", raw[:, 0, :], raw[:, 1, :]).reshape(count, 9)
+    return _product_vectors(*_draw_normals(count, rng))
 
 
 def min_product_expectation(w: Array, count: int = 100_000) -> float | Array:
     """Smallest ``<v| W |v>`` over ``count`` product vectors.
 
     The vectors are seeded with :data:`DEFAULT_SEED`, so the result is
-    reproducible.  They are drawn in chunks of 20,000; the chunk size is
-    fixed because it decides which normals become real and which imaginary
-    parts, so another size would sweep other vectors.
+    reproducible.  Their normals are drawn in chunks of 20,000, all real
+    parts of a chunk before its imaginary parts; the chunk size is fixed
+    because it decides which normals become real and which imaginary parts,
+    so another size would sweep other vectors.  These are the vectors of
+    :func:`product_state_vectors` called chunk by chunk on one generator.
 
-    For each chunk ``v`` and operator ``W`` the kernel forms ``Wv`` as one
-    BLAS product ``v @ W.T`` and reads ``<v|W|v>`` as the real part of
-    ``conj(v) . Wv``, i.e. ``Re v . Re Wv + Im v . Im Wv``, through views of
-    ``v`` rather than a conjugate copy.
+    Each chunk's vectors are then formed and evaluated in blocks of
+    :data:`_BLOCK` rows, so memory stays bounded: the sweep holds one
+    chunk's normals and one block's complex vectors, however large
+    ``count`` is.  For each block ``v`` and operator ``W`` the kernel forms
+    ``Wv`` as one BLAS product ``v @ W.T`` and reads ``<v|W|v>`` as the real
+    part of ``conj(v) . Wv``, i.e. ``Re v . Re Wv + Im v . Im Wv``, through
+    views of ``v`` rather than a conjugate copy.  Every step is row-wise, so
+    each value, and each minimum, is bit-identical to evaluating whole
+    chunks.
 
     A ``(k, 9, 9)`` stack of operators gives their ``k`` minima from one
-    sweep: each chunk of vectors is drawn once and the operators take it in
-    turn, so each minimum equals the single-operator call bit for bit and
-    peak memory does not grow with ``k``.
+    sweep: each block of vectors is formed once and the operators take it
+    in turn, so each minimum equals the single-operator call bit for bit
+    and peak memory does not grow with ``k``.
+
+    Raises ``ValueError`` before any draw for ``count < 1``, which would
+    sweep nothing and read ``+inf``, and for an operator with a non-finite
+    entry, whose NaN expectations the minimum would drop, so that it too
+    would read as safe.  Raises ``ArithmeticError`` when a finite operator
+    is so large that its expectations overflow.
     """
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     mats = np.asarray(w, dtype=complex)
+    if not np.isfinite(mats).all():
+        raise ValueError("operator has a non-finite entry")
     stack = mats.reshape((-1,) + mats.shape[-2:])
     rng = np.random.default_rng(DEFAULT_SEED)
     worst = np.full(len(stack), math.inf)
     chunk = 20_000
-    remaining = count
-    while remaining > 0:
-        take = min(chunk, remaining)
-        v = product_state_vectors(take, rng)
-        for k, mat in enumerate(stack):
-            wv = v @ mat.T
-            vals = np.einsum("ni,ni->n", v.real, wv.real)
-            vals += np.einsum("ni,ni->n", v.imag, wv.imag)
-            worst[k] = min(worst[k], vals.min())
-        remaining -= take
+    for first in range(0, count, chunk):
+        re, im = _draw_normals(min(chunk, count - first), rng)
+        for lo in range(0, len(re), _BLOCK):
+            v = _product_vectors(re[lo : lo + _BLOCK], im[lo : lo + _BLOCK])
+            for k, mat in enumerate(stack):
+                wv = v @ mat.T
+                vals = np.einsum("ni,ni->n", v.real, wv.real)
+                vals += np.einsum("ni,ni->n", v.imag, wv.imag)
+                # ``np.minimum`` keeps a NaN, which the builtin ``min`` drops.
+                worst[k] = np.minimum(worst[k], vals.min())
+        del re, im  # else they stay live through the next chunk's draw
+    if not np.isfinite(worst).all():
+        raise ArithmeticError("the product-state expectations overflowed")
     return worst if mats.ndim > 2 else float(worst[0])

@@ -290,6 +290,22 @@ def test_a_non_finite_single_value_grid_spec_is_named_as_such(capsys, value):
         assert f"grid spec must be finite, got '{value}'" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classify", "--epsilon", "nan", "--gamma", "0"], "epsilon must be finite, got nan"),
+        (["classify", "--epsilon", "0", "--gamma", "inf"], "gamma must be finite, got inf"),
+        (["lambda-min", "--epsilon", "0", "--gamma", "nan"], "gamma must be finite, got nan"),
+        (["classify", "--epsilon", "-inf", "--gamma", "nan"], "epsilon must be finite, got -inf"),
+    ],
+)
+def test_a_non_finite_facet_coordinate_is_named_by_its_flag(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+    assert "alpha" not in err
+
+
 # ---------------------------------------------------------------------------
 # scan
 # ---------------------------------------------------------------------------

@@ -108,7 +108,7 @@ def test_verdicts_match_matrix_oracle(comparison):
     assert mismatches == []
 
 
-def test_pt_minimum_matches_jacobi(comparison):
+def test_pt_minimum_matches_the_lapack_oracle(comparison):
     worst = max(
         abs(row.pt_min_eig - eig) for row, _, eig, _ in comparison if eig is not None
     )

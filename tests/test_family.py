@@ -77,6 +77,16 @@ def test_point_validation():
                 FamilyPoint(0.1, -0.2, 0.3)._replace(**{name: bad})
 
 
+def test_plane_point_names_its_own_non_finite_input():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=rf"^epsilon must be finite, got {bad!r}$"):
+            plane_point(bad, 0.1)
+        with pytest.raises(ValueError, match=rf"^gamma must be finite, got {bad!r}$"):
+            plane_point(0.1, bad)
+        with pytest.raises(ValueError, match="^epsilon must be finite"):
+            plane_point(bad, bad)
+
+
 def test_point_is_a_tuple():
     p = FamilyPoint(0.1, -0.2, 0.3)
     assert p == (0.1, -0.2, 0.3)

@@ -580,18 +580,90 @@ def test_min_product_expectation_matches_the_three_operand_kernel():
         assert abs(value - ref) <= bound
 
 
+def _traced_peak(fn, *args, **kwargs):
+    """Peak traced allocation, in bytes, while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_min_product_expectation_memory_does_not_grow_with_the_stack():
     battery = np.stack([w.candidate.matrix for w in deployed_witnesses()])
+    stacked = _traced_peak(min_product_expectation, battery, count=40_000)
+    single = _traced_peak(min_product_expectation, battery[:1], count=40_000)
+    assert stacked <= single + 2**20
 
-    def peak(stack):
-        tracemalloc.start()
-        try:
-            min_product_expectation(stack, count=40_000)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    assert peak(battery) <= peak(battery[:1]) + 2**20
+def test_min_product_expectation_memory_does_not_grow_with_the_count():
+    battery = np.stack([w.candidate.matrix for w in deployed_witnesses()])
+    small = _traced_peak(min_product_expectation, battery, count=20_000)
+    large = _traced_peak(min_product_expectation, battery, count=100_000)
+    assert large <= small + 2**20
+
+
+def test_product_sweep_check_runs_in_bounded_memory():
+    deployed_witnesses()  # the battery build is set-up, not the sweep
+    assert _traced_peak(checks._check_product_safety, DEFAULT_SEED) <= 4 * 2**20
+
+
+def test_gamma_zero_slice_check_runs_in_bounded_memory():
+    checks._check_gamma_zero_slice(DEFAULT_SEED)  # build the cached tables first
+    assert _traced_peak(checks._check_gamma_zero_slice, DEFAULT_SEED) <= 2**20
+
+
+def test_blocked_sweep_matches_whole_chunks_bit_for_bit():
+    # The same kernel on whole 20,000-vector chunks of product_state_vectors.
+    stack = np.stack([w.candidate.matrix for w in deployed_witnesses()])
+    rng = np.random.default_rng(DEFAULT_SEED)
+    reference = np.full(len(stack), math.inf)
+    for _ in range(5):
+        v = product_state_vectors(20_000, rng)
+        for k, mat in enumerate(stack):
+            wv = v @ mat.T
+            vals = np.einsum("ni,ni->n", v.real, wv.real)
+            vals += np.einsum("ni,ni->n", v.imag, wv.imag)
+            reference[k] = min(reference[k], vals.min())
+    assert min_product_expectation(stack, count=100_000).tolist() == reference.tolist()
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Fail the test if any product vector is drawn."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew product vectors")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_min_product_expectation_rejects_a_non_finite_operator(no_draws, bad):
+    op = -np.eye(9, dtype=complex)
+    op[4, 7] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        min_product_expectation(op, count=10)
+    with pytest.raises(ValueError, match="non-finite"):
+        min_product_expectation(np.stack([-np.eye(9), op]), count=10)
+
+
+def test_min_product_expectation_raises_when_a_finite_operator_overflows():
+    # -1e308 times the all-ones matrix is negative on most product states,
+    # but its expectations overflow to NaN, which must not read as safe.
+    op = np.full((9, 9), -1e308, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ArithmeticError, match="overflowed"):
+            min_product_expectation(op, count=10)
+        with pytest.raises(ArithmeticError, match="overflowed"):
+            min_product_expectation(np.stack([np.eye(9), op]), count=10)
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_min_product_expectation_rejects_an_empty_sweep(no_draws, count):
+    with pytest.raises(ValueError, match=f"count must be at least 1, got {count}"):
+        min_product_expectation(np.eye(9, dtype=complex), count=count)
 
 
 def test_product_sweep_is_the_same_for_any_blas_thread_count():
