@@ -10,16 +10,20 @@ the CLI ``verify`` subcommand renders those one line per check, or as
 JSON.
 
 Every sweep runs in bounded memory, in fixed blocks, whatever its size.
-The matrix sweeps hand the oracle kernels stacks of at most :data:`_STACK`
-matrices (one LAPACK call per chunk, not per point).  The product-state
-check draws the normals of each seeded chunk of 20,000 product vectors,
-then forms and evaluates the vectors in blocks of 2,000 rows, once for all
-six witnesses, with one BLAS product per witness and block; its memory
-grows neither with the number of vectors nor with the number of
-witnesses.  The gamma = 0 slice scans one alpha row of 200 points at a
-time and keeps only the verdict tally.  Stacked kernels and blocks give
-each member bit-identical results to the one-matrix, whole-sweep call, so
-every check reads the same numbers as a point-by-point loop would.
+The matrix sweeps form their states and hand the oracle kernels stacks of
+at most :data:`_STACK` matrices (one LAPACK call per chunk, not per
+point), and the production closed forms of :mod:`.family` take the same
+chunks as ``(N, 3)`` arrays.  The PPT samplers accept a point by those
+closed forms, the test their consumer :func:`c_lambda` applies, and run
+no eigensolver.  The product-state check draws the normals of each seeded
+chunk of 20,000 product vectors, then forms and evaluates the vectors in
+blocks of 2,000 rows, once for all six witnesses, with one BLAS product
+per witness and block; its memory grows neither with the number of
+vectors nor with the number of witnesses.  The gamma = 0 slice scans one
+alpha row of 200 points at a time and keeps only the verdict tally.
+Stacked kernels, array closed forms and blocks give each member
+bit-identical results to the one-point, whole-sweep call, so every check
+reads the same numbers as a point-by-point loop would.
 
 Every tolerance below is part of the advertised contract, not a tuning
 knob; loosening one to make a red check green defeats the purpose of the
@@ -31,7 +35,7 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter, defaultdict, deque
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -43,10 +47,13 @@ from .family import (
     family_state,
     horodecki_b_from_gamma,
     horodecki_point,
+    is_ppt,
     mirror,
     plane_point,
+    pt_block_eigenvalues,
     pt_min_eigenvalue,
     pyramid_margin,
+    pyramid_slacks,
 )
 from .planes import (
     CONE_EDGE_LAMBDA,
@@ -106,30 +113,29 @@ def _family_points(rows: np.ndarray) -> list[FamilyPoint]:
     return [FamilyPoint(*row) for row in rows.tolist()]
 
 
+def _states(rows: np.ndarray) -> Iterator[np.ndarray]:
+    """:func:`family_state` of each row, formed :data:`_STACK` rows at a time."""
+    for lo in range(0, len(rows), _STACK):
+        yield from family_state(rows[lo : lo + _STACK])
+
+
 def _ppt_starts(rng: np.random.Generator, count: int) -> list[FamilyPoint]:
     """Rejection-sample PPT states from the standard box, in draw order.
 
-    Each round draws :data:`_STACK` points, keeps those whose pyramid
-    margin clears :data:`STATE_TOL` and then those whose partial transpose
-    clears :data:`PPT_TOL`, the latter from one stacked eigensolve.  The
-    slacks repeat :func:`pyramid_slacks` operation for operation, so the
-    accepted points are exactly those of a point-by-point loop.
+    Each round draws :data:`_STACK` points, keeps those whose smallest
+    :func:`pyramid_slacks` value clears :data:`STATE_TOL` and then those
+    whose smallest :func:`pt_block_eigenvalues` value clears
+    :data:`PPT_TOL`, each from one call on the round's array.  That is the
+    test :func:`~.planes._require_ppt` applies to a start, so every point
+    returned is a valid start of :func:`c_lambda`, and the accepted points
+    are exactly those of a point-by-point loop.
     """
     out: list[FamilyPoint] = []
     while len(out) < count:
         draws = _box_points(rng, _STACK)
-        a, b, g = draws.T
-        margin = np.minimum.reduce(
-            [
-                7 * b / 2 + 1 - g - a,
-                -b + 1 - g - a,
-                -b + 1 + 2 * g - a,
-                a - (b - 1 + g) / 8,
-            ]
-        )
-        states = draws[margin >= STATE_TOL]
-        accepted = states[pt_min_eigenvalue(states) >= PPT_TOL]
-        out += _family_points(accepted[: count - len(out)])
+        states = draws[np.minimum.reduce(pyramid_slacks(draws)) >= STATE_TOL]
+        ppt = np.minimum.reduce(pt_block_eigenvalues(states)) >= PPT_TOL
+        out += _family_points(states[ppt][: count - len(out)])
     return out
 
 
@@ -225,13 +231,12 @@ def _check_facet_crossings(seed: int) -> dict:
 def _check_flat_face_functional(seed: int) -> dict:
     rng = np.random.default_rng(seed + 5)
     witness = deployed_witness("Pl1")
-    pts = _family_points(_box_points(rng, 100))
+    rows = _box_points(rng, 100)
     values = np.array(
-        [hs_inner(witness.candidate.matrix, family_state(p)).real for p in pts]
+        [hs_inner(witness.candidate.matrix, rho).real for rho in _states(rows)]
     )
-    target = np.array(
-        [p.alpha - 2.0 * (1.0 + 2.0 * p.beta - p.gamma) / 5.0 for p in pts]
-    )
+    a, b, g = rows.T
+    target = a - 2.0 * (1.0 + 2.0 * b - g) / 5.0
     k = float(np.dot(values, target) / np.dot(target, target))
     rel_dev = float(
         np.max(np.abs(values - k * target) / np.maximum(1.0, np.abs(values)))
@@ -248,12 +253,12 @@ def _check_flat_face_functional(seed: int) -> dict:
 def _check_line_identities(seed: int) -> dict:
     rng = np.random.default_rng(seed + 6)
     starts = _ppt_starts(rng, 1000)
+    mixed = np.eye(9, dtype=complex) / 9.0
     worst = 0.0
-    for start in starts:
+    for start, rho in zip(starts, _states(np.array(starts))):
         lam = float(rng.uniform(0.0, 1.0 - 1e-12))
         cand = c_lambda(start, lam)
-        rho = family_state(start)
-        rho_l = lam * rho + (1.0 - lam) * np.eye(9, dtype=complex) / 9.0
+        rho_l = lam * rho + (1.0 - lam) * mixed
         on_line = abs(hs_inner(cand.matrix, rho_l).real)
         dist_sq = float(np.linalg.norm(rho_l - rho)) ** 2
         at_start = abs(hs_inner(cand.matrix, rho).real + dist_sq)
@@ -275,10 +280,9 @@ def _check_spectrum_pyramid(seed: int) -> dict:
     for lo in range(0, len(draws), _STACK):
         chunk = draws[lo : lo + _STACK]
         numeric = hermitian_eigenvalues(family_state(chunk))
-        # The closed forms under test stay the production ones, point by point.
-        pts = _family_points(chunk)
-        closed = np.array([bell_spectrum(p).sorted_values() for p in pts])
-        margin = np.array([pyramid_margin(p) for p in pts])
+        # The closed forms under test are the production ones, on the chunk.
+        closed = bell_spectrum(chunk).sorted_values()
+        margin = np.minimum.reduce(pyramid_slacks(chunk))
         worst = max(worst, float(np.max(np.abs(closed - numeric))))
         decided = np.abs(margin) > 1e-12
         sign_mismatch += int(
@@ -342,7 +346,7 @@ def _check_mirror_conjugation(seed: int) -> dict:
         minus = mirror(plus)  # equals plane_point(eps, -gamma)
         if pyramid_margin(plus) < STATE_TOL or pyramid_margin(minus) < STATE_TOL:
             continue
-        if pt_min_eigenvalue(plus) < PPT_TOL or pt_min_eigenvalue(minus) < PPT_TOL:
+        if not (is_ppt(plus).is_ppt and is_ppt(minus).is_ppt):
             continue
         lam = float(rng.uniform(0.05, 0.999))
         table_plus = c_lambda(plus, lam).coeffs

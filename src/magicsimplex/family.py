@@ -23,7 +23,11 @@ The affine involution :func:`mirror` preserves both spectra.
 
 The module imports only the standard library.  The matrix oracle --
 :func:`family_state` and :func:`pt_min_eigenvalue` -- loads numpy,
-:mod:`.qmat` and :mod:`.weyl` on its first call.
+:mod:`.qmat` and :mod:`.weyl` on its first call.  The closed forms
+:func:`bell_spectrum`, :func:`pyramid_slacks` and
+:func:`pt_block_eigenvalues` also take an ``(N, 3)`` numpy array of
+``(alpha, beta, gamma)`` rows, and load numpy only when given one; each
+row then gets exactly the floats of the one-point call.
 
 The module also carries two distinguished one- and two-parameter slices:
 the classic Horodecki line of states (:func:`horodecki_point`, parameter
@@ -125,6 +129,23 @@ def _point(p: FamilyPoint | tuple[float, float, float]) -> FamilyPoint:
     return FamilyPoint(*p)
 
 
+def _coordinates(
+    p: FamilyPoint | tuple[float, float, float] | Array,
+) -> FamilyPoint | tuple[Array, Array, Array]:
+    """The point ``p``, or the three coordinate columns of an ``(N, 3)`` array.
+
+    Only the array branch loads numpy; an array with another row length
+    or a non-finite entry raises ``ValueError``.
+    """
+    if getattr(p, "ndim", None) != 2:
+        return _point(p)
+    import numpy as np
+
+    if p.shape[1] != 3 or not np.all(np.isfinite(p)):
+        raise ValueError(f"expected finite (N, 3) coordinates, got shape {p.shape}")
+    return p[:, 0], p[:, 1], p[:, 2]
+
+
 @lru_cache(maxsize=1)
 def _building_blocks() -> tuple[Array, Array, Array, Array]:
     import numpy as np
@@ -154,36 +175,45 @@ def family_state(p: FamilyPoint | tuple[float, float, float] | Array) -> Array:
     same operations in the same order as the single-point call, so it is
     bit-identical to ``family_state(row)``.
     """
-    import numpy as np
-
-    if isinstance(p, np.ndarray) and p.ndim == 2:
-        if p.shape[1] != 3 or not np.all(np.isfinite(p)):
-            raise ValueError(f"expected finite (N, 3) coordinates, got shape {p.shape}")
-        alpha, beta, gamma = (p[:, k, None, None] for k in range(3))
+    coords = _coordinates(p)
+    if isinstance(coords, FamilyPoint):
+        alpha, beta, gamma = coords
     else:
-        alpha, beta, gamma = _point(p)
+        alpha, beta, gamma = (c[:, None, None] for c in coords)
     ident, block_a, block_b, block_c = _building_blocks()
     w = (1.0 - alpha - beta - gamma) / 9.0
     return w * ident + alpha * block_a + beta * block_b + gamma * block_c
 
 
 class BellSpectrum(NamedTuple):
-    """Eigenvalues of a family member, keyed by entangled-basis index."""
+    """Eigenvalues of a family member, keyed by entangled-basis index.
 
-    weights: dict[tuple[int, int], float]
+    For an ``(N, 3)`` input each weight is the ``(N,)`` array of the rows'
+    weights.
+    """
 
-    def sorted_values(self) -> list[float]:
-        return sorted(self.weights.values())
+    weights: dict[tuple[int, int], float | Array]
+
+    def sorted_values(self) -> list[float] | Array:
+        """The nine weights in ascending order; ``(N, 9)`` rows for arrays."""
+        values = list(self.weights.values())
+        if not getattr(values[0], "ndim", 0):
+            return sorted(values)
+        import numpy as np
+
+        return np.sort(np.stack(values, axis=-1), axis=-1)
 
 
-def bell_spectrum(p: FamilyPoint | tuple[float, float, float]) -> BellSpectrum:
+def bell_spectrum(p: FamilyPoint | tuple[float, float, float] | Array) -> BellSpectrum:
     """Closed-form spectrum: the mixture is diagonal in the entangled basis.
 
     Index ``(0, 0)`` carries ``w + alpha``; ``(1, 0)`` and ``(2, 0)`` carry
     ``w + beta/2``; the three ``(n, 1)`` carry ``w + gamma/3``; the three
-    ``(n, 2)`` carry the bare ``w``.
+    ``(n, 2)`` carry the bare ``w``.  An ``(N, 3)`` coordinate array gives
+    each weight as an ``(N,)`` array, row for row the floats of the
+    one-point call.
     """
-    a, b, g = _point(p)
+    a, b, g = _coordinates(p)
     w = (1.0 - a - b - g) / 9.0
     wb = w + b / 2.0
     wg = w + g / 3.0
@@ -196,16 +226,18 @@ def bell_spectrum(p: FamilyPoint | tuple[float, float, float]) -> BellSpectrum:
 
 
 def pyramid_slacks(
-    p: FamilyPoint | tuple[float, float, float],
-) -> tuple[float, float, float, float]:
+    p: FamilyPoint | tuple[float, float, float] | Array,
+) -> tuple[float, float, float, float] | tuple[Array, Array, Array, Array]:
     """Slack of the four positivity facets, each vanishing on its facet.
 
     The four values are positive rescalings of the distinct entangled-basis
     weights (by 9, 9, 9 and 9/8 respectively), so their joint sign pattern
     matches the spectrum's exactly.  Given ``Fraction`` coordinates, the
-    slacks are exact.  ``regions._classify_rows`` evaluates a copy inline.
+    slacks are exact.  An ``(N, 3)`` coordinate array gives four ``(N,)``
+    arrays, row for row the floats of the one-point call.
+    ``regions._classify_rows`` evaluates a copy inline.
     """
-    a, b, g = _point(p)
+    a, b, g = _coordinates(p)
     s1 = 7 * b / 2 + 1 - g - a
     s2 = -b + 1 - g - a
     s3 = -b + 1 + 2 * g - a
@@ -237,8 +269,8 @@ def pt_min_eigenvalue(
 
 
 def pt_block_eigenvalues(
-    p: FamilyPoint | tuple[float, float, float],
-) -> tuple[float, float, float]:
+    p: FamilyPoint | tuple[float, float, float] | Array,
+) -> tuple[float, float, float] | tuple[Array, Array, Array]:
     """Closed-form partial-transpose spectrum ``(e0, e_minus, e_plus)``.
 
     The partial transpose is block-diagonal in the three index sectors
@@ -251,14 +283,24 @@ def pt_block_eigenvalues(
 
     The smallest of the three decides PPT in :func:`is_ppt` and in the
     classifier; :func:`pt_min_eigenvalue` is the numeric oracle it is
-    tested against.  ``regions._classify_rows`` evaluates a copy inline.
+    tested against.  An ``(N, 3)`` coordinate array gives three ``(N,)``
+    arrays, row for row the floats of the one-point call (``np.sqrt`` and
+    ``math.sqrt`` are both correctly rounded).  ``regions._classify_rows``
+    evaluates a copy inline.
     """
-    a, b, g = _point(p)
+    coords = _coordinates(p)
+    a, b, g = coords
     w = (1.0 - a - b - g) / 9.0
     y = a - b / 2.0
     e0 = w + (a + b) / 3.0
     half = g / 6.0
-    root = math.sqrt(g * g / 36.0 + y * y / 9.0)
+    radicand = g * g / 36.0 + y * y / 9.0
+    if isinstance(coords, FamilyPoint):
+        root = math.sqrt(radicand)
+    else:
+        import numpy as np
+
+        root = np.sqrt(radicand)
     return (e0, w + half - root, w + half + root)
 
 

@@ -629,6 +629,22 @@ def test_cli_import_leaves_the_numpy_oracle_out():
     assert proc.stdout.strip() == "[]"
 
 
+def test_scalar_closed_forms_run_without_numpy():
+    # Only an (N, 3) array argument loads numpy; points and exact rationals do not.
+    proc = _child(
+        "import sys; sys.modules['numpy'] = None\n"
+        "from fractions import Fraction as F\n"
+        "from magicsimplex.family import bell_spectrum, pt_block_eigenvalues, pyramid_slacks\n"
+        "p = (0.2, -0.1, 0.3)\n"
+        "print(bell_spectrum(p).sorted_values()[0], min(pt_block_eigenvalues(p)))\n"
+        "print(pyramid_slacks((F(1, 5), F(-1, 10), F(3, 10))))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1] == (
+        "(Fraction(3, 20), Fraction(3, 5), Fraction(3, 2), Fraction(3, 10))"
+    )
+
+
 @pytest.mark.parametrize(
     "module",
     [

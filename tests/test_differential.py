@@ -10,7 +10,7 @@ its evidence must match the oracle's numbers to 1e-12.
 import numpy as np
 import pytest
 
-nnls = pytest.importorskip("scipy.optimize").nnls
+nnls = pytest.importorskip("scipy.optimize", exc_type=ImportError).nnls
 
 from conftest import witness_values  # noqa: E402
 from magicsimplex.family import (  # noqa: E402

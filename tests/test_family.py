@@ -66,6 +66,51 @@ def test_stacked_family_state_rejects_bad_rows():
         family_state(np.array([[0.0, np.nan, 0.0]]))
 
 
+def _array_rows():
+    """Seeded box rows, facet rows and ``gamma = 0`` rows in one array."""
+    rng = np.random.default_rng(47)
+    box = rng.uniform((-0.5, -1.0, -1.0), (1.5, 1.0, 1.2), (200, 3))
+    facet = [plane_point(*e_g) for e_g in rng.uniform((-0.3, -1.0), (0.3, 1.0), (100, 2))]
+    facet += [horodecki_point(b) for b in np.linspace(0.0, 5.0, 21).tolist()]
+    flat = rng.uniform((-0.5, -1.0, 0.0), (1.5, 1.0, 0.0), (100, 3))
+    return np.vstack([box, np.array(facet), flat, [ORIGIN]])
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def test_array_closed_forms_equal_one_point_calls_bit_for_bit():
+    rows = _array_rows()
+    spectrum = bell_spectrum(rows)
+    slacks = pyramid_slacks(rows)
+    pt = pt_block_eigenvalues(rows)
+    assert all(v.shape == (len(rows),) for v in (*spectrum.weights.values(), *slacks, *pt))
+    assert spectrum.sorted_values().shape == (len(rows), 9)
+    for i, row in enumerate(rows.tolist()):
+        one = bell_spectrum(FamilyPoint(*row))
+        assert one.weights.keys() == spectrum.weights.keys()
+        assert _hex(v[i] for v in spectrum.weights.values()) == _hex(one.weights.values())
+        assert _hex(spectrum.sorted_values()[i]) == _hex(one.sorted_values())
+        assert _hex(v[i] for v in slacks) == _hex(pyramid_slacks(tuple(row)))
+        assert _hex(v[i] for v in pt) == _hex(pt_block_eigenvalues(tuple(row)))
+
+
+@pytest.mark.parametrize("closed_form", [bell_spectrum, pyramid_slacks, pt_block_eigenvalues])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_array_closed_forms_reject_non_finite_rows(closed_form, bad):
+    rows = np.zeros((3, 3))
+    rows[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        closed_form(rows)
+
+
+@pytest.mark.parametrize("closed_form", [bell_spectrum, pyramid_slacks, pt_block_eigenvalues])
+def test_array_closed_forms_reject_wrong_row_length(closed_form):
+    with pytest.raises(ValueError, match="shape"):
+        closed_form(np.zeros((4, 2)))
+
+
 def test_point_validation():
     for index, name in enumerate(FamilyPoint._fields):
         for bad in (math.nan, math.inf, -math.inf):

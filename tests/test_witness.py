@@ -707,6 +707,55 @@ def test_ppt_starts_match_a_point_by_point_loop():
         assert rng.uniform() == ref_rng.uniform()
 
 
+def test_ppt_samplers_run_no_eigensolver(monkeypatch):
+    # Both samplers accept by the closed forms their consumer checks.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a PPT sampler ran the eigensolver")
+
+    monkeypatch.setattr(checks, "pt_min_eigenvalue", refuse)
+    monkeypatch.setattr(checks, "hermitian_eigenvalues", refuse)
+    assert len(checks._ppt_starts(np.random.default_rng(5), 300)) == 300
+    assert checks._check_mirror_conjugation(5)["passed"]
+
+
+def test_ppt_starts_are_accepted_as_line_starts():
+    for start in checks._ppt_starts(np.random.default_rng(6), 2000):
+        planes._require_ppt(start)
+
+
+def _count_rows(monkeypatch, name):
+    """Wrap ``checks.<name>``; return the list of row counts it was called on."""
+    real, rows = getattr(checks, name), []
+
+    def counted(p):
+        rows.append(len(p))
+        return real(p)
+
+    monkeypatch.setattr(checks, name, counted)
+    return rows
+
+
+def test_spectrum_check_evaluates_the_production_closed_forms_on_every_point(monkeypatch):
+    spectrum_rows = _count_rows(monkeypatch, "bell_spectrum")
+    slack_rows = _count_rows(monkeypatch, "pyramid_slacks")
+    assert checks._check_spectrum_pyramid(1)["passed"]
+    assert sum(spectrum_rows) == sum(slack_rows) == 10_000
+
+
+def test_spectrum_check_fails_on_a_shifted_bell_weight(monkeypatch):
+    real = checks.bell_spectrum
+
+    def shifted(p):
+        spectrum = real(p)
+        spectrum.weights[(0, 0)] = spectrum.weights[(0, 0)] + 1e-6
+        return spectrum
+
+    monkeypatch.setattr(checks, "bell_spectrum", shifted)
+    result = checks._check_spectrum_pyramid(1)
+    assert not result["passed"]
+    assert result["computed"] == pytest.approx(1e-6, abs=1e-9)
+
+
 def test_min_product_expectation_on_identity():
     assert min_product_expectation(np.eye(9, dtype=complex), count=500) == (
         pytest.approx(1.0, abs=1e-12)
