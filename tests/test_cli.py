@@ -479,10 +479,15 @@ def test_unknown_subcommand_exits_2(capsys):
         ("classify_b1.5_json", ["classify", "--b", "1.5", "--format", "json"]),
         ("classify_b1.5_csv", ["classify", "--b", "1.5", "--format", "csv"]),
         ("classify_origin", ["classify", "--alpha", "0", "--beta", "0", "--gamma", "0"]),
+        (
+            "classify_origin_json",
+            ["classify", "--alpha", "0", "--beta", "0", "--gamma", "0", "--format", "json"],
+        ),
         ("classify_b0.5", ["classify", "--b", "0.5"]),
         ("classify_alpha2", ["classify", "--alpha", "2", "--beta", "0", "--gamma", "0"]),
         ("witness", ["witness"]),
         ("horodecki_0_5_0.25", ["horodecki", "--grid", "0:5:0.25"]),
+        ("horodecki_0_5_0.25_json", ["horodecki", "--grid", "0:5:0.25", "--format", "json"]),
         ("scan_small", ["scan", "--grid", "0:1:0.5,-0.3:0:0.15,0:0.5:0.25"]),
         ("verify_seed1", ["verify", "--seed", "1"]),
         ("verify_seed3_only_6-10", ["verify", "--seed", "3", "--only", "6,7,8,9,10"]),
@@ -505,6 +510,18 @@ def test_golden_output(capsys, name, argv):
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_DIGESTS[name]
     else:
         assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+def test_golden_verify_json_apart_from_wall_times(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--seed", "1", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    for record in payload["checks"]:
+        del record["seconds"]
+    # The output is ``json.dumps(..., indent=2)``, so dumping the parsed
+    # payload again reproduces its bytes, keys in order and floats by repr.
+    golden = GOLDEN / "verify_seed1_json_no_seconds.txt"
+    assert json.dumps(payload, indent=2) + "\n" == golden.read_text(encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
