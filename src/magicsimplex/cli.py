@@ -22,7 +22,8 @@ Points are addressed by exactly one of three flag groups: ``--alpha
 --beta --gamma`` (simplex coordinates), ``--b`` (the one-parameter line),
 or ``--epsilon --gamma`` (coordinates on the positivity facet).  All
 numeric output is printed with 12 significant digits.  Exit codes: 0
-success, 2 invalid input, 1 failed verification.  Set the environment
+success, 2 invalid input, 1 failed verification, 141 (128 + SIGPIPE) when
+the reader closes stdout early, as ``| head`` does.  Set the environment
 variable ``MAGIC_SIMPLEX_LOG`` to a level name (e.g. ``INFO``) for
 diagnostics on stderr.
 
@@ -188,18 +189,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             _emit(out, CSV_HEADER)
             _emit(out, row.csv_row())
         elif args.format == "json":
-            payload = {
-                "alpha": point.alpha,
-                "beta": point.beta,
-                "gamma": point.gamma,
-                "verdict": row.verdict.value,
-                "pyramid_margin": row.pyramid_margin,
-                "pt_min_eig": row.pt_min_eig,
-                "witness_name": row.witness_name,
-                "witness_value": row.witness_value,
-                "polygon_member": row.polygon_member,
-                "detail": row.detail,
-            }
+            payload = {**point._asdict(), **row._asdict()}
+            del payload["point"]
+            payload["verdict"] = row.verdict.value
             _emit_json(out, payload)
         else:
             _emit(out, f"verdict: {row.verdict.value}")
@@ -269,13 +261,7 @@ def _cmd_lambda_min(args: argparse.Namespace) -> int:
     value = lambda_min(point)
     with _open_out(args.out) as out:
         if args.format == "json":
-            payload = {
-                "alpha": point.alpha,
-                "beta": point.beta,
-                "gamma": point.gamma,
-                "lambda_min": value,
-            }
-            _emit_json(out, payload)
+            _emit_json(out, {**point._asdict(), "lambda_min": value})
         elif value is None:
             _emit(out, "lambda_min: never feasible (degenerate line)")
         else:
@@ -330,49 +316,31 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     return 0
 
 
-_HORODECKI_CSV_HEADER = "b,alpha,beta,gamma,pyramid_margin,pt_min_eig,classification"
-
-
 def _cmd_horodecki(args: argparse.Namespace) -> int:
     if (args.b is None) == (args.grid is None):
         raise ValueError("give exactly one of --b or --grid b0:b1:step")
     b_values = [args.b] if args.b is not None else parse_grid(args.grid)
     # Points on the line are states, so every row carries its PT minimum.
-    rows = list(zip(b_values, scan([horodecki_point(b) for b in b_values]).rows))
+    records = [
+        {
+            "b": b,
+            **c.point._asdict(),
+            "pyramid_margin": c.pyramid_margin,
+            "pt_min_eig": c.pt_min_eig,
+            "classification": c.verdict.value,
+            "published": horodecki_classification(b).value,
+        }
+        for b, c in zip(b_values, scan([horodecki_point(b) for b in b_values]).rows)
+    ]
     with _open_out(args.out) as out:
         if args.format == "json":
-            payload = [
-                {
-                    "b": b,
-                    "alpha": c.point.alpha,
-                    "beta": c.point.beta,
-                    "gamma": c.point.gamma,
-                    "pyramid_margin": c.pyramid_margin,
-                    "pt_min_eig": c.pt_min_eig,
-                    "classification": c.verdict.value,
-                    "published": horodecki_classification(b).value,
-                }
-                for b, c in rows
-            ]
-            _emit_json(out, payload)
+            _emit_json(out, records)
         else:
-            _emit(out, _HORODECKI_CSV_HEADER)
-            for b, c in rows:
-                p = c.point
-                _emit(
-                    out,
-                    ",".join(
-                        (
-                            _fmt(b),
-                            _fmt(p.alpha),
-                            _fmt(p.beta),
-                            _fmt(p.gamma),
-                            _fmt(c.pyramid_margin),
-                            _fmt(c.pt_min_eig),
-                            c.verdict.value,
-                        )
-                    ),
-                )
+            fields = [key for key in records[0] if key != "published"]
+            _emit(out, ",".join(fields))
+            for record in records:
+                cells = (record[key] for key in fields)
+                _emit(out, ",".join(c if isinstance(c, str) else _fmt(c) for c in cells))
     return 0
 
 
@@ -484,7 +452,22 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     # Invalid input raises ValueError (unwritable output OSError): exit 2.
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # The reader stopped reading (``| head``): end quietly, with the exit
+        # status of a process killed by SIGPIPE.  Pointing stdout at devnull
+        # keeps the interpreter's last flush off the closed pipe.
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):  # in-process capture
+            pass
+        else:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return 141
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

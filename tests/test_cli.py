@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib
+import io
 import json
 import logging
 import math
@@ -416,6 +417,52 @@ def test_verify_json_prints_an_infinite_record_value_as_null(capsys, monkeypatch
     assert "computed=inf" in out
 
 
+#: The documented exceptions to the rule a verify record prints: check 3
+#: and 7 also need the count their detail ends with to be zero, and checks
+#: 8 and 9 are one-sided bounds.
+_COUNTED_CHECKS = (3, 7)
+_ONE_SIDED_CHECKS = {
+    8: lambda r: r.computed <= r.expected,
+    9: lambda r: r.computed >= -r.tolerance,
+}
+
+
+def test_every_verify_record_passes_by_the_rule_it_prints():
+    results = run_all(seed=1)
+    assert [r.index for r in results] == list(range(1, 13))
+    for r in results:
+        within = abs(r.computed - r.expected) <= r.tolerance
+        if r.index in _ONE_SIDED_CHECKS:
+            assert r.passed == _ONE_SIDED_CHECKS[r.index](r), r
+        elif r.index in _COUNTED_CHECKS:
+            count = int(r.detail.rsplit(": ", 1)[1].split("/")[0])
+            assert r.passed == (within and count == 0), r
+        else:
+            assert r.passed == within, r
+    # Check 9's minimum is positive, well outside its printed tolerance:
+    # the one-sided rule is what passes it.
+    product = results[8]
+    assert product.passed and product.computed > product.tolerance
+
+
+def test_a_check_fails_when_its_measurement_exceeds_its_printed_tolerance(monkeypatch):
+    from magicsimplex import checks
+
+    real = checks.l_b
+    monkeypatch.setattr(checks, "l_b", lambda gamma: real(gamma) + 1e-9)
+    (record,) = run_all(seed=1, only=[4])
+    assert not record.passed
+    assert record.computed == pytest.approx(1e-9, rel=1e-3)
+    assert record.computed > record.tolerance
+
+
+def test_check_names_match_the_checks_one_to_one():
+    from magicsimplex import checks
+
+    assert len(checks.CHECK_NAMES) == len(checks._CHECKS)
+    assert len(set(checks.CHECK_NAMES)) == len(checks.CHECK_NAMES)
+
+
 def test_region_layout_rejects_a_grid_of_the_wrong_size(monkeypatch):
     from magicsimplex import checks
 
@@ -479,15 +526,10 @@ def test_unknown_subcommand_exits_2(capsys):
         ("classify_b1.5_json", ["classify", "--b", "1.5", "--format", "json"]),
         ("classify_b1.5_csv", ["classify", "--b", "1.5", "--format", "csv"]),
         ("classify_origin", ["classify", "--alpha", "0", "--beta", "0", "--gamma", "0"]),
-        (
-            "classify_origin_json",
-            ["classify", "--alpha", "0", "--beta", "0", "--gamma", "0", "--format", "json"],
-        ),
         ("classify_b0.5", ["classify", "--b", "0.5"]),
         ("classify_alpha2", ["classify", "--alpha", "2", "--beta", "0", "--gamma", "0"]),
         ("witness", ["witness"]),
         ("horodecki_0_5_0.25", ["horodecki", "--grid", "0:5:0.25"]),
-        ("horodecki_0_5_0.25_json", ["horodecki", "--grid", "0:5:0.25", "--format", "json"]),
         ("scan_small", ["scan", "--grid", "0:1:0.5,-0.3:0:0.15,0:0.5:0.25"]),
         ("verify_seed1", ["verify", "--seed", "1"]),
         ("verify_seed3_only_6-10", ["verify", "--seed", "3", "--only", "6,7,8,9,10"]),
@@ -501,6 +543,11 @@ def test_unknown_subcommand_exits_2(capsys):
             (f"witness_{name}", ["witness", "--name", name])
             for name in ("Pl1", "Pl1m", "Pl2", "Pl2m", "Pl3", "Pl3m")
         ),
+        (
+            "classify_origin_json",
+            ["classify", "--alpha", "0", "--beta", "0", "--gamma", "0", "--format", "json"],
+        ),
+        ("horodecki_0_5_0.25_json", ["horodecki", "--grid", "0:5:0.25", "--format", "json"]),
     ],
 )
 def test_golden_output(capsys, name, argv):
@@ -539,6 +586,58 @@ def test_subprocess_classify():
     )
     assert proc.returncode == 0
     assert "BoundEntangled" in proc.stdout
+
+
+def test_a_closed_stdout_ends_the_command_quietly():
+    # About 3.5 MB of CSV, far more than a pipe buffers: the writes meet the
+    # closed pipe while the command runs, as under ``| head -1``.
+    argv = [sys.executable, "-m", "magicsimplex.cli", "horodecki", "--grid", "0:5:0.0001"]
+    env = dict(os.environ, PYTHONPATH=PYTHONPATH)
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        try:
+            header = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=120)
+        finally:
+            proc.kill()
+    assert header.startswith(b"b,alpha,beta,gamma,")
+    assert code == 141
+    assert "error" not in err
+    assert "Exception ignored" not in err
+
+
+def test_a_closed_stdout_in_process_returns_141_without_touching_descriptors(
+    capsys, monkeypatch
+):
+    class ClosedPipe(io.StringIO):  # no usable fileno, like a capture object
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["classify", "--b", "1.5"]) == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_a_short_output_to_a_closed_pipe_ends_the_command_quietly():
+    # Block-buffered stdout holds a short output until the last flush, so
+    # the closed pipe shows there, not in a write.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = PYTHONPATH
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "magicsimplex.cli", "classify", "--b", "1.5"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 def test_subprocess_logging_env():
