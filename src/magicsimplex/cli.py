@@ -296,8 +296,10 @@ def _witness_payload(name: str) -> dict[str, Any]:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
+    # Built before --out is opened, so an unknown name leaves the file as it was.
+    payload = None if args.name is None else _witness_payload(args.name)
     with _open_out(args.out) as out:
-        if args.name is None:
+        if payload is None:
             for name, plane in witness_planes():
                 _emit(
                     out,
@@ -311,7 +313,6 @@ def _cmd_witness(args: argparse.Namespace) -> int:
                     ),
                 )
             return 0
-        payload = _witness_payload(args.name)
         _emit_json(out, payload)
     return 0
 

@@ -7,9 +7,9 @@ The classifier stacks four certificates, cheapest arguments first:
    means ``NptEntangled``;
 3. the six closed-form witness planes -- a negative expectation on a PPT
    state certifies ``BoundEntangled``;
-4. membership in an inner polytope of known separable states (five
-   half-spaces around certified extreme points) -- membership certifies
-   ``Separable``.
+4. membership in an inner polytope of known separable states (the states
+   cut by three exact half-spaces, around certified extreme points) --
+   membership certifies ``Separable``.
 
 Anything that survives all four is reported ``Undetermined``: the
 certificates are sound but not complete.
@@ -46,20 +46,23 @@ PPT yet detected by the battery (bound entangled), everything at or below
 Every production certificate is a sign test on a closed form of the three
 coordinates: the affine pyramid slacks, the partial-transpose spectrum
 (:func:`~.family.pt_block_eigenvalues`), the witness planes of
-:func:`~.planes.witness_planes` and the five half-spaces of the separable
-polytope.  The matrix pipeline (the spectrum of the partial-transposed 9x9
-state, the matrix witness battery :func:`~.witness.deployed_witnesses`
-and its ``Tr(W rho)`` expectations) is the oracle the closed forms are
-tested against in ``verify`` and the tests; this module imports only the
-standard library, and ``classify`` builds no matrix.
+:func:`~.planes.witness_planes` and the three half-spaces that cut the
+separable polytope out of the state space.  The matrix pipeline (the
+spectrum of the partial-transposed 9x9 state, the matrix witness battery
+:func:`~.witness.deployed_witnesses` and its ``Tr(W rho)`` expectations)
+is the oracle the closed forms are tested against in ``verify`` and the
+tests; this module imports only the standard library, and ``classify``
+builds no matrix.
 
 The separable polytope is the pyramid over the ``gamma = 0`` slice's PPT
 quadrilateral (corners :data:`SLICE_CORNERS`, in closed form) with apex
-``(0, 0, 1)``, where the facet triangle closes.  When it is built, each
-vertex is certified a PPT state in exact rational arithmetic on the
-closed forms (the only use of :mod:`fractions`, imported there).  It
-lies in ``gamma >= 0``; on the ``gamma < 0`` side, points that no witness
-detects are left ``Undetermined``.
+``(0, 0, 1)``, where the facet triangle closes.  Two of its five facets
+are the positivity facets ``s1 >= 0`` and ``s4 >= 0``, so it is the state
+space cut by three exact half-spaces (``_FACET_ROWS``).  When it is
+built, each vertex is certified a PPT state in exact rational arithmetic
+on the closed forms (the only use of :mod:`fractions`, imported there).
+It lies in ``gamma >= 0``; on the ``gamma < 0`` side, points that no
+witness detects are left ``Undetermined``.
 """
 
 from __future__ import annotations
@@ -120,6 +123,17 @@ SLICE_CORNERS = (
     (2.0 / 9.0, -2.0 / 9.0),
     (1.0 / 3.0, 2.0 / 3.0),
     (-1.0 / 12.0, 1.0 / 3.0),
+)
+
+#: The separable polytope's facets other than ``s1 >= 0`` and ``s4 >= 0``
+#: (stage 1 decides those), as integer rows ``(n_alpha, n_beta, n_gamma,
+#: offset)``, inside where ``n . p <= offset``: ``gamma >= 0`` and the two
+#: side facets through the apex, which meet ``gamma = 0`` where ``e_minus``
+#: vanishes.  On the positivity facet the first is ``beta = l_a(gamma)``.
+_FACET_ROWS = (
+    (0, 0, -1, 0),
+    (8, -1, 2, 2),
+    (-4, 5, 2, 2),
 )
 
 #: Largest ``|gamma|`` on which the facet curves :func:`l_a`/:func:`l_b` are defined.
@@ -279,7 +293,8 @@ def _classify_rows(
             row = (pt, _BOUND_ENTANGLED, margin, pt_eig, name, value, None, "")
             append(new(Classification, row))
             continue
-        # Stage 4: inside every half-space of the polytope, to MEMBERSHIP_TOL.
+        # Stage 4: inside the polytope's three rows (stage 1 decided the
+        # positivity facets), to MEMBERSHIP_TOL.
         if halfspaces is None:
             halfspaces = build_polygon().halfspaces
         verdict, member = _SEPARABLE, True
@@ -303,11 +318,11 @@ def classify(p: FamilyPoint | tuple[float, float, float]) -> Classification:
 
 
 class SeparablePolygon(NamedTuple):
-    """Convex hull of known-separable extreme points, as half-spaces.
+    """Convex hull of known-separable extreme points: states in three half-spaces.
 
     ``halfspaces`` holds one ``(n_alpha, n_beta, n_gamma, offset)`` per
-    facet, with an outward unit normal: a point is inside the facet's
-    half-space when ``n . p <= offset``.
+    facet that is not a positivity facet, with an outward unit normal: a
+    state is in the polytope when ``n . p <= offset`` for every row.
     """
 
     vertices: tuple[FamilyPoint, ...]
@@ -318,50 +333,6 @@ class SeparablePolygon(NamedTuple):
         import numpy as np
 
         return np.array([v.as_tuple() for v in self.vertices])
-
-
-def _pyramid_halfspaces(
-    base: list[FamilyPoint], apex: FamilyPoint
-) -> tuple[tuple[float, float, float, float], ...]:
-    """Outward unit-normal half-spaces of the pyramid over a convex ``base``.
-
-    ``base`` lists the corners of a planar polygon in cyclic order; the
-    result is the base facet followed by one side facet per base edge.
-    Every vertex must lie inside every half-space (to rounding).
-    """
-    corners = [v.as_tuple() for v in base]
-    top = apex.as_tuple()
-    points = (*corners, top)
-    inner = [sum(axis) / len(points) for axis in zip(*points)]
-    faces = [(corners[0], corners[1], corners[2])]
-    faces += [
-        (corners[i], corners[(i + 1) % len(base)], top) for i in range(len(base))
-    ]
-    halfspaces = []
-    for p0, p1, p2 in faces:
-        e1 = [x - x0 for x, x0 in zip(p1, p0)]
-        e2 = [x - x0 for x, x0 in zip(p2, p0)]
-        normal = [
-            e1[1] * e2[2] - e1[2] * e2[1],
-            e1[2] * e2[0] - e1[0] * e2[2],
-            e1[0] * e2[1] - e1[1] * e2[0],
-        ]
-        length = math.sqrt(sum(x * x for x in normal))
-        normal = [x / length for x in normal]
-        if _dot(normal, [x - x0 for x, x0 in zip(inner, p0)]) > 0.0:
-            normal = [-x for x in normal]
-        halfspaces.append((*normal, _dot(normal, p0)))
-    for v in points:
-        excess = max(n[0] * v[0] + n[1] * v[1] + n[2] * v[2] - n[3] for n in halfspaces)
-        if excess > 1e-12:
-            raise ArithmeticError(
-                f"polytope vertex {tuple(v)} lies {excess:.2e} outside a facet"
-            )
-    return tuple(halfspaces)
-
-
-def _dot(x: Iterable[float], y: Iterable[float]) -> float:
-    return sum(a * b for a, b in zip(x, y))
 
 
 def _require_ppt_state(v: FamilyPoint) -> None:
@@ -396,13 +367,27 @@ def build_polygon() -> SeparablePolygon:
     :data:`SLICE_CORNERS`; the fifth closes the facet triangle at
     ``(0, 0, 1)``, where the separability ceiling meets the cone trace.
     Every vertex must be a PPT state in exact rational arithmetic
-    (:func:`_require_ppt_state`); the build raises if one is not.
+    (:func:`_require_ppt_state`).  The half-spaces are the rows of
+    :data:`_FACET_ROWS` with unit normals; every vertex must lie in every
+    row and every row must pass through at least three vertices, both to
+    1e-12.  The build raises ``ArithmeticError`` if any of this fails.
     """
     verts = [FamilyPoint(a, b, 0.0) for (a, b) in SLICE_CORNERS]
     verts.append(FamilyPoint(0.0, 0.0, 1.0))
     for v in verts:
         _require_ppt_state(v)
-    halfspaces = _pyramid_halfspaces(verts[:-1], verts[-1])
+    halfspaces = []
+    for row in _FACET_ROWS:
+        length = math.hypot(*row[:3])
+        na, nb, ng, c = (x / length for x in row)
+        excess = [na * a + nb * b + ng * g - c for a, b, g in verts]
+        on = sum(abs(e) <= 1e-12 for e in excess)
+        if max(excess) > 1e-12 or on < 3:
+            raise ArithmeticError(
+                f"facet row {row} is not a face: vertex excess up to"
+                f" {max(excess):.2e}, {on} vertices on it"
+            )
+        halfspaces.append((na, nb, ng, c))
     _log(
         __name__,
         _INFO,
@@ -410,7 +395,7 @@ def build_polygon() -> SeparablePolygon:
         len(verts),
         len(halfspaces),
     )
-    return SeparablePolygon(vertices=tuple(verts), halfspaces=halfspaces)
+    return SeparablePolygon(vertices=tuple(verts), halfspaces=tuple(halfspaces))
 
 
 # ---------------------------------------------------------------------------

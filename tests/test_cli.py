@@ -226,6 +226,16 @@ def test_witness_unknown_name(capsys):
     assert "unknown witness" in err
 
 
+def test_witness_unknown_name_leaves_the_out_file_as_it_was(tmp_path, capsys):
+    target = tmp_path / "witness.json"
+    target.write_text("keep\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "witness", "--name", "bogus", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert "unknown witness name 'bogus'" in err
+    assert target.read_text(encoding="utf-8") == "keep\n"
+
+
 # ---------------------------------------------------------------------------
 # horodecki
 # ---------------------------------------------------------------------------
@@ -519,35 +529,43 @@ def test_unknown_subcommand_exits_2(capsys):
     assert "explode" in err
 
 
+def _golden(number: int, name: str, *argv: str):
+    """A golden case with id ``<name>-argv<number>``; ``number`` is fixed
+    when the case is added, so inserting a case renames no other test."""
+    return pytest.param(name, list(argv), id=f"{name}-argv{number}")
+
+
 @pytest.mark.parametrize(
     "name, argv",
     [
-        ("classify_b1.5_text", ["classify", "--b", "1.5"]),
-        ("classify_b1.5_json", ["classify", "--b", "1.5", "--format", "json"]),
-        ("classify_b1.5_csv", ["classify", "--b", "1.5", "--format", "csv"]),
-        ("classify_origin", ["classify", "--alpha", "0", "--beta", "0", "--gamma", "0"]),
-        ("classify_b0.5", ["classify", "--b", "0.5"]),
-        ("classify_alpha2", ["classify", "--alpha", "2", "--beta", "0", "--gamma", "0"]),
-        ("witness", ["witness"]),
-        ("horodecki_0_5_0.25", ["horodecki", "--grid", "0:5:0.25"]),
-        ("scan_small", ["scan", "--grid", "0:1:0.5,-0.3:0:0.15,0:0.5:0.25"]),
-        ("verify_seed1", ["verify", "--seed", "1"]),
-        ("verify_seed3_only_6-10", ["verify", "--seed", "3", "--only", "6,7,8,9,10"]),
-        ("scan_plane_facet_grid", ["scan", "--plane", "--grid", "0:1:0.01,-0.35:0.05:0.01"]),
-        ("scan_box_0.05", ["scan", "--grid=-0.5:1.5:0.05,-1:1:0.05,-1:1.2:0.05"]),
-        ("lambda_min_optimal", ["lambda-min", "--epsilon", "0.119429", "--gamma", "0.345586"]),
-        ("lambda_min_b1.5_json", ["lambda-min", "--b", "1.5", "--format", "json"]),
-        ("lambda_min_origin", ["lambda-min", "--alpha", "0", "--beta", "0", "--gamma", "0"]),
-        ("scan_box_0.05", ["scan", "--grid", "-0.5:1.5:0.05,-1:1:0.05,-1:1.2:0.05"]),
+        _golden(0, "classify_b1.5_text", "classify", "--b", "1.5"),
+        _golden(1, "classify_b1.5_json", "classify", "--b", "1.5", "--format", "json"),
+        _golden(2, "classify_b1.5_csv", "classify", "--b", "1.5", "--format", "csv"),
+        _golden(3, "classify_origin", "classify", "--alpha", "0", "--beta", "0", "--gamma", "0"),
+        _golden(4, "classify_b0.5", "classify", "--b", "0.5"),
+        _golden(5, "classify_alpha2", "classify", "--alpha", "2", "--beta", "0", "--gamma", "0"),
+        _golden(6, "witness", "witness"),
+        _golden(7, "horodecki_0_5_0.25", "horodecki", "--grid", "0:5:0.25"),
+        _golden(8, "scan_small", "scan", "--grid", "0:1:0.5,-0.3:0:0.15,0:0.5:0.25"),
+        _golden(9, "verify_seed1", "verify", "--seed", "1"),
+        _golden(10, "verify_seed3_only_6-10", "verify", "--seed", "3", "--only", "6,7,8,9,10"),
+        _golden(11, "scan_plane_facet_grid", "scan", "--plane", "--grid", "0:1:0.01,-0.35:0.05:0.01"),
+        # The same scan twice, the grid written as --grid=-… and as --grid -…
+        _golden(12, "scan_box_0.05", "scan", "--grid=-0.5:1.5:0.05,-1:1:0.05,-1:1.2:0.05"),
+        _golden(13, "lambda_min_optimal", "lambda-min", "--epsilon", "0.119429", "--gamma", "0.345586"),
+        _golden(14, "lambda_min_b1.5_json", "lambda-min", "--b", "1.5", "--format", "json"),
+        _golden(15, "lambda_min_origin", "lambda-min", "--alpha", "0", "--beta", "0", "--gamma", "0"),
+        _golden(16, "scan_box_0.05", "scan", "--grid", "-0.5:1.5:0.05,-1:1:0.05,-1:1.2:0.05"),
         *(
-            (f"witness_{name}", ["witness", "--name", name])
-            for name in ("Pl1", "Pl1m", "Pl2", "Pl2m", "Pl3", "Pl3m")
+            _golden(number, f"witness_{name}", "witness", "--name", name)
+            for number, name in enumerate(("Pl1", "Pl1m", "Pl2", "Pl2m", "Pl3", "Pl3m"), 17)
         ),
-        (
+        _golden(
+            23,
             "classify_origin_json",
-            ["classify", "--alpha", "0", "--beta", "0", "--gamma", "0", "--format", "json"],
+            "classify", "--alpha", "0", "--beta", "0", "--gamma", "0", "--format", "json",
         ),
-        ("horodecki_0_5_0.25_json", ["horodecki", "--grid", "0:5:0.25", "--format", "json"]),
+        _golden(24, "horodecki_0_5_0.25_json", "horodecki", "--grid", "0:5:0.25", "--format", "json"),
     ],
 )
 def test_golden_output(capsys, name, argv):

@@ -1,6 +1,8 @@
 """Region machinery tests: facet curves, polytope, classifier, scans."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from magicsimplex.family import (
     pt_block_eigenvalues,
     pt_min_eigenvalue,
     pyramid_margin,
+    pyramid_slacks,
 )
 from magicsimplex.regions import (
     CSV_HEADER,
@@ -163,6 +166,73 @@ def test_polygon_rejects_a_corner_npt_within_rounding(monkeypatch):
     build_polygon.cache_clear()
     try:
         with pytest.raises(ArithmeticError, match="NPT"):
+            build_polygon()
+    finally:
+        build_polygon.cache_clear()
+
+
+#: The polytope's two positivity facets as integer rows, inside where
+#: ``n . p <= offset``: ``-2 s1 <= 0`` and ``-8 s4 <= 0``.  With
+#: ``regions._FACET_ROWS`` they are its five facets.
+POSITIVITY_ROWS = ((2, -7, 2, 2), (-8, 1, 1, 1))
+
+
+def _det(m) -> Fraction:
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def test_positivity_rows_are_the_scaled_slacks():
+    # Affine maps that agree on four affinely independent points are equal.
+    for p in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]:
+        a, b, g = (Fraction(x) for x in p)
+        s1, _, _, s4 = pyramid_slacks((a, b, g))
+        (n1a, n1b, n1g, c1), (n4a, n4b, n4g, c4) = POSITIVITY_ROWS
+        assert n1a * a + n1b * b + n1g * g - c1 == -2 * s1
+        assert n4a * a + n4b * b + n4g * g - c4 == -8 * s4
+
+
+def test_facet_rows_cut_out_exactly_the_five_vertices():
+    # Every vertex of {n . p <= offset for the five rows} is a triple
+    # intersection of their planes that satisfies all five, in Fraction.
+    rows = regions._FACET_ROWS + POSITIVITY_ROWS
+    corners = set()
+    for triple in itertools.combinations(rows, 3):
+        normals = [[Fraction(x) for x in row[:3]] for row in triple]
+        offsets = [Fraction(row[3]) for row in triple]
+        det = _det(normals)
+        if det == 0:
+            continue
+        point = tuple(
+            _det([n[:k] + [c] + n[k + 1:] for n, c in zip(normals, offsets)]) / det
+            for k in range(3)
+        )
+        if all(sum(n * x for n, x in zip(row[:3], point)) <= row[3] for row in rows):
+            corners.add(point)
+    F = Fraction
+    assert corners == {
+        (F(-1, 6), F(-1, 3), F(0)),
+        (F(2, 9), F(-2, 9), F(0)),
+        (F(1, 3), F(2, 3), F(0)),
+        (F(-1, 12), F(1, 3), F(0)),
+        (F(0), F(0), F(1)),
+    }
+    vertices = build_polygon().vertices
+    for corner in corners:
+        assert any(
+            max(abs(x - float(c)) for x, c in zip(v, corner)) <= 1e-15 for v in vertices
+        ), corner
+
+
+@pytest.mark.parametrize("offset", [2.001, 1.999])
+def test_polygon_rejects_a_facet_row_off_its_vertices(monkeypatch, offset):
+    # 2.001 leaves every vertex strictly inside the row; 1.999 cuts three.
+    rows = tuple((8, -1, 2, offset) if r == (8, -1, 2, 2) else r for r in regions._FACET_ROWS)
+    assert rows != regions._FACET_ROWS
+    monkeypatch.setattr(regions, "_FACET_ROWS", rows)
+    build_polygon.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="not a face"):
             build_polygon()
     finally:
         build_polygon.cache_clear()
@@ -431,8 +501,18 @@ def test_classify_reads_a_rebuilt_witness_table(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+#: :data:`POSITIVITY_ROWS` with unit normals, as in ``SeparablePolygon.halfspaces``.
+POSITIVITY_HALFSPACES = tuple(
+    tuple(x / math.hypot(*row[:3]) for x in row) for row in POSITIVITY_ROWS
+)
+
+
 def _reference_row(p) -> Classification:
-    """The row of ``p`` from the public closed forms, with nothing inlined."""
+    """The row of ``p`` from the public closed forms, with nothing inlined.
+
+    Stage 4 tests all five facets of the polytope: the three rows the loop
+    reads and the two positivity facets it leaves to stage 1.
+    """
     pt = p if isinstance(p, FamilyPoint) else FamilyPoint(*p)
     margin = pyramid_margin(pt)
     if margin < STATE_TOL:
@@ -450,7 +530,8 @@ def _reference_row(p) -> Classification:
             name, value = plane_name, v
     if value < DETECTION_TOL:
         return Classification(pt, Verdict.BOUND_ENTANGLED, margin, pt_eig, name, value)
-    excess = [na * a + nb * b + ng * g - c for na, nb, ng, c in build_polygon().halfspaces]
+    facets = build_polygon().halfspaces + POSITIVITY_HALFSPACES
+    excess = [na * a + nb * b + ng * g - c for na, nb, ng, c in facets]
     member = max(excess) <= MEMBERSHIP_TOL
     verdict = Verdict.SEPARABLE if member else Verdict.UNDETERMINED
     return Classification(pt, verdict, margin, pt_eig, name, value, member)
@@ -467,19 +548,16 @@ def _assert_pinned(points) -> list[Classification]:
 
 
 def _membership_edge_points() -> list[tuple[float, float, float]]:
-    """Points just outside the polytope faces that bound no positivity facet.
+    """Points just outside the polytope's three faces that are not positivity facets.
 
     Each face centroid is pushed along the outward normal by 0.5, 1 and 2
-    times ``MEMBERSHIP_TOL``; the faces on a pyramid facet are skipped,
-    since pushing out of them leaves the state space.
+    times ``MEMBERSHIP_TOL``.
     """
     poly = build_polygon()
     points = []
     for na, nb, ng, c in poly.halfspaces:
         on = [(a, b, g) for a, b, g in poly.vertices if abs(na * a + nb * b + ng * g - c) <= 1e-12]
         centroid = [sum(axis) / len(on) for axis in zip(*on)]
-        if pyramid_margin(FamilyPoint(*centroid)) < 0.1:
-            continue
         for k in (0.5, 1.0, 2.0):
             t = k * MEMBERSHIP_TOL
             points.append(tuple(x + t * n for x, n in zip(centroid, (na, nb, ng))))
