@@ -12,10 +12,9 @@ The production modules (``verdicts``, ``family``, ``planes``, ``regions``,
 ``cli``) import only the standard library; importing the package loads no
 numpy, and neither does any command but ``witness --name`` and ``verify``.
 Nor does it load :mod:`logging`, :mod:`dataclasses`, :mod:`json` or
-:mod:`fractions`: ``json`` loads only for JSON output, ``fractions`` only
-when the separable polytope is built, and ``logging`` only under
-``MAGIC_SIMPLEX_LOG`` or once the host has imported it.  The package logs
-to the ``magicsimplex.*`` loggers at DEBUG and INFO and adds no handler.
+:mod:`fractions`: ``json`` loads only for JSON output, ``logging`` only
+under ``MAGIC_SIMPLEX_LOG`` or once the host has imported it.  The package
+logs to the ``magicsimplex.*`` loggers at DEBUG and INFO, with no handler.
 The matrix oracle (``qmat``, ``weyl``, ``witness``, ``checks``) needs
 numpy and is imported on its own, e.g. ``from magicsimplex.witness import
 deployed_witnesses``.

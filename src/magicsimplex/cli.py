@@ -36,10 +36,8 @@ The module imports only the standard library and the production modules
 table run without numpy.  The numpy oracle (:mod:`.witness`, :mod:`.qmat`,
 :mod:`.checks`) is imported inside the handlers of ``witness --name`` and
 ``verify``.  So are the costlier standard-library modules: :mod:`json`
-only for JSON output, :mod:`logging` only when ``MAGIC_SIMPLEX_LOG`` is
-set, and :mod:`fractions` only when a command builds the separable
-polytope (:func:`.regions.build_polygon`).  JSON output is strict: a
-non-finite number prints as ``null``.
+only for JSON output and :mod:`logging` only when ``MAGIC_SIMPLEX_LOG`` is
+set.  JSON output is strict: a non-finite number prints as ``null``.
 """
 
 from __future__ import annotations

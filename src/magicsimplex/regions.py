@@ -55,14 +55,13 @@ tests; this module imports only the standard library, and ``classify``
 builds no matrix.
 
 The separable polytope is the pyramid over the ``gamma = 0`` slice's PPT
-quadrilateral (corners :data:`SLICE_CORNERS`, in closed form) with apex
-``(0, 0, 1)``, where the facet triangle closes.  Two of its five facets
-are the positivity facets ``s1 >= 0`` and ``s4 >= 0``, so it is the state
-space cut by three exact half-spaces (``_FACET_ROWS``).  When it is
-built, each vertex is certified a PPT state in exact rational arithmetic
-on the closed forms (the only use of :mod:`fractions`, imported there).
-It lies in ``gamma >= 0``; on the ``gamma < 0`` side, points that no
-witness detects are left ``Undetermined``.
+quadrilateral (corners :data:`SLICE_CORNERS`) with apex ``(0, 0, 1)``,
+where the facet triangle closes.  Each vertex is the image of a product
+state (:func:`_product_image`), so it is separable.  Two of its five
+facets are the positivity facets ``s1 >= 0`` and ``s4 >= 0``, so it is
+the state space cut by three exact half-spaces (``_FACET_ROWS``).  It
+lies in ``gamma >= 0``; on the ``gamma < 0`` side, points that no witness
+detects are left ``Undetermined``.
 """
 
 from __future__ import annotations
@@ -78,8 +77,6 @@ from .family import (
     STATE_TOL,
     FamilyPoint,
     _log,
-    pt_block_eigenvalues,
-    pyramid_slacks,
 )
 from .planes import witness_planes
 from .verdicts import Verdict
@@ -114,16 +111,6 @@ MEMBERSHIP_TOL = 1e-9
 
 #: Most points a grid spec (or a product of specs) may expand to.
 MAX_GRID_POINTS = 10**7
-
-#: Corners ``(alpha, beta)`` of the PPT region in the ``gamma = 0`` slice,
-#: counter-clockwise from the maximally mixed state.  Each is where two of
-#: the slice's edges meet: pyramid facets and partial-transpose zeros.
-SLICE_CORNERS = (
-    (-1.0 / 6.0, -1.0 / 3.0),
-    (2.0 / 9.0, -2.0 / 9.0),
-    (1.0 / 3.0, 2.0 / 3.0),
-    (-1.0 / 12.0, 1.0 / 3.0),
-)
 
 #: The separable polytope's facets other than ``s1 >= 0`` and ``s4 >= 0``
 #: (stage 1 decides those), as integer rows ``(n_alpha, n_beta, n_gamma,
@@ -318,7 +305,7 @@ def classify(p: FamilyPoint | tuple[float, float, float]) -> Classification:
 
 
 class SeparablePolygon(NamedTuple):
-    """Convex hull of known-separable extreme points: states in three half-spaces.
+    """Convex hull of five product-state images: the states in three half-spaces.
 
     ``halfspaces`` holds one ``(n_alpha, n_beta, n_gamma, offset)`` per
     facet that is not a positivity facet, with an outward unit normal: a
@@ -335,59 +322,73 @@ class SeparablePolygon(NamedTuple):
         return np.array([v.as_tuple() for v in self.vertices])
 
 
-def _require_ppt_state(v: FamilyPoint) -> None:
-    """Raise ``ArithmeticError`` unless ``v`` is exactly a PPT state.
+#: The polytope's vertices as unnormalised real product states ``(a, b)``:
+#: the ``gamma = 0`` slice corners, counter-clockwise from the maximally
+#: mixed state, then the apex ``(0, 0, 1)``.
+_PRODUCT_STATES = (
+    ((1, 0, 0), (0, 1, 1)),
+    ((1, 1, 1), (1, 1, 1)),
+    ((1, 0, 0), (1, 0, 0)),
+    ((1, 0, 1), (1, 0, -1)),
+    ((1, 0, 0), (0, 1, 0)),
+)
 
-    The float coordinates are taken as the rationals they are, so the four
-    pyramid slacks and ``e0`` are exact, and ``e_minus >= 0`` is decided by
-    squaring: ``w + gamma/6 >= 0`` and ``(w + gamma/6)^2 >= gamma^2/36 +
-    y^2/9`` (see :func:`~.family.pt_block_eigenvalues`).  No rounding band
-    is involved, so a corner the closed forms put a hair outside the PPT
-    region is rejected however small the miss.
+
+def _product_image(
+    a: tuple[int, ...], b: tuple[int, ...]
+) -> tuple[tuple[int, ...], int]:
+    """The family point of ``|a>|b>`` as integer numerators over one denominator.
+
+    Averaging over ``W(n, m) (x) conj(W(n, m))``, the shears ``D^s (x)
+    conj(D^s)`` with ``D = diag(1, w, w)``, ``w = exp(2 pi i / 3)``, and
+    complex conjugation takes a state to the family state with its Bell
+    weights averaged within each class, and product states to separable
+    ones.  With ``d = |a|^2 |b|^2``, ``s = (a . b)^2`` and ``q_m = sum_k
+    a_k^2 b_(k+m)^2``, the state has ``p_00 = s / 3d`` and class sums ``Q_m
+    = q_m / d``, so its image ``(p_00 - Q_2/3, Q_0 - p_00 - 2 Q_2/3, Q_1 -
+    Q_2)`` is ``(s - q2, 3 q0 - s - 2 q2, 3 (q1 - q2)) / 3d``.
     """
-    from fractions import Fraction
+    d = sum(x * x for x in a) * sum(y * y for y in b)
+    s = sum(x * y for x, y in zip(a, b)) ** 2
+    q0, q1, q2 = (
+        sum(a[k] ** 2 * b[(k + m) % 3] ** 2 for k in range(3)) for m in range(3)
+    )
+    return (s - q2, 3 * q0 - s - 2 * q2, 3 * (q1 - q2)), 3 * d
 
-    a, b, g = (Fraction(x) for x in v.as_tuple())
-    if min(pyramid_slacks((a, b, g))) < 0:
-        raise ArithmeticError(f"polytope vertex {v.as_tuple()} is not a state")
-    w = (1 - a - b - g) / 9
-    y = a - b / 2
-    shift = w + g / 6
-    e0 = w + (a + b) / 3
-    if e0 < 0 or shift < 0 or shift * shift < g * g / 36 + y * y / 9:
-        eig = min(pt_block_eigenvalues(v))
-        raise ArithmeticError(f"polytope vertex {v.as_tuple()} is NPT ({eig:.2e})")
+
+#: Corners ``(alpha, beta)`` of the PPT region in the ``gamma = 0`` slice,
+#: the images of the first four product states.  Each is where two of the
+#: slice's edges meet: pyramid facets and partial-transpose zeros.
+SLICE_CORNERS = tuple(
+    (na / den, nb / den)
+    for (na, nb, _), den in (_product_image(a, b) for a, b in _PRODUCT_STATES[:4])
+)
 
 
 @lru_cache(maxsize=1)
 def build_polygon() -> SeparablePolygon:
-    """Assemble the separable polytope (five vertices, built once).
+    """Assemble the separable polytope from its product states (built once).
 
-    Four corners are the closed-form ``gamma = 0`` slice corners
-    :data:`SLICE_CORNERS`; the fifth closes the facet triangle at
-    ``(0, 0, 1)``, where the separability ceiling meets the cone trace.
-    Every vertex must be a PPT state in exact rational arithmetic
-    (:func:`_require_ppt_state`).  The half-spaces are the rows of
-    :data:`_FACET_ROWS` with unit normals; every vertex must lie in every
-    row and every row must pass through at least three vertices, both to
-    1e-12.  The build raises ``ArithmeticError`` if any of this fails.
+    Each vertex is the image ``num / den`` of one of ``_PRODUCT_STATES``.
+    The half-spaces are the rows of :data:`_FACET_ROWS` with unit normals.
+    In integer arithmetic on the images, every vertex must lie in every row
+    and every row must pass through at least three vertices; the build
+    raises ``ArithmeticError`` otherwise.
     """
-    verts = [FamilyPoint(a, b, 0.0) for (a, b) in SLICE_CORNERS]
-    verts.append(FamilyPoint(0.0, 0.0, 1.0))
-    for v in verts:
-        _require_ppt_state(v)
+    images = [_product_image(a, b) for a, b in _PRODUCT_STATES]
+    verts = tuple(FamilyPoint(*(x / den for x in num)) for num, den in images)
     halfspaces = []
     for row in _FACET_ROWS:
-        length = math.hypot(*row[:3])
-        na, nb, ng, c = (x / length for x in row)
-        excess = [na * a + nb * b + ng * g - c for a, b, g in verts]
-        on = sum(abs(e) <= 1e-12 for e in excess)
-        if max(excess) > 1e-12 or on < 3:
+        na, nb, ng, c = row
+        excess = [na * x + nb * y + ng * z - c * den for (x, y, z), den in images]
+        on = excess.count(0)
+        if max(excess) > 0 or on < 3:
             raise ArithmeticError(
-                f"facet row {row} is not a face: vertex excess up to"
-                f" {max(excess):.2e}, {on} vertices on it"
+                f"facet row {row} is not a face: numerator excess up to"
+                f" {max(excess)}, {on} vertices on it"
             )
-        halfspaces.append((na, nb, ng, c))
+        length = math.hypot(na, nb, ng)
+        halfspaces.append(tuple(x / length for x in row))
     _log(
         __name__,
         _INFO,
@@ -395,7 +396,7 @@ def build_polygon() -> SeparablePolygon:
         len(verts),
         len(halfspaces),
     )
-    return SeparablePolygon(vertices=tuple(verts), halfspaces=tuple(halfspaces))
+    return SeparablePolygon(vertices=verts, halfspaces=tuple(halfspaces))
 
 
 # ---------------------------------------------------------------------------

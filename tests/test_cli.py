@@ -857,16 +857,15 @@ def test_oracle_commands_run_in_a_fresh_process():
 
 
 #: Runs ``main`` on the argv it is given in a fresh process, then prints
-#: whether the polytope was built and every top-level module that importing
-#: the CLI and running the command loaded.
+#: every top-level module that importing the CLI and running the command
+#: loaded.
 _FRESH_IMPORTS = """
 import sys
 before = set(sys.modules)
 from magicsimplex.cli import main
-from magicsimplex.regions import build_polygon
 code = main(sys.argv[1:])
 loaded = sorted({m.split(".")[0] for m in set(sys.modules) - before})
-print("exit", code, "polytope", build_polygon.cache_info().currsize, *loaded)
+print("exit", code, *loaded)
 """
 
 #: Standard-library modules a command loads only when it uses them.
@@ -890,9 +889,10 @@ _LAZY_STDLIB = {"logging", "dataclasses", "json", "fractions", "decimal", "inspe
     ],
 )
 def test_production_commands_load_only_what_they_use(argv):
-    # json only for JSON output, fractions (and the decimal it pulls in)
-    # only for the exact vertex proof of a polytope build, and logging only
-    # under MAGIC_SIMPLEX_LOG, which this child does not set.
+    # json only for JSON output and logging only under MAGIC_SIMPLEX_LOG,
+    # which this child does not set.  fractions and decimal never load, also
+    # not in the commands that build the polytope (classify at the origin,
+    # the second scan, the Horodecki grid and the plane scans).
     env = {k: v for k, v in os.environ.items() if k != "MAGIC_SIMPLEX_LOG"}
     proc = subprocess.run(
         [sys.executable, "-c", _FRESH_IMPORTS, *argv],
@@ -902,13 +902,10 @@ def test_production_commands_load_only_what_they_use(argv):
         env=dict(env, PYTHONPATH=PYTHONPATH),
     )
     assert proc.returncode == 0, proc.stderr
-    _, code, _, built, *loaded = proc.stdout.splitlines()[-1].split()
+    _, code, *loaded = proc.stdout.splitlines()[-1].split()
     assert code == "0", proc.stderr
     allowed = {"json"} if "json" in argv else set()
-    if built == "1":
-        allowed |= {"fractions", "decimal"}
     assert set(loaded) & _LAZY_STDLIB <= allowed, loaded
-    assert ("fractions" in loaded) == (built == "1"), loaded
 
 
 def test_logging_configured_after_import_still_reaches_the_package():

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from magicsimplex import planes, regions
+from magicsimplex import planes, regions, weyl
 from magicsimplex.checks import CheckResult
 from magicsimplex.family import (
     PPT_TOL,
     STATE_TOL,
     FamilyPoint,
+    family_state,
     horodecki_b_from_gamma,
     horodecki_point,
     pt_block_eigenvalues,
@@ -134,38 +135,64 @@ def test_polygon_vertices_are_ppt_states():
         assert pt_min_eigenvalue(v) >= PPT_TOL
 
 
-def test_polygon_rejects_a_slightly_npt_corner(monkeypatch):
-    # A state 1e-8 inside the positivity facet but NPT by about 2e-9: the
-    # classifier calls it NptEntangled, so the polytope must not certify it.
-    good = (1.0 / 3.0, 2.0 / 3.0)
-    bad = (good[0] - 1e-8, good[1])
-    p = FamilyPoint(*bad, 0.0)
-    assert pyramid_margin(p) >= 0.0
-    assert -1e-6 < pt_min_eigenvalue(p) < -1e-10
-    corners = tuple(bad if c == good else c for c in regions.SLICE_CORNERS)
-    assert bad in corners
-    monkeypatch.setattr(regions, "SLICE_CORNERS", corners)
-    build_polygon.cache_clear()
-    try:
-        with pytest.raises(ArithmeticError, match="NPT"):
-            build_polygon()
-    finally:
-        build_polygon.cache_clear()
+def _local_average(rho: np.ndarray) -> np.ndarray:
+    """Average over W(n, m) (x) conj(W(n, m)), the shears and complex conjugation."""
+    w = np.exp(2j * np.pi / 3)
+    total = np.zeros((9, 9), dtype=complex)
+    for s in range(3):
+        shear = np.diag([1.0, w**s, w**s])
+        for n in range(3):
+            for m in range(3):
+                u = weyl.weyl_operator(n, m) @ shear
+                uu = np.kron(u, u.conj())
+                total += uu @ rho @ uu.conj().T
+    total /= 27
+    return (total + total.conj()) / 2
 
 
-def test_polygon_rejects_a_corner_npt_within_rounding(monkeypatch):
-    # NPT by only 2.2e-14, far inside PPT_TOL: the vertex certificate is
-    # exact, so no rounding band lets this corner in.
-    good = (1.0 / 3.0, 2.0 / 3.0)
-    bad = (good[0] - 1e-13, good[1])
-    p = FamilyPoint(*bad, 0.0)
-    assert pyramid_margin(p) >= 0.0
-    assert PPT_TOL < pt_min_eigenvalue(p) < 0.0
-    corners = tuple(bad if c == good else c for c in regions.SLICE_CORNERS)
-    monkeypatch.setattr(regions, "SLICE_CORNERS", corners)
+def _bell_image(a, b) -> np.ndarray:
+    """Family point of the normalised ``a (x) b`` from its nine Bell weights."""
+    v = np.kron(a, b) / np.linalg.norm(np.kron(a, b))
+    p = {
+        (n, m): v @ weyl.bell_projector(n, m).real @ v for n in range(3) for m in range(3)
+    }
+    q = [sum(p[n, m] for n in range(3)) for m in range(3)]
+    return np.array([p[0, 0] - q[2] / 3, q[0] - p[0, 0] - 2 * q[2] / 3, q[1] - q[2]])
+
+
+def test_product_image_matches_the_bell_weights():
+    rng = np.random.default_rng(29)
+    pairs = 0
+    while pairs < 500:
+        a, b = (tuple(int(x) for x in rng.integers(-3, 4, 3)) for _ in range(2))
+        if not any(a) or not any(b):
+            continue
+        num, den = regions._product_image(a, b)
+        image = np.array(num) / den
+        assert np.abs(image - _bell_image(a, b)).max() <= 1e-15, (a, b)
+        pairs += 1
+
+
+@pytest.mark.parametrize("a, b", regions._PRODUCT_STATES)
+def test_local_average_of_each_product_state_is_its_vertex(a, b):
+    v = np.kron(a, b) / np.linalg.norm(np.kron(a, b))
+    num, den = regions._product_image(a, b)
+    vertex = tuple(x / den for x in num)
+    assert vertex in build_polygon().vertices
+    gap = np.abs(_local_average(np.outer(v, v)) - family_state(vertex)).max()
+    assert gap <= 1e-15
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_polygon_rejects_a_product_state_below_gamma_zero(monkeypatch, index):
+    # |0>|2> maps to (-1/3, -2/3, -1): separable, but outside gamma >= 0.
+    assert regions._product_image((1, 0, 0), (0, 0, 1)) == ((-1, -2, -3), 3)
+    states = list(regions._PRODUCT_STATES)
+    states[index] = ((1, 0, 0), (0, 0, 1))
+    monkeypatch.setattr(regions, "_PRODUCT_STATES", tuple(states))
     build_polygon.cache_clear()
     try:
-        with pytest.raises(ArithmeticError, match="NPT"):
+        with pytest.raises(ArithmeticError, match="not a face"):
             build_polygon()
     finally:
         build_polygon.cache_clear()
@@ -217,11 +244,12 @@ def test_facet_rows_cut_out_exactly_the_five_vertices():
         (F(-1, 12), F(1, 3), F(0)),
         (F(0), F(0), F(1)),
     }
-    vertices = build_polygon().vertices
-    for corner in corners:
-        assert any(
-            max(abs(x - float(c)) for x, c in zip(v, corner)) <= 1e-15 for v in vertices
-        ), corner
+    # Both ways: the product states map onto exactly these corners, and the
+    # build's vertices are their correctly rounded floats.
+    images = [regions._product_image(a, b) for a, b in regions._PRODUCT_STATES]
+    exact = [tuple(F(x, den) for x in num) for num, den in images]
+    assert len(exact) == 5 and set(exact) == corners
+    assert build_polygon().vertices == tuple(tuple(map(float, c)) for c in exact)
 
 
 @pytest.mark.parametrize("offset", [2.001, 1.999])
