@@ -21,11 +21,13 @@ Subcommands:
 Points are addressed by exactly one of three flag groups: ``--alpha
 --beta --gamma`` (simplex coordinates), ``--b`` (the one-parameter line),
 or ``--epsilon --gamma`` (coordinates on the positivity facet).  All
-numeric output is printed with 12 significant digits.  Exit codes: 0
-success, 2 invalid input, 1 failed verification, 141 (128 + SIGPIPE) when
-the reader closes stdout early, as ``| head`` does.  Set the environment
-variable ``MAGIC_SIMPLEX_LOG`` to a level name (e.g. ``INFO``) for
-diagnostics on stderr.
+numeric output is printed with 12 significant digits.  Every subcommand
+opens ``--out`` only after the command has succeeded, so a failing command
+leaves the file as it was.  Exit codes: 0 success, 2 invalid input, 1
+failed verification, 141 (128 + SIGPIPE) when the reader closes stdout
+early, as ``| head`` does.  Set the environment variable
+``MAGIC_SIMPLEX_LOG`` to a level name (e.g. ``INFO``) for diagnostics on
+stderr.
 
 :func:`main` takes an argument list and is also the in-process entry
 point: it returns the exit code instead of exiting.
@@ -49,7 +51,7 @@ import re
 import sys
 from contextlib import nullcontext
 from functools import lru_cache
-from typing import TYPE_CHECKING, Any, ContextManager, Sequence, TextIO
+from typing import TYPE_CHECKING, Any, ContextManager, Iterable, Iterator, Sequence, TextIO
 
 from .family import (
     FamilyPoint,
@@ -90,10 +92,10 @@ def _json_round(value: Any) -> Any:
     return value
 
 
-def _emit_json(out: TextIO, payload: Any) -> None:
+def _json_text(payload: Any) -> str:
     import json  # only JSON output needs it
 
-    _emit(out, json.dumps(_json_round(payload), indent=2, allow_nan=False))
+    return json.dumps(_json_round(payload), indent=2, allow_nan=False)
 
 
 @lru_cache(maxsize=1)
@@ -160,6 +162,13 @@ def _resolve_point(args: argparse.Namespace) -> FamilyPoint:
     return FamilyPoint(args.alpha, args.beta, args.gamma)
 
 
+def _add_output_flags(sub: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
+    """``--format`` (the first choice is the default), when given, then ``--out``."""
+    if formats:
+        sub.add_argument("--format", choices=formats, default=formats[0])
+    sub.add_argument("--out", default=None)
+
+
 def _open_out(path: str | None) -> ContextManager[TextIO]:
     # stdout must survive the ``with`` block: this module is also driven
     # in-process (tests, other tools), not only as a one-shot subprocess.
@@ -168,49 +177,41 @@ def _open_out(path: str | None) -> ContextManager[TextIO]:
     return open(path, "w", encoding="utf-8")
 
 
-def _emit(out: TextIO, text: str) -> None:
-    out.write(text)
-    if not text.endswith("\n"):
-        out.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # Subcommand implementations
+#
+# Each handler does all its work, so that every error is raised before it
+# returns, and then returns ``(exit_code, lines)``: the output lines, with
+# no trailing newline, possibly as a lazy iterable.  Only :func:`main`
+# opens ``--out`` and writes them.
 # ---------------------------------------------------------------------------
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     point = _resolve_point(args)
     row = classify(point)
-    with _open_out(args.out) as out:
-        if args.format == "csv":
-            _emit(out, CSV_HEADER)
-            _emit(out, row.csv_row())
-        elif args.format == "json":
-            payload = {**point._asdict(), **row._asdict()}
-            del payload["point"]
-            payload["verdict"] = row.verdict.value
-            _emit_json(out, payload)
-        else:
-            _emit(out, f"verdict: {row.verdict.value}")
-            _emit(
-                out,
-                "point: alpha=%s beta=%s gamma=%s"
-                % (_fmt(point.alpha), _fmt(point.beta), _fmt(point.gamma)),
-            )
-            _emit(out, f"pyramid_margin: {_fmt(row.pyramid_margin)}")
-            if row.pt_min_eig is not None:
-                _emit(out, f"pt_min_eig: {_fmt(row.pt_min_eig)}")
-            if row.witness_name is not None:
-                _emit(
-                    out,
-                    f"witness: {row.witness_name} value {_fmt(row.witness_value)}",
-                )
-            if row.polygon_member is not None:
-                _emit(out, f"polygon_member: {str(row.polygon_member).lower()}")
-            if row.detail:
-                _emit(out, f"detail: {row.detail}")
-    return 0
+    if args.format == "csv":
+        return 0, [CSV_HEADER, row.csv_row()]
+    if args.format == "json":
+        payload = {**point._asdict(), **row._asdict()}
+        del payload["point"]
+        payload["verdict"] = row.verdict.value
+        return 0, [_json_text(payload)]
+    lines = [
+        f"verdict: {row.verdict.value}",
+        "point: alpha=%s beta=%s gamma=%s"
+        % (_fmt(point.alpha), _fmt(point.beta), _fmt(point.gamma)),
+        f"pyramid_margin: {_fmt(row.pyramid_margin)}",
+    ]
+    if row.pt_min_eig is not None:
+        lines.append(f"pt_min_eig: {_fmt(row.pt_min_eig)}")
+    if row.witness_name is not None:
+        lines.append(f"witness: {row.witness_name} value {_fmt(row.witness_value)}")
+    if row.polygon_member is not None:
+        lines.append(f"polygon_member: {str(row.polygon_member).lower()}")
+    if row.detail:
+        lines.append(f"detail: {row.detail}")
+    return 0, lines
 
 
 def _scan_points(args: argparse.Namespace):
@@ -228,43 +229,43 @@ def _scan_points(args: argparse.Namespace):
     return grid_points(specs[0], specs[1], specs[2])
 
 
-def _cmd_scan(args: argparse.Namespace) -> int:
+def _cmd_scan(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     points = _scan_points(args)
     result = scan(points)
     counts = result.counts()
-    with _open_out(args.out) as out:
-        if args.format == "json":
-            gammas = sorted({p.gamma for p in points})
-            samples = [
-                {"gamma": g, "l_a": l_a(g), "l_b": l_b(g)}
-                for g in gammas
-                if abs(g) <= FACET_DOMAIN
-            ]
-            payload = {
-                "rows": len(result.rows),
-                "counts": counts,
-                "boundary_samples": samples,
-            }
-            _emit_json(out, payload)
-        else:
-            for line in result.csv_lines():
-                _emit(out, line)
+    if args.format == "json":
+        gammas = sorted({p.gamma for p in points})
+        samples = [
+            {"gamma": g, "l_a": l_a(g), "l_b": l_b(g)}
+            for g in gammas
+            if abs(g) <= FACET_DOMAIN
+        ]
+        payload = {
+            "rows": len(result.rows),
+            "counts": counts,
+            "boundary_samples": samples,
+        }
+        lines: Iterable[str] = [_json_text(payload)]
+    else:
+        lines = result.csv_lines()
     summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-    print(f"scanned {len(result.rows)} points: {summary}", file=sys.stderr)
-    return 0
+
+    # The summary follows the last line written, and a failed write skips it.
+    def lines_then_summary() -> Iterator[str]:
+        yield from lines
+        print(f"scanned {len(result.rows)} points: {summary}", file=sys.stderr)
+
+    return 0, lines_then_summary()
 
 
-def _cmd_lambda_min(args: argparse.Namespace) -> int:
+def _cmd_lambda_min(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     point = _resolve_point(args)
     value = lambda_min(point)
-    with _open_out(args.out) as out:
-        if args.format == "json":
-            _emit_json(out, {**point._asdict(), "lambda_min": value})
-        elif value is None:
-            _emit(out, "lambda_min: never feasible (degenerate line)")
-        else:
-            _emit(out, f"lambda_min: {_fmt(value)}")
-    return 0
+    if args.format == "json":
+        return 0, [_json_text({**point._asdict(), "lambda_min": value})]
+    if value is None:
+        return 0, ["lambda_min: never feasible (degenerate line)"]
+    return 0, [f"lambda_min: {_fmt(value)}"]
 
 
 def _witness_payload(name: str) -> dict[str, Any]:
@@ -293,29 +294,23 @@ def _witness_payload(name: str) -> dict[str, Any]:
     }
 
 
-def _cmd_witness(args: argparse.Namespace) -> int:
-    # Built before --out is opened, so an unknown name leaves the file as it was.
-    payload = None if args.name is None else _witness_payload(args.name)
-    with _open_out(args.out) as out:
-        if payload is None:
-            for name, plane in witness_planes():
-                _emit(
-                    out,
-                    "%-4s alpha = %s beta + %s gamma + %s   (trace scale %s)"
-                    % (
-                        name,
-                        _fmt(plane.beta_coeff),
-                        _fmt(plane.gamma_coeff),
-                        _fmt(plane.offset),
-                        _fmt(plane.trace_scale),
-                    ),
-                )
-            return 0
-        _emit_json(out, payload)
-    return 0
+def _cmd_witness(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
+    if args.name is not None:
+        return 0, [_json_text(_witness_payload(args.name))]
+    return 0, [
+        "%-4s alpha = %s beta + %s gamma + %s   (trace scale %s)"
+        % (
+            name,
+            _fmt(plane.beta_coeff),
+            _fmt(plane.gamma_coeff),
+            _fmt(plane.offset),
+            _fmt(plane.trace_scale),
+        )
+        for name, plane in witness_planes()
+    ]
 
 
-def _cmd_horodecki(args: argparse.Namespace) -> int:
+def _cmd_horodecki(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     if (args.b is None) == (args.grid is None):
         raise ValueError("give exactly one of --b or --grid b0:b1:step")
     b_values = [args.b] if args.b is not None else parse_grid(args.grid)
@@ -331,19 +326,20 @@ def _cmd_horodecki(args: argparse.Namespace) -> int:
         }
         for b, c in zip(b_values, scan([horodecki_point(b) for b in b_values]).rows)
     ]
-    with _open_out(args.out) as out:
-        if args.format == "json":
-            _emit_json(out, records)
-        else:
-            fields = [key for key in records[0] if key != "published"]
-            _emit(out, ",".join(fields))
-            for record in records:
-                cells = (record[key] for key in fields)
-                _emit(out, ",".join(c if isinstance(c, str) else _fmt(c) for c in cells))
-    return 0
+    if args.format == "json":
+        return 0, [_json_text(records)]
+    fields = [key for key in records[0] if key != "published"]
+
+    def csv_lines() -> Iterator[str]:
+        yield ",".join(fields)
+        for record in records:
+            cells = (record[key] for key in fields)
+            yield ",".join(c if isinstance(c, str) else _fmt(c) for c in cells)
+
+    return 0, csv_lines()
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     from .checks import run_all
 
     only = None
@@ -356,26 +352,25 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             ) from None
     results = run_all(seed=args.seed, only=only)
     failures = sum(not r.passed for r in results)
-    with _open_out(args.out) as out:
-        if args.format == "json":
-            payload = {
-                "checks": [r._asdict() for r in results],
-                "passed": len(results) - failures,
-                "total": len(results),
-            }
-            _emit_json(out, payload)
-        else:
-            for r in results:
-                status = "PASS" if r.passed else "FAIL"
-                _emit(
-                    out,
-                    "[%s] %2d %-30s expected=%s computed=%s tol=%s"
-                    % (status, r.index, r.name, _fmt(r.expected), _fmt(r.computed), _fmt(r.tolerance)),
-                )
-                if r.detail:
-                    _emit(out, f"         {r.detail}")
-            _emit(out, f"{len(results) - failures}/{len(results)} checks passed")
-    return 1 if failures else 0
+    code = 1 if failures else 0
+    if args.format == "json":
+        payload = {
+            "checks": [r._asdict() for r in results],
+            "passed": len(results) - failures,
+            "total": len(results),
+        }
+        return code, [_json_text(payload)]
+    lines = []
+    for r in results:
+        status = "PASS" if r.passed else "FAIL"
+        lines.append(
+            "[%s] %2d %-30s expected=%s computed=%s tol=%s"
+            % (status, r.index, r.name, _fmt(r.expected), _fmt(r.computed), _fmt(r.tolerance))
+        )
+        if r.detail:
+            lines.append(f"         {r.detail}")
+    lines.append(f"{len(results) - failures}/{len(results)} checks passed")
+    return code, lines
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify = sub.add_parser("classify", help="verdict and evidence for one point")
     p_classify.set_defaults(handler=_cmd_classify)
     _add_point_flags(p_classify)
-    p_classify.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p_classify.add_argument("--out", default=None)
+    _add_output_flags(p_classify, ("text", "csv", "json"))
 
     p_scan = sub.add_parser("scan", help="classify a grid of points")
     p_scan.set_defaults(handler=_cmd_scan)
@@ -404,35 +398,31 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="two-spec grid (gamma,beta) on the positivity facet",
     )
-    p_scan.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_scan.add_argument("--out", default=None)
+    _add_output_flags(p_scan, ("csv", "json"))
 
     p_lambda = sub.add_parser(
         "lambda-min", help="first safe-witness parameter along the line to the center"
     )
     p_lambda.set_defaults(handler=_cmd_lambda_min)
     _add_point_flags(p_lambda)
-    p_lambda.add_argument("--format", choices=("text", "json"), default="text")
-    p_lambda.add_argument("--out", default=None)
+    _add_output_flags(p_lambda, ("text", "json"))
 
     p_witness = sub.add_parser("witness", help="list or dump the deployed witnesses")
     p_witness.set_defaults(handler=_cmd_witness)
     p_witness.add_argument("--name", default=None, help="dump one witness as JSON")
-    p_witness.add_argument("--out", default=None)
+    _add_output_flags(p_witness, ())
 
     p_horo = sub.add_parser("horodecki", help="walk the one-parameter line")
     p_horo.set_defaults(handler=_cmd_horodecki)
     p_horo.add_argument("--b", type=float, default=None)
     p_horo.add_argument("--grid", default=None, help="b0:b1:step")
-    p_horo.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_horo.add_argument("--out", default=None)
+    _add_output_flags(p_horo, ("csv", "json"))
 
     p_verify = sub.add_parser("verify", help="replay the verification battery")
     p_verify.set_defaults(handler=_cmd_verify)
     p_verify.add_argument("--only", default=None, help="comma-separated check indices")
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_verify.add_argument("--format", choices=("text", "json"), default="text")
-    p_verify.add_argument("--out", default=None)
+    _add_output_flags(p_verify, ("text", "json"))
 
     return parser
 
@@ -450,8 +440,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     # Invalid input raises ValueError (unwritable output OSError): exit 2.
+    # The handler has raised every input error before --out is opened.
     try:
-        code = args.handler(args)
+        code, lines = args.handler(args)
+        with _open_out(args.out) as out:
+            for line in lines:
+                out.write(line)
+                out.write("\n")
         sys.stdout.flush()  # a closed pipe shows here, not at shutdown
         return code
     except BrokenPipeError:

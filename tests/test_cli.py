@@ -226,16 +226,6 @@ def test_witness_unknown_name(capsys):
     assert "unknown witness" in err
 
 
-def test_witness_unknown_name_leaves_the_out_file_as_it_was(tmp_path, capsys):
-    target = tmp_path / "witness.json"
-    target.write_text("keep\n", encoding="utf-8")
-    code, out, err = run_cli(capsys, "witness", "--name", "bogus", "--out", str(target))
-    assert code == 2
-    assert out == ""
-    assert "unknown witness name 'bogus'" in err
-    assert target.read_text(encoding="utf-8") == "keep\n"
-
-
 # ---------------------------------------------------------------------------
 # horodecki
 # ---------------------------------------------------------------------------
@@ -381,6 +371,24 @@ def test_scan_unwritable_output(capsys):
     )
     assert code == 2
     assert "error" in err
+    assert "scanned" not in err  # the summary follows a written output only
+
+
+#: 125 points on a coarse box; the scan's stderr summary for them.
+_SMALL_BOX = "--grid=-0.5:1.5:0.5,-1:1:0.5,-1:1.2:0.55"
+_SMALL_BOX_SUMMARY = (
+    "scanned 125 points: NotAState=120, NptEntangled=2, Separable=2, Undetermined=1\n"
+)
+
+
+def test_scan_summary_follows_a_written_output(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "scan", _SMALL_BOX)
+    assert (code, err) == (0, _SMALL_BOX_SUMMARY)
+    assert len(out.splitlines()) == 126
+    target = tmp_path / "box.csv"
+    code, out, err = run_cli(capsys, "scan", _SMALL_BOX, "--format", "json", "--out", str(target))
+    assert (code, out, err) == (0, "", _SMALL_BOX_SUMMARY)
+    assert json.loads(target.read_text(encoding="utf-8"))["rows"] == 125
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +424,9 @@ def test_verify_json_prints_an_infinite_record_value_as_null(capsys, monkeypatch
     def no_onset(seed):
         return dict(expected=1.0, computed=math.inf, tolerance=1e-9, passed=False)
 
-    monkeypatch.setattr(checks, "_CHECKS", (no_onset, *checks._CHECKS[1:]))
+    monkeypatch.setattr(
+        checks, "_CHECKS", (("deepest-line-crossing", no_onset), *checks._CHECKS[1:])
+    )
     code, out, _ = run_cli(capsys, "verify", "--only", "1", "--format", "json")
     assert code == 1
     (record,) = _strict_json(out)["checks"]
@@ -523,6 +533,28 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert payload["verdict"] == "BoundEntangled"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classify", "--alpha", "nan", "--beta", "0", "--gamma", "0"], "alpha must be finite"),
+        (["scan", "--grid", "0:1:0"], "--grid expects"),
+        (["lambda-min", "--b", "0.5"], "is NPT"),
+        (["witness", "--name", "bogus"], "unknown witness name 'bogus'"),
+        (["horodecki", "--b", "6"], "line parameter must lie in [0, 5]"),
+        (["verify", "--only", "99"], "check index must be in 1..12"),
+    ],
+    ids=["classify", "scan", "lambda-min", "witness", "horodecki", "verify"],
+)
+def test_a_failing_command_leaves_the_out_file_as_it_was(argv, message, tmp_path, capsys):
+    # --out is opened only once the command has succeeded.
+    target = tmp_path / "out.txt"
+    target.write_text("keep\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+    assert target.read_text(encoding="utf-8") == "keep\n"
+
+
 def test_unknown_subcommand_exits_2(capsys):
     code, _, err = run_cli(capsys, "explode")
     assert code == 2
@@ -623,6 +655,26 @@ def test_a_closed_stdout_ends_the_command_quietly():
     assert code == 141
     assert "error" not in err
     assert "Exception ignored" not in err
+
+
+def test_a_closed_stdout_ends_a_scan_before_its_summary():
+    # 459,045 CSV rows: the summary would follow the last of them, and a
+    # reader that stops after the header leaves stderr empty.
+    argv = [
+        sys.executable, "-m", "magicsimplex.cli",
+        "scan", "--grid=-0.5:1.5:0.02,-1:1:0.02,-1:1.2:0.05",
+    ]
+    env = dict(os.environ, PYTHONPATH=PYTHONPATH)
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        try:
+            header = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=120)
+        finally:
+            proc.kill()
+    assert header.decode().rstrip("\n") == regions.CSV_HEADER
+    assert (code, err) == (141, "")
 
 
 def test_a_closed_stdout_in_process_returns_141_without_touching_descriptors(
