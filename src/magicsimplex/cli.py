@@ -13,7 +13,8 @@ Subcommands:
     List the six closed-form witness planes, or dump one member of the
     matrix battery (the oracle) as JSON.
 ``horodecki``
-    Walk the one-parameter line, reporting both parametrizations.
+    Walk the one-parameter line, reporting both parametrizations; rows are
+    classified a chunk at a time as they are written.
 ``verify``
     Replay the twelve-point verification battery, as text lines or as JSON
     records with per-check wall times; exit 1 on any failure.
@@ -51,6 +52,7 @@ import re
 import sys
 from contextlib import nullcontext
 from functools import lru_cache
+from itertools import islice
 from typing import TYPE_CHECKING, Any, ContextManager, Iterable, Iterator, Sequence, TextIO
 
 from .family import (
@@ -63,12 +65,13 @@ from .planes import DEFAULT_SEED, lambda_min, witness_planes
 from .regions import (
     CSV_HEADER,
     FACET_DOMAIN,
+    _axis_values,
+    _grid_axes,
     classify,
     format_number as _fmt,
     grid_points,
     l_a,
     l_b,
-    parse_grid,
     plane_grid_points,
     scan,
 )
@@ -180,10 +183,10 @@ def _open_out(path: str | None) -> ContextManager[TextIO]:
 # ---------------------------------------------------------------------------
 # Subcommand implementations
 #
-# Each handler does all its work, so that every error is raised before it
-# returns, and then returns ``(exit_code, lines)``: the output lines, with
-# no trailing newline, possibly as a lazy iterable.  Only :func:`main`
-# opens ``--out`` and writes them.
+# Each handler raises every error before it returns, and then returns
+# ``(exit_code, lines)``: the output lines, with no trailing newline,
+# possibly as a lazy iterable (``horodecki`` classifies its rows only as
+# they are written).  Only :func:`main` opens ``--out`` and writes them.
 # ---------------------------------------------------------------------------
 
 
@@ -208,7 +211,7 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     if row.witness_name is not None:
         lines.append(f"witness: {row.witness_name} value {_fmt(row.witness_value)}")
     if row.polygon_member is not None:
-        lines.append(f"polygon_member: {str(row.polygon_member).lower()}")
+        lines.append(f"polygon_member: {_fmt(row.polygon_member)}")
     if row.detail:
         lines.append(f"detail: {row.detail}")
     return 0, lines
@@ -310,33 +313,57 @@ def _cmd_witness(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     ]
 
 
+#: The keys of a ``horodecki`` JSON record but ``published``: its CSV columns.
+_HORODECKI_HEADER = "b,alpha,beta,gamma,pyramid_margin,pt_min_eig,classification"
+
+#: Line points ``horodecki`` classifies per :func:`~.regions.scan` call.
+_HORODECKI_CHUNK = 1024
+
+
 def _cmd_horodecki(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     if (args.b is None) == (args.grid is None):
         raise ValueError("give exactly one of --b or --grid b0:b1:step")
-    b_values = [args.b] if args.b is not None else parse_grid(args.grid)
-    # Points on the line are states, so every row carries its PT minimum.
-    records = [
-        {
-            "b": b,
-            **c.point._asdict(),
-            "pyramid_margin": c.pyramid_margin,
-            "pt_min_eig": c.pt_min_eig,
-            "classification": c.verdict.value,
-            "published": horodecki_classification(b).value,
-        }
-        for b, c in zip(b_values, scan([horodecki_point(b) for b in b_values]).rows)
-    ]
-    if args.format == "json":
-        return 0, [_json_text(records)]
-    fields = [key for key in records[0] if key != "published"]
+    (axis,) = _grid_axes(args.grid) if args.b is None else [(args.b, args.b, 0.0, 1)]
+    for b in _axis_values(*axis):
+        horodecki_point(b)  # raises for the first value off the line
+
+    # Rows are classified and built a chunk at a time, as they are written.
+    def chunks() -> Iterator[list[dict[str, Any]]]:
+        values = iter(_axis_values(*axis))
+        while b_values := list(islice(values, _HORODECKI_CHUNK)):
+            rows = scan([horodecki_point(b) for b in b_values]).rows
+            # Points on the line are states, so every row carries its PT minimum.
+            yield [
+                {
+                    "b": b,
+                    **c.point._asdict(),
+                    "pyramid_margin": c.pyramid_margin,
+                    "pt_min_eig": c.pt_min_eig,
+                    "classification": c.verdict.value,
+                    "published": horodecki_classification(b).value,
+                }
+                for b, c in zip(b_values, rows)
+            ]
+
+    def json_lines() -> Iterator[str]:
+        # The whole list's text: each chunk's less its brackets, joined by commas.
+        yield "["
+        text = None
+        for chunk in chunks():
+            if text is not None:
+                yield text + ","
+            text = _json_text(chunk)[2:-2]
+        yield text
+        yield "]"
 
     def csv_lines() -> Iterator[str]:
-        yield ",".join(fields)
-        for record in records:
-            cells = (record[key] for key in fields)
-            yield ",".join(c if isinstance(c, str) else _fmt(c) for c in cells)
+        yield _HORODECKI_HEADER
+        fields = _HORODECKI_HEADER.split(",")
+        for chunk in chunks():
+            for record in chunk:
+                yield ",".join(_fmt(record[key]) for key in fields)
 
-    return 0, csv_lines()
+    return 0, json_lines() if args.format == "json" else csv_lines()
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, Iterable[str]]:

@@ -57,7 +57,6 @@ __all__ = [
     "family_state",
     "horodecki_b_from_gamma",
     "horodecki_classification",
-    "horodecki_gamma_from_b",
     "horodecki_point",
     "is_ppt",
     "mirror",
@@ -286,7 +285,7 @@ def pt_block_eigenvalues(
     tested against.  An ``(N, 3)`` coordinate array gives three ``(N,)``
     arrays, row for row the floats of the one-point call (``np.sqrt`` and
     ``math.sqrt`` are both correctly rounded).  ``regions._classify_rows``
-    evaluates a copy inline.
+    evaluates ``min(e0, e_minus)`` inline: ``e_plus`` is never smaller.
     """
     coords = _coordinates(p)
     a, b, g = coords
@@ -356,11 +355,6 @@ def mirror(p: FamilyPoint | tuple[float, float, float]) -> FamilyPoint:
 # ---------------------------------------------------------------------------
 # Distinguished slices
 # ---------------------------------------------------------------------------
-
-
-def horodecki_gamma_from_b(b: float) -> float:
-    """Line parameter ``b in [0, 5]`` to the third family coordinate."""
-    return (5.0 - 2.0 * b) / 7.0
 
 
 def horodecki_b_from_gamma(gamma: float) -> float:

@@ -27,7 +27,7 @@ import math
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .family import _INFO, FamilyPoint, _log, bell_spectrum, is_ppt, mirror, plane_point
+from .family import _INFO, FamilyPoint, _log, _point, bell_spectrum, is_ppt, mirror, plane_point
 
 __all__ = [
     "CONE_EDGE_LAMBDA",
@@ -115,7 +115,7 @@ def _require_ppt(start: FamilyPoint | tuple[float, float, float]) -> None:
     The line construction hunts entanglement the partial transpose cannot
     see, so every entry point that takes a start checks it here.
     """
-    point = start if isinstance(start, FamilyPoint) else FamilyPoint(*start)
+    point = _point(start)
     result = is_ppt(point)  # raises for a point that is not a state
     if not result.is_ppt:
         raise ValueError(

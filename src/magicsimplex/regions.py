@@ -21,9 +21,10 @@ batch call and :func:`classify` its one-row call, so a scanned row equals
 ``classify`` of its point.  Its records -- :class:`Classification`
 (holding a :class:`~.family.FamilyPoint`), :class:`ScanResult` and
 :class:`SeparablePolygon` -- are immutable named tuples.  All four stages
-evaluate their closed forms inline, stages 1 and 2 as copies of
-:func:`~.family.pyramid_slacks` and :func:`~.family.pt_block_eigenvalues`
-with the same operations in the same order; a pin test in
+evaluate their closed forms inline, stage 1 as a copy of
+:func:`~.family.pyramid_slacks` and stage 2 as ``min(e0, e_minus)`` of
+:func:`~.family.pt_block_eigenvalues` (``e_plus`` is never smaller), with
+the same operations in the same order; a pin test in
 ``tests/test_regions.py`` holds every row bit for bit to those functions
 and to the witness-plane and facet fields.
 
@@ -55,13 +56,13 @@ tests; this module imports only the standard library, and ``classify``
 builds no matrix.
 
 The separable polytope is the pyramid over the ``gamma = 0`` slice's PPT
-quadrilateral (corners :data:`SLICE_CORNERS`) with apex ``(0, 0, 1)``,
-where the facet triangle closes.  Each vertex is the image of a product
-state (:func:`_product_image`), so it is separable.  Two of its five
-facets are the positivity facets ``s1 >= 0`` and ``s4 >= 0``, so it is
-the state space cut by three exact half-spaces (``_FACET_ROWS``).  It
-lies in ``gamma >= 0``; on the ``gamma < 0`` side, points that no witness
-detects are left ``Undetermined``.
+quadrilateral (the first four :func:`build_polygon` vertices) with apex
+``(0, 0, 1)``, where the facet triangle closes.  Each vertex is the image
+of a product state (:func:`_product_image`), so it is separable.  Two of
+its five facets are the positivity facets ``s1 >= 0`` and ``s4 >= 0``,
+so it is the state space cut by three exact half-spaces
+(``_FACET_ROWS``).  It lies in ``gamma >= 0``; on the ``gamma < 0`` side,
+points that no witness detects are left ``Undetermined``.
 """
 
 from __future__ import annotations
@@ -88,7 +89,6 @@ __all__ = [
     "DETECTION_TOL",
     "MAX_GRID_POINTS",
     "MEMBERSHIP_TOL",
-    "SLICE_CORNERS",
     "Classification",
     "ScanResult",
     "SeparablePolygon",
@@ -147,9 +147,17 @@ def _facet_point(gamma: float, beta: float) -> FamilyPoint:
     return FamilyPoint(7.0 * beta / 2.0 + 1.0 - gamma, beta, gamma)
 
 
-def format_number(x: float | None) -> str:
-    """12 significant digits, no ``-0.0``; ``None`` prints as an empty field."""
-    return "" if x is None else "%.12g" % (x + 0.0)  # + 0.0 drops -0.0
+def format_number(x: float | str | bool | None) -> str:
+    """One output cell: a number to 12 significant digits and no ``-0.0``.
+
+    ``None`` prints as an empty field, a string as itself and a bool as
+    ``true`` or ``false``.
+    """
+    if x is None or isinstance(x, str):
+        return x or ""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return "%.12g" % (x + 0.0)  # + 0.0 drops -0.0
 
 
 # ---------------------------------------------------------------------------
@@ -174,19 +182,9 @@ class Classification(NamedTuple):
     detail: str = ""
 
     def csv_row(self) -> str:
-        member = "" if self.polygon_member is None else str(self.polygon_member).lower()
-        return ",".join(
-            [
-                format_number(self.point.alpha),
-                format_number(self.point.beta),
-                format_number(self.point.gamma),
-                self.verdict.value,
-                format_number(self.pt_min_eig),
-                self.witness_name or "",
-                format_number(self.witness_value),
-                member,
-            ]
-        )
+        cells = (*self.point, self.verdict.value, self.pt_min_eig)
+        cells += (self.witness_name, self.witness_value, self.polygon_member)
+        return ",".join(map(format_number, cells))
 
 
 #: The loop's verdicts as module names: on Python 3.11 reading an Enum
@@ -211,10 +209,10 @@ def _classify_rows(
     per call, the polytope only once a point reaches stage 4.
 
     All four stages evaluate their closed forms inline rather than through
-    calls: the slacks of :func:`~.family.pyramid_slacks` and the spectrum of
-    :func:`~.family.pt_block_eigenvalues` with the same operations in the
-    same order, then each witness plane and each polytope facet read as a
-    plain tuple; ``tuple.__new__`` builds the records.  A finite plain
+    calls: the slacks of :func:`~.family.pyramid_slacks` and ``min(e0,
+    e_minus)`` of :func:`~.family.pt_block_eigenvalues` with the same
+    operations in the same order, then each witness plane and each polytope
+    facet read as a plain tuple; ``tuple.__new__`` builds the records.  A finite plain
     3-tuple becomes a :class:`~.family.FamilyPoint` without its constructor;
     anything else goes through it and raises as it does.  A pin test in
     ``tests/test_regions.py`` holds every row bit for bit to the ``family``
@@ -252,17 +250,12 @@ def _classify_rows(
             row = (pt, _NOT_A_STATE, margin, None, None, None, None, "")
             append(new(Classification, row))
             continue
-        # Stage 2: float(min(family.pt_block_eigenvalues(pt))), the same way.
+        # Stage 2: float(min(family.pt_block_eigenvalues(pt))), the same way;
+        # e_plus adds the root that e_minus subtracts, so it is never smaller.
         w = (1.0 - a - b - g) / 9.0
         y = a - b / 2.0
-        e0 = w + (a + b) / 3.0
-        half = g / 6.0
-        root = sqrt(g * g / 36.0 + y * y / 9.0)
-        pt_eig = e0
-        s = w + half - root
-        if s < pt_eig:
-            pt_eig = s
-        s = w + half + root
+        pt_eig = w + (a + b) / 3.0
+        s = w + g / 6.0 - sqrt(g * g / 36.0 + y * y / 9.0)
         if s < pt_eig:
             pt_eig = s
         pt_eig = float(pt_eig)
@@ -354,15 +347,6 @@ def _product_image(
         sum(a[k] ** 2 * b[(k + m) % 3] ** 2 for k in range(3)) for m in range(3)
     )
     return (s - q2, 3 * q0 - s - 2 * q2, 3 * (q1 - q2)), 3 * d
-
-
-#: Corners ``(alpha, beta)`` of the PPT region in the ``gamma = 0`` slice,
-#: the images of the first four product states.  Each is where two of the
-#: slice's edges meet: pyramid facets and partial-transpose zeros.
-SLICE_CORNERS = tuple(
-    (na / den, nb / den)
-    for (na, nb, _), den in (_product_image(a, b) for a, b in _PRODUCT_STATES[:4])
-)
 
 
 @lru_cache(maxsize=1)
@@ -461,10 +445,19 @@ def _grid_axis(spec: str) -> tuple[float, float, float, int]:
     return lo, hi, step, n + 1
 
 
-def _check_grid_size(*counts: int) -> None:
-    total = math.prod(counts)
+def _grid_axes(*specs: str) -> list[tuple[float, float, float, int]]:
+    """:func:`_grid_axis` of each spec, with the product of their sizes capped."""
+    axes = [_grid_axis(spec) for spec in specs]
+    total = math.prod(count for *_, count in axes)
     if total > MAX_GRID_POINTS:
         raise ValueError(f"grid has {total} points (at most {MAX_GRID_POINTS})")
+    return axes
+
+
+def _axis_values(lo: float, hi: float, step: float, count: int) -> Iterable[float]:
+    """The values of one parsed axis, in order, each computed as it is read."""
+    # lo + k * step can round past hi on the last point; hi is inclusive.
+    return (min(lo + k * step, hi) for k in range(count)) if step else (lo,)
 
 
 def parse_grid(spec: str) -> list[float]:
@@ -473,26 +466,20 @@ def parse_grid(spec: str) -> list[float]:
     Raises ``ValueError`` for a malformed spec or one that expands to more
     than :data:`MAX_GRID_POINTS` values.
     """
-    lo, hi, step, count = _grid_axis(spec)
-    _check_grid_size(count)
-    if not step:
-        return [lo]
-    # lo + k * step can round past hi on the last point; hi is inclusive.
-    return [min(lo + k * step, hi) for k in range(count)]
+    (axis,) = _grid_axes(spec)
+    return list(_axis_values(*axis))
 
 
 def grid_points(
     alpha_spec: str, beta_spec: str, gamma_spec: str
 ) -> list[FamilyPoint]:
     """Row-major grid: alpha outermost, gamma innermost."""
-    specs = (alpha_spec, beta_spec, gamma_spec)
-    _check_grid_size(*(_grid_axis(s)[-1] for s in specs))
-    alphas, betas, gammas = (parse_grid(s) for s in specs)
+    axes = _grid_axes(alpha_spec, beta_spec, gamma_spec)
+    alphas, betas, gammas = (list(_axis_values(*x)) for x in axes)
     return [FamilyPoint(a, b, g) for a in alphas for b in betas for g in gammas]
 
 
 def plane_grid_points(gamma_spec: str, beta_spec: str) -> list[FamilyPoint]:
     """Facet grid: gamma outermost, beta innermost, alpha pinned by the facet."""
-    _check_grid_size(_grid_axis(gamma_spec)[-1], _grid_axis(beta_spec)[-1])
-    gammas, betas = parse_grid(gamma_spec), parse_grid(beta_spec)
+    gammas, betas = (list(_axis_values(*x)) for x in _grid_axes(gamma_spec, beta_spec))
     return [_facet_point(g, b) for g in gammas for b in betas]

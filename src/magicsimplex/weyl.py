@@ -5,8 +5,9 @@ The kernel is for two qutrits only.  The operators
 ket index mod 3) form a unitary operator basis of one qutrit: they are
 pairwise orthogonal in the Hilbert-Schmidt inner product with norm
 ``sqrt(3)``.  Applying ``W(n, m) (x) 1`` to the maximally entangled state
-yields nine orthonormal entangled vectors; their projectors span the
-simplex of states this package studies.
+yields nine orthonormal entangled vectors; their projectors
+(:func:`bell_projector`, the maximally entangled one at ``(0, 0)``) span
+the simplex of states this package studies.
 
 The two-sided basis used for decompositions is ``W(n, m) (x) W(-n, m)``,
 which is closed under Hermitian conjugation: an operator is Hermitian iff
@@ -25,7 +26,6 @@ from .qmat import Array
 __all__ = [
     "WeylCoefficients",
     "bell_projector",
-    "max_entangled_state",
     "minus_index",
     "tensor_basis_element",
     "weyl_operator",
@@ -59,32 +59,20 @@ def weyl_operator(n: int, m: int) -> Array:
     return _weyl_cached(n, m).copy()
 
 
-@lru_cache(maxsize=1)
-def _max_entangled_cached() -> Array:
+@lru_cache(maxsize=None)
+def _bell_cached(n: int, m: int) -> Array:
     v = np.zeros(9, dtype=complex)
     for j in range(3):
         v[j * 3 + j] = 1.0 / np.sqrt(3)
-    proj = np.outer(v, v.conj())
-    proj.setflags(write=False)
-    return proj
-
-
-def max_entangled_state() -> Array:
-    """Projector onto ``(1/sqrt 3) sum_j |jj>``."""
-    return _max_entangled_cached().copy()
-
-
-@lru_cache(maxsize=None)
-def _bell_cached(n: int, m: int) -> Array:
     u = np.kron(_weyl_cached(n, m), np.eye(3, dtype=complex))
-    proj = u @ _max_entangled_cached() @ u.conj().T
+    proj = u @ np.outer(v, v.conj()) @ u.conj().T
     proj = 0.5 * (proj + proj.conj().T)
     proj.setflags(write=False)
     return proj
 
 
 def bell_projector(n: int, m: int) -> Array:
-    """Projector onto ``(W(n, m) (x) 1)`` applied to the entangled vector."""
+    """Projector onto ``(W(n, m) (x) 1)`` applied to ``(1/sqrt 3) sum_j |jj>``."""
     _check_indices(n, m)
     return _bell_cached(n, m).copy()
 

@@ -80,7 +80,6 @@ __all__ = [
     "deployed_witnesses",
     "lambda_min",
     "min_product_expectation",
-    "product_state_vectors",
     "witness_candidate",
     "witness_plane",
 ]
@@ -344,7 +343,7 @@ def _draw_normals(count: int, rng: np.random.Generator) -> tuple[Array, Array]:
 
 
 def _product_vectors(re: Array, im: Array) -> Array:
-    """Product vectors, one per row, from the normals of :func:`_draw_normals`.
+    """Haar-random product vectors, one per row, from :func:`_draw_normals`.
 
     Each factor ``re + i im`` on C^3 is normalised and the two factors of a
     row form its Kronecker product on C^3 (x) C^3.  Row ``n`` depends only on
@@ -355,14 +354,6 @@ def _product_vectors(re: Array, im: Array) -> Array:
     return np.einsum("ni,nj->nij", raw[:, 0, :], raw[:, 1, :]).reshape(len(raw), 9)
 
 
-def product_state_vectors(
-    count: int, seed: int | np.random.Generator = DEFAULT_SEED
-) -> Array:
-    """``count`` Haar-random product vectors on C^3 (x) C^3, one per row."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return _product_vectors(*_draw_normals(count, rng))
-
-
 def min_product_expectation(w: Array, count: int = 100_000) -> float | Array:
     """Smallest ``<v| W |v>`` over ``count`` product vectors.
 
@@ -370,8 +361,9 @@ def min_product_expectation(w: Array, count: int = 100_000) -> float | Array:
     reproducible.  Their normals are drawn in chunks of 20,000, all real
     parts of a chunk before its imaginary parts; the chunk size is fixed
     because it decides which normals become real and which imaginary parts,
-    so another size would sweep other vectors.  These are the vectors of
-    :func:`product_state_vectors` called chunk by chunk on one generator.
+    so another size would sweep other vectors.  Each chunk's vectors are
+    Haar-random product vectors, ``_product_vectors(*_draw_normals(n, rng))``
+    for a chunk of ``n`` on one generator.
 
     Each chunk's vectors are then formed and evaluated in blocks of
     :data:`_BLOCK` rows, so memory stays bounded: the sweep holds one

@@ -37,7 +37,8 @@ def trapezoid_vertices() -> tuple[tuple[float, float], ...]:
     the combined positivity + PPT oracle; maximal collinear runs of
     boundary hits are fitted as edges and consecutive edge lines
     intersected.  No closed-form geometry enters: this is the independent
-    construction ``regions.SLICE_CORNERS`` is tested against.
+    construction the first four ``regions.build_polygon()`` vertices are
+    tested against.
     """
     n_rays = 96
     thetas = np.linspace(0.0, 2.0 * math.pi, n_rays, endpoint=False)

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,8 @@ GOLDEN_DIGESTS = {
     "witness_Pl2m": "fb90765f187f4003be69fd1cb549d12cb7f67172ab5be798752e39fec6d504c5",
     "witness_Pl3": "da9a0209d61b279db177f939401bc25880d489174551e7b7cc60b4c4dc1c23b8",
     "witness_Pl3m": "efb2c923402c93e59943b7f9d3f8b7947bcb668a01d5cfc889ee1d2c8a251ae0",
+    "horodecki_0_5_0.01": "7f2ced4777588b2ad454fc84e76f6c0ff9dd896486749d404e0bfd9d6c110c74",
+    "horodecki_0_5_0.01_json": "0f87f064ffe4f56e2c5e3b8898f53048c28df08ea5700beaf8ef54b9becc343d",
 }
 
 
@@ -277,6 +280,31 @@ def test_horodecki_requires_exactly_one_selector(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "horodecki", "--b", "1", "--grid", "0:1:1")
     assert code == 2
+
+
+def _horodecki_peak(target, step, fmt):
+    """Peak traced allocation, in bytes, of ``horodecki --grid 0:5:<step>``."""
+    tracemalloc.start()
+    try:
+        code = main(["horodecki", "--grid", f"0:5:{step}", "--format", fmt, "--out", str(target)])
+        assert code == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_horodecki_memory_does_not_grow_with_the_grid(tmp_path, fmt):
+    # Rows are classified and written a chunk at a time, so ten times the
+    # rows must not raise the peak; holding every row adds about 11 MiB
+    # (CSV) or 44 MiB (JSON) here.  Tracing slows the walk about fifteenfold,
+    # so the walks are 2,001 and 20,001 rows long.
+    target = tmp_path / "rows"
+    main(["horodecki", "--grid", "0:5:1", "--format", fmt, "--out", str(target)])  # imports
+    small = _horodecki_peak(target, "0.0025", fmt)
+    large = _horodecki_peak(target, "0.00025", fmt)
+    assert len(target.read_text(encoding="utf-8").splitlines()) > 20_001
+    assert large <= small + 6 * 2**20
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -541,9 +569,11 @@ def test_out_flag_writes_file(tmp_path, capsys):
         (["lambda-min", "--b", "0.5"], "is NPT"),
         (["witness", "--name", "bogus"], "unknown witness name 'bogus'"),
         (["horodecki", "--b", "6"], "line parameter must lie in [0, 5]"),
+        # Valid rows 4.0 and 5.0 come before the bad value.
+        (["horodecki", "--grid", "4:7:1"], "line parameter must lie in [0, 5], got 6.0"),
         (["verify", "--only", "99"], "check index must be in 1..12"),
     ],
-    ids=["classify", "scan", "lambda-min", "witness", "horodecki", "verify"],
+    ids=["classify", "scan", "lambda-min", "witness", "horodecki", "horodecki-grid", "verify"],
 )
 def test_a_failing_command_leaves_the_out_file_as_it_was(argv, message, tmp_path, capsys):
     # --out is opened only once the command has succeeded.
@@ -598,6 +628,8 @@ def _golden(number: int, name: str, *argv: str):
             "classify", "--alpha", "0", "--beta", "0", "--gamma", "0", "--format", "json",
         ),
         _golden(24, "horodecki_0_5_0.25_json", "horodecki", "--grid", "0:5:0.25", "--format", "json"),
+        _golden(25, "horodecki_0_5_0.01", "horodecki", "--grid", "0:5:0.01"),
+        _golden(26, "horodecki_0_5_0.01_json", "horodecki", "--grid", "0:5:0.01", "--format", "json"),
     ],
 )
 def test_golden_output(capsys, name, argv):

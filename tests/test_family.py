@@ -13,7 +13,6 @@ from magicsimplex.family import (
     family_state,
     horodecki_b_from_gamma,
     horodecki_classification,
-    horodecki_gamma_from_b,
     horodecki_point,
     is_ppt,
     mirror,
@@ -247,7 +246,7 @@ def test_horodecki_point_values():
 
 def test_horodecki_parameter_round_trip():
     for b in np.linspace(0.0, 5.0, 11):
-        assert horodecki_b_from_gamma(horodecki_gamma_from_b(b)) == pytest.approx(
+        assert horodecki_b_from_gamma(horodecki_point(b).gamma) == pytest.approx(
             b, abs=1e-13
         )
 
@@ -285,7 +284,7 @@ def test_plane_point_closure_and_line():
         assert abs(s1) <= 1e-14
     for b in np.linspace(0.0, 5.0, 9):
         line = horodecki_point(b)
-        patch = plane_point(0.0, horodecki_gamma_from_b(b))
+        patch = plane_point(0.0, horodecki_point(b).gamma)
         assert patch.alpha == pytest.approx(line.alpha, abs=1e-14)
         assert patch.beta == pytest.approx(line.beta, abs=1e-14)
 
@@ -299,6 +298,6 @@ def test_plane_tip_is_pure_limit():
 
 
 def test_gamma_from_b_endpoints():
-    assert horodecki_gamma_from_b(0.0) == pytest.approx(5.0 / 7.0)
-    assert horodecki_gamma_from_b(2.5) == pytest.approx(0.0)
-    assert horodecki_gamma_from_b(5.0) == pytest.approx(-5.0 / 7.0)
+    assert horodecki_point(0.0).gamma == pytest.approx(5.0 / 7.0)
+    assert horodecki_point(2.5).gamma == pytest.approx(0.0)
+    assert horodecki_point(5.0).gamma == pytest.approx(-5.0 / 7.0)

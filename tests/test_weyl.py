@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from magicsimplex.qmat import hs_inner
 from magicsimplex.weyl import (
     bell_projector,
-    max_entangled_state,
     minus_index,
     tensor_basis_element,
     weyl_operator,
@@ -56,7 +55,7 @@ def test_minus_index():
 
 
 def test_max_entangled_entries():
-    proj = max_entangled_state()
+    proj = bell_projector(0, 0)
     # projector onto (1/sqrt 3)(|00> + |11> + |22>): 1/3 on the |ii><jj| grid
     assert proj.shape == (9, 9)
     diag_idx = (0, 4, 8)
@@ -64,7 +63,7 @@ def test_max_entangled_entries():
         for j in range(9):
             want = 1.0 / 3.0 if i in diag_idx and j in diag_idx else 0.0
             assert proj[i, j] == pytest.approx(want, abs=1e-15)
-    assert max_entangled_state() is not proj  # callers get a private copy
+    assert bell_projector(0, 0) is not proj  # callers get a private copy
 
 
 def test_bell_projectors_orthonormal():

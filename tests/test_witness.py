@@ -54,7 +54,6 @@ from magicsimplex.witness import (
     deployed_witnesses,
     lambda_min,
     min_product_expectation,
-    product_state_vectors,
     witness_candidate,
     witness_plane,
 )
@@ -467,7 +466,7 @@ def test_battery_build_samples_no_product_state(monkeypatch):
         raise AssertionError("the battery build sampled product states")
 
     monkeypatch.setattr(witness, "min_product_expectation", refuse)
-    monkeypatch.setattr(witness, "product_state_vectors", refuse)
+    monkeypatch.setattr(witness, "_draw_normals", refuse)
     battery = _rebuild_oracle(monkeypatch)
     assert [w.name for w in battery] == [name for name, _ in witness_planes()]
 
@@ -518,6 +517,12 @@ def test_mirror_detects_mirrored_bound_point():
 # ---------------------------------------------------------------------------
 # Product-state sampling
 # ---------------------------------------------------------------------------
+
+
+def product_state_vectors(count, seed):
+    """``count`` product vectors, drawn as :func:`min_product_expectation` draws them."""
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    return witness._product_vectors(*witness._draw_normals(count, rng))
 
 
 def test_product_vectors_are_deterministic():
