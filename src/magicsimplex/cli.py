@@ -5,7 +5,8 @@ Subcommands:
 ``classify``
     Verdict and evidence for one family point.
 ``scan``
-    Grid classification, CSV rows or a JSON summary.
+    Grid classification, CSV rows or a JSON summary; the grid is
+    classified a chunk at a time, its rows written as they are built.
 ``lambda-min``
     Smallest line parameter at which the line operator becomes a safe
     witness, for a PPT start.
@@ -50,6 +51,7 @@ import math
 import os
 import re
 import sys
+from collections import Counter
 from contextlib import nullcontext
 from functools import lru_cache
 from itertools import islice
@@ -65,14 +67,14 @@ from .planes import DEFAULT_SEED, lambda_min, witness_planes
 from .regions import (
     CSV_HEADER,
     FACET_DOMAIN,
+    ScanResult,
     _axis_values,
+    _grid,
     _grid_axes,
     classify,
     format_number as _fmt,
-    grid_points,
     l_a,
     l_b,
-    plane_grid_points,
     scan,
 )
 
@@ -180,30 +182,37 @@ def _open_out(path: str | None) -> ContextManager[TextIO]:
     return open(path, "w", encoding="utf-8")
 
 
+#: Points ``scan`` and ``horodecki`` classify per :func:`~.regions.scan` call.
+_CHUNK = 1024
+
+
+def _chunks(values: Iterable[Any]) -> Iterator[list[Any]]:
+    """``values`` in lists of :data:`_CHUNK`, the last one shorter."""
+    values = iter(values)
+    while chunk := list(islice(values, _CHUNK)):
+        yield chunk
+
+
 # ---------------------------------------------------------------------------
 # Subcommand implementations
 #
 # Each handler raises every error before it returns, and then returns
 # ``(exit_code, lines)``: the output lines, with no trailing newline,
-# possibly as a lazy iterable (``horodecki`` classifies its rows only as
-# they are written).  Only :func:`main` opens ``--out`` and writes them.
+# possibly as a lazy iterable (``scan`` and ``horodecki`` classify their
+# rows only as they are written).  Only :func:`main` opens ``--out`` and
+# writes them.
 # ---------------------------------------------------------------------------
 
 
 def _cmd_classify(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
-    point = _resolve_point(args)
-    row = classify(point)
+    row = classify(_resolve_point(args))
     if args.format == "csv":
         return 0, [CSV_HEADER, row.csv_row()]
     if args.format == "json":
-        payload = {**point._asdict(), **row._asdict()}
-        del payload["point"]
-        payload["verdict"] = row.verdict.value
-        return 0, [_json_text(payload)]
+        return 0, [_json_text({**row._asdict(), "verdict": row.verdict.value})]
     lines = [
         f"verdict: {row.verdict.value}",
-        "point: alpha=%s beta=%s gamma=%s"
-        % (_fmt(point.alpha), _fmt(point.beta), _fmt(point.gamma)),
+        "point: alpha=%s beta=%s gamma=%s" % tuple(map(_fmt, row[:3])),
         f"pyramid_margin: {_fmt(row.pyramid_margin)}",
     ]
     if row.pt_min_eig is not None:
@@ -217,46 +226,50 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     return 0, lines
 
 
-def _scan_points(args: argparse.Namespace):
-    if args.grid is None:
-        raise ValueError("scan requires --grid")
+def _cmd_scan(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     specs = args.grid.split(",")
-    if args.plane:
-        if len(specs) != 2:
-            raise ValueError("--plane expects --grid gamma0:gamma1:step,beta0:beta1:step")
-        return plane_grid_points(specs[0], specs[1])
-    if len(specs) != 3:
+    if args.plane and len(specs) != 2:
+        raise ValueError("--plane expects --grid gamma0:gamma1:step,beta0:beta1:step")
+    if not args.plane and len(specs) != 3:
         raise ValueError(
             "--grid expects alpha0:alpha1:step,beta0:beta1:step,gamma0:gamma1:step"
         )
-    return grid_points(specs[0], specs[1], specs[2])
+    gamma_axis, points = _grid(specs, args.plane)
+    # Rows are classified a chunk at a time and tallied as they are read.
+    counts: Counter[str] = Counter()
 
+    def results() -> Iterator[ScanResult]:
+        for chunk in _chunks(points):
+            result = scan(chunk)
+            counts.update(result.counts())
+            yield result
 
-def _cmd_scan(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
-    points = _scan_points(args)
-    result = scan(points)
-    counts = result.counts()
-    if args.format == "json":
-        gammas = sorted({p.gamma for p in points})
+    def csv_lines() -> Iterator[str]:
+        yield CSV_HEADER
+        for result in results():
+            for row in result.rows:
+                yield row.csv_row()
+
+    def json_lines() -> Iterator[str]:
+        for _ in results():  # the payload needs only the counts
+            pass
         samples = [
             {"gamma": g, "l_a": l_a(g), "l_b": l_b(g)}
-            for g in gammas
+            for g in sorted(set(_axis_values(*gamma_axis)))
             if abs(g) <= FACET_DOMAIN
         ]
         payload = {
-            "rows": len(result.rows),
+            "rows": sum(counts.values()),
             "counts": counts,
             "boundary_samples": samples,
         }
-        lines: Iterable[str] = [_json_text(payload)]
-    else:
-        lines = result.csv_lines()
-    summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
+        yield _json_text(payload)
 
     # The summary follows the last line written, and a failed write skips it.
     def lines_then_summary() -> Iterator[str]:
-        yield from lines
-        print(f"scanned {len(result.rows)} points: {summary}", file=sys.stderr)
+        yield from json_lines() if args.format == "json" else csv_lines()
+        summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
+        print(f"scanned {sum(counts.values())} points: {summary}", file=sys.stderr)
 
     return 0, lines_then_summary()
 
@@ -316,9 +329,6 @@ def _cmd_witness(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
 #: The keys of a ``horodecki`` JSON record but ``published``: its CSV columns.
 _HORODECKI_HEADER = "b,alpha,beta,gamma,pyramid_margin,pt_min_eig,classification"
 
-#: Line points ``horodecki`` classifies per :func:`~.regions.scan` call.
-_HORODECKI_CHUNK = 1024
-
 
 def _cmd_horodecki(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     if (args.b is None) == (args.grid is None):
@@ -329,14 +339,13 @@ def _cmd_horodecki(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
 
     # Rows are classified and built a chunk at a time, as they are written.
     def chunks() -> Iterator[list[dict[str, Any]]]:
-        values = iter(_axis_values(*axis))
-        while b_values := list(islice(values, _HORODECKI_CHUNK)):
+        for b_values in _chunks(_axis_values(*axis)):
             rows = scan([horodecki_point(b) for b in b_values]).rows
             # Points on the line are states, so every row carries its PT minimum.
             yield [
                 {
                     "b": b,
-                    **c.point._asdict(),
+                    "alpha": c.alpha, "beta": c.beta, "gamma": c.gamma,
                     "pyramid_margin": c.pyramid_margin,
                     "pt_min_eig": c.pt_min_eig,
                     "classification": c.verdict.value,

@@ -18,8 +18,8 @@ One loop runs the pipeline: it walks the points once, reads the witness
 battery once and builds the polytope only when a point reaches stage 4,
 and it stops each point at its first decisive stage.  :func:`scan` is its
 batch call and :func:`classify` its one-row call, so a scanned row equals
-``classify`` of its point.  Its records -- :class:`Classification`
-(holding a :class:`~.family.FamilyPoint`), :class:`ScanResult` and
+``classify`` of its point.  Its records -- :class:`Classification` (one
+flat row, the point's coordinates first), :class:`ScanResult` and
 :class:`SeparablePolygon` -- are immutable named tuples.  All four stages
 evaluate their closed forms inline, stage 1 as a copy of
 :func:`~.family.pyramid_slacks` and stage 2 as ``min(e0, e_minus)`` of
@@ -70,7 +70,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .family import (
     _INFO,
@@ -172,7 +172,9 @@ class Classification(NamedTuple):
     for an NPT point -- the battery was never consulted).
     """
 
-    point: FamilyPoint
+    alpha: float
+    beta: float
+    gamma: float
     verdict: Verdict
     pyramid_margin: float
     pt_min_eig: float | None = None
@@ -181,8 +183,12 @@ class Classification(NamedTuple):
     polygon_member: bool | None = None
     detail: str = ""
 
+    @property
+    def point(self) -> FamilyPoint:
+        return tuple.__new__(FamilyPoint, self[:3])
+
     def csv_row(self) -> str:
-        cells = (*self.point, self.verdict.value, self.pt_min_eig)
+        cells = (*self[:3], self.verdict.value, self.pt_min_eig)
         cells += (self.witness_name, self.witness_value, self.polygon_member)
         return ",".join(map(format_number, cells))
 
@@ -212,11 +218,11 @@ def _classify_rows(
     calls: the slacks of :func:`~.family.pyramid_slacks` and ``min(e0,
     e_minus)`` of :func:`~.family.pt_block_eigenvalues` with the same
     operations in the same order, then each witness plane and each polytope
-    facet read as a plain tuple; ``tuple.__new__`` builds the records.  A finite plain
-    3-tuple becomes a :class:`~.family.FamilyPoint` without its constructor;
-    anything else goes through it and raises as it does.  A pin test in
-    ``tests/test_regions.py`` holds every row bit for bit to the ``family``
-    functions and the plane and facet fields.
+    facet read as a plain tuple; ``tuple.__new__`` builds each row as one flat
+    tuple from the coordinates.  A finite plain 3-tuple is read as it is;
+    anything else goes through the ``FamilyPoint`` constructor and raises as
+    it does.  A pin test in ``tests/test_regions.py`` holds every row bit for
+    bit to the ``family`` functions and the plane and facet fields.
     """
     planes = witness_planes()
     halfspaces = None
@@ -228,14 +234,11 @@ def _classify_rows(
     for p in points:
         if type(p) is tuple and len(p) == 3:
             a, b, g = p
-            if isfinite(a) and isfinite(b) and isfinite(g):
-                pt = new(FamilyPoint, p)
-            else:
-                pt = FamilyPoint(*p)  # raises its ValueError
+            if not (isfinite(a) and isfinite(b) and isfinite(g)):
+                FamilyPoint(*p)  # raises its ValueError
         else:
-            pt = p if isinstance(p, FamilyPoint) else FamilyPoint(*p)
-            a, b, g = pt
-        # Stage 1: min(family.pyramid_slacks(pt)), the min as comparisons.
+            a, b, g = p if isinstance(p, FamilyPoint) else FamilyPoint(*p)
+        # Stage 1: min(family.pyramid_slacks(p)), the min as comparisons.
         margin = 7 * b / 2 + 1 - g - a
         s = -b + 1 - g - a
         if s < margin:
@@ -247,10 +250,10 @@ def _classify_rows(
         if s < margin:
             margin = s
         if margin < STATE_TOL:
-            row = (pt, _NOT_A_STATE, margin, None, None, None, None, "")
+            row = (a, b, g, _NOT_A_STATE, margin, None, None, None, None, "")
             append(new(Classification, row))
             continue
-        # Stage 2: float(min(family.pt_block_eigenvalues(pt))), the same way;
+        # Stage 2: float(min(family.pt_block_eigenvalues(p))), the same way;
         # e_plus adds the root that e_minus subtracts, so it is never smaller.
         w = (1.0 - a - b - g) / 9.0
         y = a - b / 2.0
@@ -260,7 +263,7 @@ def _classify_rows(
             pt_eig = s
         pt_eig = float(pt_eig)
         if pt_eig < PPT_TOL:
-            row = (pt, _NPT_ENTANGLED, margin, pt_eig, None, None, None, "")
+            row = (a, b, g, _NPT_ENTANGLED, margin, pt_eig, None, None, None, "")
             append(new(Classification, row))
             continue
         # Stage 3: Tr(W rho) = k * (alpha - (b beta + g gamma + c)); ties keep battery order.
@@ -270,7 +273,7 @@ def _classify_rows(
             if value is None or v < value:
                 name, value = plane_name, v
         if value < DETECTION_TOL:
-            row = (pt, _BOUND_ENTANGLED, margin, pt_eig, name, value, None, "")
+            row = (a, b, g, _BOUND_ENTANGLED, margin, pt_eig, name, value, None, "")
             append(new(Classification, row))
             continue
         # Stage 4: inside the polytope's three rows (stage 1 decided the
@@ -282,7 +285,7 @@ def _classify_rows(
             if na * a + nb * b + ng * g - c > MEMBERSHIP_TOL:
                 verdict, member = _UNDETERMINED, False
                 break
-        row = (pt, verdict, margin, pt_eig, name, value, member, "")
+        row = (a, b, g, verdict, margin, pt_eig, name, value, member, "")
         append(new(Classification, row))
     return rows
 
@@ -435,7 +438,9 @@ def _grid_axis(spec: str) -> tuple[float, float, float, int]:
     if hi < lo:
         raise ValueError(f"grid range is empty: {spec!r}")
     span = (hi - lo) / step
-    if span >= MAX_GRID_POINTS:
+    if not math.isfinite(span):  # hi - lo overflowed, or the step is tiny
+        span = hi / step - lo / step
+    if not span < MAX_GRID_POINTS:  # nan when both quotients overflow
         raise ValueError(
             f"grid spec {spec!r} has more than {MAX_GRID_POINTS} points"
         )
@@ -470,16 +475,46 @@ def parse_grid(spec: str) -> list[float]:
     return list(_axis_values(*axis))
 
 
+def _grid(
+    specs: Sequence[str], plane: bool = False
+) -> tuple[tuple[float, float, float, int], Iterator[FamilyPoint]]:
+    """The gamma axis and the lazy points of a box grid or, with ``plane``, a facet grid.
+
+    A box grid is ``(alpha, beta, gamma)`` specs, alpha outermost and gamma
+    innermost; a facet grid is ``(gamma, beta)`` specs, gamma outermost,
+    alpha pinned by the facet.  Every error of the grid is raised here,
+    before the first point is read.  The facet's alpha ``7 beta / 2 + 1 -
+    gamma`` rises with beta and falls with gamma, in floats too, so when a
+    point's alpha overflows a corner's does, and the first corner to
+    overflow in grid order raises the error the first such point would.
+    """
+    axes = _grid_axes(*specs)
+    if not plane:
+        alphas, betas, gammas = axes
+        points = (
+            FamilyPoint(a, b, g)
+            for a in _axis_values(*alphas)
+            for b in _axis_values(*betas)
+            for g in _axis_values(*gammas)
+        )
+        return gammas, points
+    gammas, betas = axes
+    # The first and last values of each axis, as _axis_values gives them.
+    ends = [(lo, min(lo + (count - 1) * step, hi)) for lo, hi, step, count in axes]
+    for g in ends[0]:
+        for b in ends[1]:
+            _facet_point(g, b)
+    points = (_facet_point(g, b) for g in _axis_values(*gammas) for b in _axis_values(*betas))
+    return gammas, points
+
+
 def grid_points(
     alpha_spec: str, beta_spec: str, gamma_spec: str
 ) -> list[FamilyPoint]:
     """Row-major grid: alpha outermost, gamma innermost."""
-    axes = _grid_axes(alpha_spec, beta_spec, gamma_spec)
-    alphas, betas, gammas = (list(_axis_values(*x)) for x in axes)
-    return [FamilyPoint(a, b, g) for a in alphas for b in betas for g in gammas]
+    return list(_grid((alpha_spec, beta_spec, gamma_spec))[1])
 
 
 def plane_grid_points(gamma_spec: str, beta_spec: str) -> list[FamilyPoint]:
     """Facet grid: gamma outermost, beta innermost, alpha pinned by the facet."""
-    gammas, betas = (list(_axis_values(*x)) for x in _grid_axes(gamma_spec, beta_spec))
-    return [_facet_point(g, b) for g in gammas for b in betas]
+    return list(_grid((gamma_spec, beta_spec), plane=True)[1])

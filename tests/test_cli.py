@@ -307,6 +307,52 @@ def test_horodecki_memory_does_not_grow_with_the_grid(tmp_path, fmt):
     assert large <= small + 6 * 2**20
 
 
+def _scan_peak(target, gamma_step, fmt):
+    """Peak traced allocation, in bytes, of ``scan`` over an 11 x 11 x n box."""
+    tracemalloc.start()
+    try:
+        grid = f"0:1:0.1,0:1:0.1,0:1:{gamma_step}"
+        code = main(["scan", "--grid", grid, "--format", fmt, "--out", str(target)])
+        assert code == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_scan_memory_does_not_grow_with_the_grid(tmp_path, capsys, fmt):
+    # The grid is classified a chunk at a time and its rows are tallied and
+    # written as they are built, so ten times the points must not raise the
+    # peak; holding every point and row adds about 5 MiB here.
+    target = tmp_path / "rows"
+    main(["scan", "--grid", "0:1:1,0,0", "--format", fmt, "--out", str(target)])  # imports
+    small = _scan_peak(target, "0.05", fmt)
+    large = _scan_peak(target, "0.005", fmt)
+    assert f"scanned {11 * 11 * 201} points" in capsys.readouterr().err
+    assert large <= small + 2 * 2**20
+
+
+def test_scan_takes_a_grid_whose_range_overflows(capsys):
+    code, out, err = run_cli(capsys, "scan", "--grid=-1e308:1e308:1e308,0,0")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == regions.CSV_HEADER
+    assert [line.split(",")[0] for line in lines[1:]] == ["-1e+308", "0", "1e+308"]
+    assert err.startswith("scanned 3 points: ")
+
+
+def test_a_facet_grid_whose_alpha_overflows_fails_before_any_output(tmp_path, capsys):
+    # Every error is raised before the first line, although the rows stream.
+    target = tmp_path / "out.csv"
+    target.write_text("keep\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "scan", "--plane", "--grid", "0,1e308", "--out", str(target))
+    assert (code, out, err) == (2, "", "error: alpha must be finite, got inf\n")
+    assert target.read_text(encoding="utf-8") == "keep\n"
+    # alpha overflows from the 1,098th of 1,501 points on: after the first chunk
+    code, out, err = run_cli(capsys, "scan", "--plane", "--grid", "0:1.5e308:1e305,-2e307")
+    assert (code, out, err) == (2, "", "error: alpha must be finite, got -inf\n")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_a_non_finite_single_value_grid_spec_is_named_as_such(capsys, value):
     for argv in (

@@ -1,5 +1,6 @@
 """Region machinery tests: facet curves, polytope, classifier, scans."""
 
+import gc
 import itertools
 import math
 from fractions import Fraction
@@ -54,16 +55,16 @@ def boundary_plane_region(gamma: float, beta: float) -> Classification:
     pt = FamilyPoint(7.0 * beta / 2.0 + 1.0 - gamma, beta, gamma)
     margin = pyramid_margin(pt)
     if margin < STATE_TOL:
-        return Classification(pt, Verdict.NOT_A_STATE, margin)
+        return Classification(*pt, Verdict.NOT_A_STATE, margin)
     ceiling = l_a(gamma)
     cone = l_b(gamma) if abs(gamma) <= FACET_DOMAIN else None
     if 0.0 <= gamma <= 1.0 and beta <= ceiling:
-        return Classification(pt, Verdict.SEPARABLE, margin)
+        return Classification(*pt, Verdict.SEPARABLE, margin)
     if cone is not None and beta > cone:
-        return Classification(pt, Verdict.NPT_ENTANGLED, margin)
+        return Classification(*pt, Verdict.NPT_ENTANGLED, margin)
     if 0.0 < gamma < 1.0 and cone is not None and ceiling < beta <= cone:
-        return Classification(pt, Verdict.BOUND_ENTANGLED, margin)
-    return Classification(pt, Verdict.UNDETERMINED, margin)
+        return Classification(*pt, Verdict.BOUND_ENTANGLED, margin)
+    return Classification(*pt, Verdict.UNDETERMINED, margin)
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +406,16 @@ def test_parse_grid():
         parse_grid("0:1")
 
 
+def test_a_grid_whose_range_overflows_keeps_its_count():
+    # hi - lo overflows to inf, yet the grid has three points.
+    assert parse_grid("-1e308:1e308:1e308") == [-1e308, 0.0, 1e308]
+    with pytest.raises(ValueError, match="more than"):
+        parse_grid("-1e308:1e308:1e300")
+    # both quotients overflow too: far more points than the cap
+    with pytest.raises(ValueError, match="more than"):
+        parse_grid("1e300:1e308:1e-10")
+
+
 def test_grid_never_overshoots_its_upper_bound():
     steps = ("0.01", "0.02", "0.05", "0.1", "0.2", "0.25", "0.3", "0.7")
     specs = [f"{k / 10}:5:{step}" for k in range(50) for step in steps]
@@ -544,10 +555,10 @@ def _reference_row(p) -> Classification:
     pt = p if isinstance(p, FamilyPoint) else FamilyPoint(*p)
     margin = pyramid_margin(pt)
     if margin < STATE_TOL:
-        return Classification(pt, Verdict.NOT_A_STATE, margin)
+        return Classification(*pt, Verdict.NOT_A_STATE, margin)
     pt_eig = float(min(pt_block_eigenvalues(pt)))
     if pt_eig < PPT_TOL:
-        return Classification(pt, Verdict.NPT_ENTANGLED, margin, pt_eig)
+        return Classification(*pt, Verdict.NPT_ENTANGLED, margin, pt_eig)
     a, b, g = pt
     name = value = None
     for plane_name, plane in witness_planes():
@@ -557,12 +568,12 @@ def _reference_row(p) -> Classification:
         if value is None or v < value:
             name, value = plane_name, v
     if value < DETECTION_TOL:
-        return Classification(pt, Verdict.BOUND_ENTANGLED, margin, pt_eig, name, value)
+        return Classification(*pt, Verdict.BOUND_ENTANGLED, margin, pt_eig, name, value)
     facets = build_polygon().halfspaces + POSITIVITY_HALFSPACES
     excess = [na * a + nb * b + ng * g - c for na, nb, ng, c in facets]
     member = max(excess) <= MEMBERSHIP_TOL
     verdict = Verdict.SEPARABLE if member else Verdict.UNDETERMINED
-    return Classification(pt, verdict, margin, pt_eig, name, value, member)
+    return Classification(*pt, verdict, margin, pt_eig, name, value, member)
 
 
 def _assert_pinned(points) -> list[Classification]:
@@ -676,14 +687,46 @@ def test_list_and_generator_inputs():
     assert regions._classify_rows(iter(coords)) == expected
 
 
-def test_family_point_subclass_comes_back_as_the_same_object():
+def test_a_row_point_is_a_plain_family_point_equal_to_the_input():
+    # A row keeps the coordinates, not the input object: ``point`` builds a
+    # new FamilyPoint, so a subclass comes back as a plain FamilyPoint.
     class Labelled(FamilyPoint):
         __slots__ = ()
 
-    p = Labelled(*horodecki_point(1.5))
-    assert classify(p).point is p
-    assert scan([p, (0.0, 0.0, 0.0)]).rows[0].point is p
-    assert classify(p) == classify(tuple(p))
+    coords = horodecki_point(1.5)
+    for p in (tuple(coords), list(coords), FamilyPoint(*coords), Labelled(*coords)):
+        for row in (classify(p), scan([p, (0.0, 0.0, 0.0)]).rows[0]):
+            assert row.point == tuple(p)  # a list never equals a tuple
+            assert type(row.point) is FamilyPoint
+        assert classify(p) == classify(tuple(p))
+
+
+def _box_points(n: int, seed: int) -> list[tuple[float, float, float]]:
+    box = np.random.default_rng(seed).uniform((-0.5, -1, -1), (1.5, 1, 1.2), size=(n, 3))
+    return [tuple(r) for r in box.tolist()]
+
+
+def test_a_scanned_row_is_one_tracked_object():
+    # A row is one flat tuple: no FamilyPoint rides along with it.
+    points = _box_points(5000, 7)
+    scan(points)  # the witness table and the polytope are built
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        result = scan(points)
+        added = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert {row.verdict for row in result.rows} == set(Verdict)
+    assert added <= len(points) + 2  # the rows, their list and the ScanResult
+
+
+def test_no_field_of_a_row_is_a_tuple():
+    rows = scan(_box_points(2000, 8) + [horodecki_point(1.5)]).rows
+    assert {row.verdict for row in rows} == set(Verdict)
+    for row in rows:
+        assert not any(isinstance(field, tuple) for field in row), row
 
 
 def test_integer_coordinates_give_the_row_of_their_float_values():
