@@ -414,14 +414,12 @@ def _check_gamma_zero_slice(seed: int) -> dict:
     # Python floats: numpy scalars give the same IEEE results, several times slower.
     alphas = np.linspace(-0.5, 1.5, 200).tolist()
     betas = np.linspace(-1.0, 1.0, 200).tolist()
-    # One alpha row at a time: only its 200 rows are ever held, and the tally
-    # keeps first-occurrence order, as ``ScanResult.counts`` does.
-    tally: Counter[Verdict] = Counter()
+    # One alpha row at a time: only its 200 rows are ever held.
+    counts: Counter[str] = Counter()
     for a in alphas:
-        tally.update(row.verdict for row in scan([(a, b, 0.0) for b in betas]).rows)
-    counts = {verdict.value: n for verdict, n in tally.items()}
-    bound = float(counts.get("BoundEntangled", 0))
-    return _fields(0.0, bound, 0.0, f"200x200 grid at gamma = 0; counts: {counts}")
+        counts.update(scan([(a, b, 0.0) for b in betas]).counts())
+    bound = float(counts["BoundEntangled"])
+    return _fields(0.0, bound, 0.0, f"200x200 grid at gamma = 0; counts: {dict(counts)}")
 
 
 #: The battery in order, one ``(name, check)`` row per check.

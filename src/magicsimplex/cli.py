@@ -6,7 +6,8 @@ Subcommands:
     Verdict and evidence for one family point.
 ``scan``
     Grid classification, CSV rows or a JSON summary; the grid is
-    classified a chunk at a time, its rows written as they are built.
+    classified a chunk at a time, its rows written as they are built, and
+    the summary's boundary samples are written a chunk at a time too.
 ``lambda-min``
     Smallest line parameter at which the line operator becomes a safe
     witness, for a PPT start.
@@ -22,14 +23,15 @@ Subcommands:
 
 Points are addressed by exactly one of three flag groups: ``--alpha
 --beta --gamma`` (simplex coordinates), ``--b`` (the one-parameter line),
-or ``--epsilon --gamma`` (coordinates on the positivity facet).  All
-numeric output is printed with 12 significant digits.  Every subcommand
-opens ``--out`` only after the command has succeeded, so a failing command
-leaves the file as it was.  Exit codes: 0 success, 2 invalid input, 1
-failed verification, 141 (128 + SIGPIPE) when the reader closes stdout
-early, as ``| head`` does.  Set the environment variable
-``MAGIC_SIMPLEX_LOG`` to a level name (e.g. ``INFO``) for diagnostics on
-stderr.
+or ``--epsilon --gamma`` (coordinates on the positivity facet).  This
+module owns every output format: :func:`format_number` prints each number
+with 12 significant digits, and :func:`csv_row` writes a classification
+under :data:`CSV_HEADER`.  Every subcommand opens ``--out`` only after the
+command has succeeded, so a failing command leaves the file as it was.
+Exit codes: 0 success, 2 invalid input, 1 failed verification, 141 (128 +
+SIGPIPE) when the reader closes stdout early, as ``| head`` does.  Set the
+environment variable ``MAGIC_SIMPLEX_LOG`` to a level name (e.g.
+``INFO``) for diagnostics on stderr.
 
 :func:`main` takes an argument list and is also the in-process entry
 point: it returns the exit code instead of exiting.
@@ -54,7 +56,7 @@ import sys
 from collections import Counter
 from contextlib import nullcontext
 from functools import lru_cache
-from itertools import islice
+from itertools import groupby, islice
 from typing import TYPE_CHECKING, Any, ContextManager, Iterable, Iterator, Sequence, TextIO
 
 from .family import (
@@ -65,14 +67,13 @@ from .family import (
 )
 from .planes import DEFAULT_SEED, lambda_min, witness_planes
 from .regions import (
-    CSV_HEADER,
     FACET_DOMAIN,
+    Classification,
     ScanResult,
     _axis_values,
     _grid,
     _grid_axes,
     classify,
-    format_number as _fmt,
     l_a,
     l_b,
     scan,
@@ -82,6 +83,34 @@ if TYPE_CHECKING:
     import logging
 
 
+# ---------------------------------------------------------------------------
+# Output format
+# ---------------------------------------------------------------------------
+
+#: The columns of a ``classify --format csv`` or ``scan`` row (:func:`csv_row`).
+CSV_HEADER = "alpha,beta,gamma,verdict,pt_min_eig,witness_name,witness_value,polygon_member"
+
+
+def format_number(x: float | str | bool | None) -> str:
+    """One output cell: a number to 12 significant digits and no ``-0.0``.
+
+    ``None`` prints as an empty field, a string as itself and a bool as
+    ``true`` or ``false``.
+    """
+    if x is None or isinstance(x, str):
+        return x or ""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return "%.12g" % (x + 0.0)  # + 0.0 drops -0.0
+
+
+def csv_row(row: Classification) -> str:
+    """The :data:`CSV_HEADER` cells of one row; a stage never reached is empty."""
+    cells = (*row[:3], row.verdict.value, row.pt_min_eig)
+    cells += (row.witness_name, row.witness_value, row.polygon_member)
+    return ",".join(map(format_number, cells))
+
+
 def _json_round(value: Any) -> Any:
     """Round floats to 12 significant digits for JSON emission.
 
@@ -89,7 +118,7 @@ def _json_round(value: Any) -> Any:
     ``Infinity`` or ``NaN`` token.
     """
     if isinstance(value, float):
-        return float(_fmt(value)) if math.isfinite(value) else None
+        return float(format_number(value)) if math.isfinite(value) else None
     if isinstance(value, dict):
         return {k: _json_round(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -101,6 +130,25 @@ def _json_text(payload: Any) -> str:
     import json  # only JSON output needs it
 
     return json.dumps(_json_round(payload), indent=2, allow_nan=False)
+
+
+def _json_list_lines(chunks: Iterable[list[Any]], depth: int = 0) -> Iterator[str]:
+    """The lines of :func:`_json_text` of the chunks' concatenation, a chunk at a time.
+
+    Each chunk's own text less its brackets is spliced in, the pieces joined
+    by commas.  ``depth`` is the list's nesting level in the enclosing
+    document: every line but the first is indented two spaces per level.
+    """
+    pad = "  " * depth
+    text = None
+    for chunk in chunks:
+        yield "[" if text is None else text + ","
+        text = pad + _json_text(chunk)[2:-2].replace("\n", "\n" + pad)
+    if text is None:
+        yield "[]"
+    else:
+        yield text
+        yield pad + "]"
 
 
 @lru_cache(maxsize=1)
@@ -207,22 +255,20 @@ def _chunks(values: Iterable[Any]) -> Iterator[list[Any]]:
 def _cmd_classify(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     row = classify(_resolve_point(args))
     if args.format == "csv":
-        return 0, [CSV_HEADER, row.csv_row()]
+        return 0, [CSV_HEADER, csv_row(row)]
     if args.format == "json":
         return 0, [_json_text({**row._asdict(), "verdict": row.verdict.value})]
     lines = [
         f"verdict: {row.verdict.value}",
-        "point: alpha=%s beta=%s gamma=%s" % tuple(map(_fmt, row[:3])),
-        f"pyramid_margin: {_fmt(row.pyramid_margin)}",
+        "point: alpha=%s beta=%s gamma=%s" % tuple(map(format_number, row[:3])),
+        f"pyramid_margin: {format_number(row.pyramid_margin)}",
     ]
     if row.pt_min_eig is not None:
-        lines.append(f"pt_min_eig: {_fmt(row.pt_min_eig)}")
+        lines.append(f"pt_min_eig: {format_number(row.pt_min_eig)}")
     if row.witness_name is not None:
-        lines.append(f"witness: {row.witness_name} value {_fmt(row.witness_value)}")
+        lines.append(f"witness: {row.witness_name} value {format_number(row.witness_value)}")
     if row.polygon_member is not None:
-        lines.append(f"polygon_member: {_fmt(row.polygon_member)}")
-    if row.detail:
-        lines.append(f"detail: {row.detail}")
+        lines.append(f"polygon_member: {format_number(row.polygon_member)}")
     return 0, lines
 
 
@@ -248,22 +294,23 @@ def _cmd_scan(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
         yield CSV_HEADER
         for result in results():
             for row in result.rows:
-                yield row.csv_row()
+                yield csv_row(row)
 
     def json_lines() -> Iterator[str]:
         for _ in results():  # the payload needs only the counts
             pass
-        samples = [
+        payload = {"rows": sum(counts.values()), "counts": counts, "boundary_samples": []}
+        # One sample per distinct gamma, ascending: the axis never falls.
+        samples = (
             {"gamma": g, "l_a": l_a(g), "l_b": l_b(g)}
-            for g in sorted(set(_axis_values(*gamma_axis)))
+            for g, _ in groupby(_axis_values(*gamma_axis))
             if abs(g) <= FACET_DOMAIN
-        ]
-        payload = {
-            "rows": sum(counts.values()),
-            "counts": counts,
-            "boundary_samples": samples,
-        }
-        yield _json_text(payload)
+        )
+        # The samples stream into the payload's text in place of its "[]".
+        lines = _json_list_lines(_chunks(samples), depth=1)
+        yield _json_text(payload)[: -len("[]\n}")] + next(lines)
+        yield from lines
+        yield "}"
 
     # The summary follows the last line written, and a failed write skips it.
     def lines_then_summary() -> Iterator[str]:
@@ -281,7 +328,7 @@ def _cmd_lambda_min(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
         return 0, [_json_text({**point._asdict(), "lambda_min": value})]
     if value is None:
         return 0, ["lambda_min: never feasible (degenerate line)"]
-    return 0, [f"lambda_min: {_fmt(value)}"]
+    return 0, [f"lambda_min: {format_number(value)}"]
 
 
 def _witness_payload(name: str) -> dict[str, Any]:
@@ -315,13 +362,7 @@ def _cmd_witness(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
         return 0, [_json_text(_witness_payload(args.name))]
     return 0, [
         "%-4s alpha = %s beta + %s gamma + %s   (trace scale %s)"
-        % (
-            name,
-            _fmt(plane.beta_coeff),
-            _fmt(plane.gamma_coeff),
-            _fmt(plane.offset),
-            _fmt(plane.trace_scale),
-        )
+        % (name, *map(format_number, plane))
         for name, plane in witness_planes()
     ]
 
@@ -354,25 +395,14 @@ def _cmd_horodecki(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
                 for b, c in zip(b_values, rows)
             ]
 
-    def json_lines() -> Iterator[str]:
-        # The whole list's text: each chunk's less its brackets, joined by commas.
-        yield "["
-        text = None
-        for chunk in chunks():
-            if text is not None:
-                yield text + ","
-            text = _json_text(chunk)[2:-2]
-        yield text
-        yield "]"
-
     def csv_lines() -> Iterator[str]:
         yield _HORODECKI_HEADER
         fields = _HORODECKI_HEADER.split(",")
         for chunk in chunks():
             for record in chunk:
-                yield ",".join(_fmt(record[key]) for key in fields)
+                yield ",".join(format_number(record[key]) for key in fields)
 
-    return 0, json_lines() if args.format == "json" else csv_lines()
+    return 0, _json_list_lines(chunks()) if args.format == "json" else csv_lines()
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
@@ -399,9 +429,10 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     lines = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"
+        numbers = map(format_number, (r.expected, r.computed, r.tolerance))
         lines.append(
             "[%s] %2d %-30s expected=%s computed=%s tol=%s"
-            % (status, r.index, r.name, _fmt(r.expected), _fmt(r.computed), _fmt(r.tolerance))
+            % (status, r.index, r.name, *numbers)
         )
         if r.detail:
             lines.append(f"         {r.detail}")

@@ -20,11 +20,12 @@ and it stops each point at its first decisive stage.  :func:`scan` is its
 batch call and :func:`classify` its one-row call, so a scanned row equals
 ``classify`` of its point.  Its records -- :class:`Classification` (one
 flat row, the point's coordinates first), :class:`ScanResult` and
-:class:`SeparablePolygon` -- are immutable named tuples.  All four stages
-evaluate their closed forms inline, stage 1 as a copy of
-:func:`~.family.pyramid_slacks` and stage 2 as ``min(e0, e_minus)`` of
-:func:`~.family.pt_block_eigenvalues` (``e_plus`` is never smaller), with
-the same operations in the same order; a pin test in
+:class:`SeparablePolygon` -- are immutable named tuples with no per-row
+method; the module defines no output format (:mod:`.cli` writes every row
+and number).  All four stages evaluate their closed forms inline, stage 1
+as a copy of :func:`~.family.pyramid_slacks` and stage 2 as ``min(e0,
+e_minus)`` of :func:`~.family.pt_block_eigenvalues` (``e_plus`` is never
+smaller), with the same operations in the same order; a pin test in
 ``tests/test_regions.py`` holds every row bit for bit to those functions
 and to the witness-plane and facet fields.
 
@@ -94,7 +95,6 @@ __all__ = [
     "SeparablePolygon",
     "build_polygon",
     "classify",
-    "format_number",
     "grid_points",
     "l_a",
     "l_b",
@@ -147,19 +147,6 @@ def _facet_point(gamma: float, beta: float) -> FamilyPoint:
     return FamilyPoint(7.0 * beta / 2.0 + 1.0 - gamma, beta, gamma)
 
 
-def format_number(x: float | str | bool | None) -> str:
-    """One output cell: a number to 12 significant digits and no ``-0.0``.
-
-    ``None`` prints as an empty field, a string as itself and a bool as
-    ``true`` or ``false``.
-    """
-    if x is None or isinstance(x, str):
-        return x or ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    return "%.12g" % (x + 0.0)  # + 0.0 drops -0.0
-
-
 # ---------------------------------------------------------------------------
 # Classification records
 # ---------------------------------------------------------------------------
@@ -187,11 +174,6 @@ class Classification(NamedTuple):
     def point(self) -> FamilyPoint:
         return tuple.__new__(FamilyPoint, self[:3])
 
-    def csv_row(self) -> str:
-        cells = (*self[:3], self.verdict.value, self.pt_min_eig)
-        cells += (self.witness_name, self.witness_value, self.polygon_member)
-        return ",".join(map(format_number, cells))
-
 
 #: The loop's verdicts as module names: on Python 3.11 reading an Enum
 #: member off its class costs about as much as one stage-1 slack.
@@ -201,8 +183,6 @@ _NOT_A_STATE, _NPT_ENTANGLED, _BOUND_ENTANGLED = (
     Verdict.BOUND_ENTANGLED,
 )
 _SEPARABLE, _UNDETERMINED = Verdict.SEPARABLE, Verdict.UNDETERMINED
-
-CSV_HEADER = "alpha,beta,gamma,verdict,pt_min_eig,witness_name,witness_value,polygon_member"
 
 
 def _classify_rows(
@@ -401,21 +381,16 @@ class ScanResult(NamedTuple):
         tally = Counter(row.verdict for row in self.rows)
         return {verdict.value: n for verdict, n in tally.items()}
 
-    def csv_lines(self) -> Iterator[str]:
-        yield CSV_HEADER
-        for row in self.rows:
-            yield row.csv_row()
-
 
 def scan(points: Iterable[FamilyPoint | tuple[float, float, float]]) -> ScanResult:
     """Classify every point, preserving input order.
 
     Each row equals :func:`classify` of its point: both run the same loop.
     """
-    pts = list(points)
-    if not pts:
+    rows = _classify_rows(points)
+    if not rows:
         raise ValueError("scan called with an empty grid")
-    return ScanResult(rows=_classify_rows(pts))
+    return ScanResult(rows=rows)
 
 
 def _grid_axis(spec: str) -> tuple[float, float, float, int]:

@@ -7,6 +7,8 @@ import json
 import logging
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -23,6 +25,8 @@ from magicsimplex.planes import witness_planes
 
 #: Recorded stdout of known invocations, one ``.txt`` file each.
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 #: SHA-256 of the recorded stdout of invocations too large to keep as text.
 GOLDEN_DIGESTS = {
@@ -332,11 +336,32 @@ def test_scan_memory_does_not_grow_with_the_grid(tmp_path, capsys, fmt):
     assert large <= small + 2 * 2**20
 
 
+def test_scan_json_memory_does_not_grow_with_the_gamma_axis(tmp_path, capsys):
+    # One boundary sample per distinct gamma, streamed a chunk at a time, so
+    # ten times the gamma values must not raise the peak; holding every
+    # sample and the whole text adds about 22 MiB here.
+    target = tmp_path / "summary.json"
+    argv = ["scan", "--format", "json", "--out", str(target), "--grid"]
+    main([*argv, "0,0,0:1:1"])  # imports
+    peaks = []
+    for step in ("0.0005", "0.00005"):
+        tracemalloc.start()
+        try:
+            assert main([*argv, f"0,0,0:1:{step}"]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    small, large = peaks
+    assert len(json.loads(target.read_text(encoding="utf-8"))["boundary_samples"]) == 20_001
+    assert "scanned 20001 points" in capsys.readouterr().err
+    assert large <= small + 2 * 2**20
+
+
 def test_scan_takes_a_grid_whose_range_overflows(capsys):
     code, out, err = run_cli(capsys, "scan", "--grid=-1e308:1e308:1e308,0,0")
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == regions.CSV_HEADER
+    assert lines[0] == cli.CSV_HEADER
     assert [line.split(",")[0] for line in lines[1:]] == ["-1e+308", "0", "1e+308"]
     assert err.startswith("scanned 3 points: ")
 
@@ -699,6 +724,30 @@ def test_golden_verify_json_apart_from_wall_times(capsys):
     assert json.dumps(payload, indent=2) + "\n" == golden.read_text(encoding="utf-8")
 
 
+def _readme_commands() -> list[list[str]]:
+    """The ``magicsimplex ...`` lines of README.md's bash blocks, as argument lists."""
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```bash\n(.*?)^```", text, re.M | re.S)
+    lines = (line for block in blocks for line in block.splitlines())
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in lines
+        if line.startswith("magicsimplex ")
+    ]
+
+
+def test_every_readme_command_runs(tmp_path, monkeypatch, capsys):
+    # A documented command must keep working: a removed flag fails here.  The
+    # --out examples write into tmp_path.
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert len(commands) >= 14
+    for argv in commands:
+        code = main(argv)
+        assert code == 0, (argv, capsys.readouterr().err)
+    assert {"map.csv", "line.csv"} <= {path.name for path in tmp_path.iterdir()}
+
+
 # ---------------------------------------------------------------------------
 # real process round trips
 # ---------------------------------------------------------------------------
@@ -751,7 +800,7 @@ def test_a_closed_stdout_ends_a_scan_before_its_summary():
             code = proc.wait(timeout=120)
         finally:
             proc.kill()
-    assert header.decode().rstrip("\n") == regions.CSV_HEADER
+    assert header.decode().rstrip("\n") == cli.CSV_HEADER
     assert (code, err) == (141, "")
 
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from magicsimplex import checks, planes, witness
 from magicsimplex.checks import run_all
+from magicsimplex.cli import format_number
 from magicsimplex.family import (
     PPT_TOL,
     STATE_TOL,
@@ -42,7 +43,6 @@ from magicsimplex.planes import (
     witness_planes,
 )
 from magicsimplex.qmat import hs_inner
-from magicsimplex.regions import format_number
 from magicsimplex.weyl import bell_projector
 from magicsimplex.witness import (
     FEASIBLE,
