@@ -360,7 +360,7 @@ def _check_region_layout(seed: int) -> dict:
             f"facet grid has {len(pts)} points, not {n_g} x {n_b}"
         )
     result = scan(pts)
-    counts = result.counts()
+    rows, counts = result.rows, result.counts()
 
     violations = 0
     for name in ("Separable", "BoundEntangled", "NptEntangled"):
@@ -377,13 +377,13 @@ def _check_region_layout(seed: int) -> dict:
     # point i * n_b + j: gamma outermost, beta innermost.
     cells = {
         divmod(k, n_b)
-        for k, row in enumerate(result.rows)
+        for k, row in enumerate(rows)
         if row.verdict is Verdict.SEPARABLE
     }
     columns: dict[int, list[int]] = defaultdict(list)
     for i, j in cells:
         columns[i].append(j)
-    resolved = {i for i in range(n_g) if pts[i * n_b].gamma <= 1.0 - 9.0 * step}
+    resolved = {i for i in range(n_g) if rows[i * n_b].gamma <= 1.0 - 9.0 * step}
     violations += len(resolved - columns.keys())
     for run in columns.values():
         if max(run) - min(run) + 1 != len(run):
@@ -401,8 +401,8 @@ def _check_region_layout(seed: int) -> dict:
         if len(seen) != len(core):
             violations += 1
     for i, j in cells:
-        p = pts[i * n_b + j]
-        g, b = p.gamma, p.beta
+        row = rows[i * n_b + j]
+        g, b = row.gamma, row.beta
         if b > l_a(g) + 1e-9:
             violations += 1
         if l_a(g) + 1e-9 < b < l_b(g) - 1e-9:

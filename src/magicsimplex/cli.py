@@ -10,7 +10,8 @@ Subcommands:
     the summary's boundary samples are written a chunk at a time too.
 ``lambda-min``
     Smallest line parameter at which the line operator becomes a safe
-    witness, for a PPT start.
+    witness, for a PPT start; "never feasible" names why: a degenerate
+    line (the maximally mixed start) or an onset beyond the endpoint.
 ``witness``
     List the six closed-form witness planes, or dump one member of the
     matrix battery (the oracle) as JSON.
@@ -327,7 +328,9 @@ def _cmd_lambda_min(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     if args.format == "json":
         return 0, [_json_text({**point._asdict(), "lambda_min": value})]
     if value is None:
-        return 0, ["lambda_min: never feasible (degenerate line)"]
+        # Only the maximally mixed state has a vanishing line operator.
+        why = "degenerate line" if not any(point) else "onset beyond the endpoint"
+        return 0, [f"lambda_min: never feasible ({why})"]
     return 0, [f"lambda_min: {format_number(value)}"]
 
 

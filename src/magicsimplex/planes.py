@@ -174,12 +174,13 @@ def lambda_min(start: FamilyPoint | tuple[float, float, float]) -> float | None:
         l = max(|y|, r) / (3 y^2 + r^2).
 
     Returns ``None`` when the denominator vanishes (the maximally mixed
-    state, where every line operator vanishes) or when ``l`` exceeds
-    ``1 + FEASIBLE_SLACK``, which is exactly where the endpoint operator
-    ``purity * 1 - rho`` fails the criterion; ``l`` is clamped to 1.  As a
-    post, the operator at the returned ``l`` must pass the criterion on the
-    table summed term by term, else ``ArithmeticError``.  Raises
-    ``ValueError`` for a start that is not a PPT state.
+    state, where every line operator vanishes, or a start so near it that
+    the denominator underflows while ``l`` is far beyond 1) or when ``l``
+    exceeds ``1 + FEASIBLE_SLACK``, which is exactly where the endpoint
+    operator ``purity * 1 - rho`` fails the criterion; ``l`` is clamped to
+    1.  As a post, the operator at the returned ``l`` must pass the
+    criterion on the table summed term by term, else ``ArithmeticError``.
+    Raises ``ValueError`` for a start that is not a PPT state.
     """
     _require_ppt(start)
     a, b, g = start

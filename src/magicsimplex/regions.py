@@ -19,15 +19,18 @@ battery once and builds the polytope only when a point reaches stage 4,
 and it stops each point at its first decisive stage.  :func:`scan` is its
 batch call and :func:`classify` its one-row call, so a scanned row equals
 ``classify`` of its point.  Its records -- :class:`Classification` (one
-flat row, the point's coordinates first), :class:`ScanResult` and
-:class:`SeparablePolygon` -- are immutable named tuples with no per-row
-method; the module defines no output format (:mod:`.cli` writes every row
-and number).  All four stages evaluate their closed forms inline, stage 1
-as a copy of :func:`~.family.pyramid_slacks` and stage 2 as ``min(e0,
-e_minus)`` of :func:`~.family.pt_block_eigenvalues` (``e_plus`` is never
-smaller), with the same operations in the same order; a pin test in
-``tests/test_regions.py`` holds every row bit for bit to those functions
-and to the witness-plane and facet fields.
+flat row, the point's coordinates first: ``row[:3]``), :class:`ScanResult`
+and :class:`SeparablePolygon` -- are immutable named tuples with no
+per-row method; the module defines no output format (:mod:`.cli` writes
+every row and number).  All four stages evaluate their closed forms
+inline, stage 1 as a copy of :func:`~.family.pyramid_slacks` and stage 2
+as ``min(e0, e_minus)`` of :func:`~.family.pt_block_eigenvalues`
+(``e_plus`` is never smaller), with the same operations in the same
+order; a pin test in ``tests/test_regions.py`` holds every row bit for
+bit to those functions and to the witness-plane and facet fields.  The
+grids behind ``scan --grid`` and :func:`plane_grid_points` yield plain
+``(alpha, beta, gamma)`` tuples, each axis checked finite once, before
+the first point.
 
 On the positivity facet ``alpha = 7 beta / 2 + 1 - gamma`` everything is
 available in closed form.  Two curves organize that facet in the
@@ -95,7 +98,6 @@ __all__ = [
     "SeparablePolygon",
     "build_polygon",
     "classify",
-    "grid_points",
     "l_a",
     "l_b",
     "parse_grid",
@@ -143,10 +145,6 @@ def l_b(gamma: float) -> float:
     return (3.0 * gamma - 4.0 + math.sqrt(disc)) / 9.0
 
 
-def _facet_point(gamma: float, beta: float) -> FamilyPoint:
-    return FamilyPoint(7.0 * beta / 2.0 + 1.0 - gamma, beta, gamma)
-
-
 # ---------------------------------------------------------------------------
 # Classification records
 # ---------------------------------------------------------------------------
@@ -169,10 +167,6 @@ class Classification(NamedTuple):
     witness_value: float | None = None
     polygon_member: bool | None = None
     detail: str = ""
-
-    @property
-    def point(self) -> FamilyPoint:
-        return tuple.__new__(FamilyPoint, self[:3])
 
 
 #: The loop's verdicts as module names: on Python 3.11 reading an Enum
@@ -452,13 +446,15 @@ def parse_grid(spec: str) -> list[float]:
 
 def _grid(
     specs: Sequence[str], plane: bool = False
-) -> tuple[tuple[float, float, float, int], Iterator[FamilyPoint]]:
+) -> tuple[tuple[float, float, float, int], Iterator[tuple[float, float, float]]]:
     """The gamma axis and the lazy points of a box grid or, with ``plane``, a facet grid.
 
     A box grid is ``(alpha, beta, gamma)`` specs, alpha outermost and gamma
     innermost; a facet grid is ``(gamma, beta)`` specs, gamma outermost,
-    alpha pinned by the facet.  Every error of the grid is raised here,
-    before the first point is read.  The facet's alpha ``7 beta / 2 + 1 -
+    alpha pinned by the facet.  The points are plain ``(alpha, beta,
+    gamma)`` tuples.  Every error of the grid is raised here, before the
+    first point is read: :func:`_grid_axis` checks every axis value finite,
+    and only a facet alpha can overflow.  That alpha ``7 beta / 2 + 1 -
     gamma`` rises with beta and falls with gamma, in floats too, so when a
     point's alpha overflows a corner's does, and the first corner to
     overflow in grid order raises the error the first such point would.
@@ -467,7 +463,7 @@ def _grid(
     if not plane:
         alphas, betas, gammas = axes
         points = (
-            FamilyPoint(a, b, g)
+            (a, b, g)
             for a in _axis_values(*alphas)
             for b in _axis_values(*betas)
             for g in _axis_values(*gammas)
@@ -478,18 +474,18 @@ def _grid(
     ends = [(lo, min(lo + (count - 1) * step, hi)) for lo, hi, step, count in axes]
     for g in ends[0]:
         for b in ends[1]:
-            _facet_point(g, b)
-    points = (_facet_point(g, b) for g in _axis_values(*gammas) for b in _axis_values(*betas))
+            FamilyPoint(7.0 * b / 2.0 + 1.0 - g, b, g)
+    points = (
+        (7.0 * b / 2.0 + 1.0 - g, b, g)
+        for g in _axis_values(*gammas)
+        for b in _axis_values(*betas)
+    )
     return gammas, points
 
 
-def grid_points(
-    alpha_spec: str, beta_spec: str, gamma_spec: str
-) -> list[FamilyPoint]:
-    """Row-major grid: alpha outermost, gamma innermost."""
-    return list(_grid((alpha_spec, beta_spec, gamma_spec))[1])
+def plane_grid_points(gamma_spec: str, beta_spec: str) -> list[tuple[float, float, float]]:
+    """Facet grid: gamma outermost, beta innermost, alpha pinned by the facet.
 
-
-def plane_grid_points(gamma_spec: str, beta_spec: str) -> list[FamilyPoint]:
-    """Facet grid: gamma outermost, beta innermost, alpha pinned by the facet."""
+    Each point is a plain ``(alpha, beta, gamma)`` tuple.
+    """
     return list(_grid((gamma_spec, beta_spec), plane=True)[1])

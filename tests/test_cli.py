@@ -190,6 +190,21 @@ def test_lambda_min_degenerate(capsys):
     assert "never feasible" in out
 
 
+@pytest.mark.parametrize(
+    "start",
+    [("--b", "2.5"), ("--alpha", "1e-300", "--beta", "0", "--gamma", "0")],
+    ids=["separable-b2.5", "near-origin"],
+)
+def test_lambda_min_without_onset_is_not_a_degenerate_line(capsys, start):
+    # Only the maximally mixed start has a vanishing line operator; these
+    # starts have one whose onset lies beyond the endpoint.
+    code, out, _ = run_cli(capsys, "lambda-min", *start)
+    assert (code, out) == (0, "lambda_min: never feasible (onset beyond the endpoint)\n")
+    code, out, _ = run_cli(capsys, "lambda-min", *start, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["lambda_min"] is None
+
+
 def test_lambda_min_json(capsys):
     code, out, _ = run_cli(
         capsys, "lambda-min", "--b", "1.5", "--format", "json"
@@ -961,7 +976,6 @@ def test_scalar_closed_forms_run_without_numpy():
 @pytest.mark.parametrize(
     "module",
     [
-        "magicsimplex",
         "magicsimplex.checks",
         "magicsimplex.family",
         "magicsimplex.planes",
@@ -975,6 +989,26 @@ def test_scalar_closed_forms_run_without_numpy():
 def test_every_exported_name_exists(module):
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+    # One home per name: no module re-exports another module's function or
+    # class (qmat.Array is numpy's ndarray, which is no magicsimplex module).
+    homes = {name: getattr(getattr(mod, name), "__module__", None) for name in mod.__all__}
+    borrowed = {
+        name: home
+        for name, home in homes.items()
+        if callable(getattr(mod, name))
+        and home.split(".")[0] == "magicsimplex"
+        and home != module
+    }
+    assert borrowed == {}
+
+
+def test_package_import_loads_no_module():
+    proc = _child(
+        "import sys, magicsimplex; "
+        "print(sorted(m for m in sys.modules if m.startswith('magicsimplex.')))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 #: Runs each JSON-encoded argv through ``main`` in one process and prints

@@ -27,7 +27,6 @@ from magicsimplex.regions import (  # noqa: E402
     MEMBERSHIP_TOL,
     build_polygon,
     classify,
-    grid_points,
     parse_grid,
     plane_grid_points,
 )
@@ -64,8 +63,12 @@ def _points() -> list[FamilyPoint]:
     near = centroid + (1.0 + push) * (on_faces - centroid)
     rows = np.vstack([box, inner, facet, near]).tolist()
     pts = [FamilyPoint(*row) for row in rows]
-    pts += plane_grid_points("0:1:0.01", "-0.3333333333:0.1:0.01")
-    pts += grid_points("-0.4:1.05:0.02", "-0.7:1.05:0.02", "0")
+    pts += [FamilyPoint(*p) for p in plane_grid_points("0:1:0.01", "-0.3333333333:0.1:0.01")]
+    pts += [
+        FamilyPoint(a, b, 0.0)
+        for a in parse_grid("-0.4:1.05:0.02")
+        for b in parse_grid("-0.7:1.05:0.02")
+    ]
     pts += [horodecki_point(b) for b in parse_grid("0:5:0.005")]
     return pts
 
@@ -100,7 +103,7 @@ def test_sample_covers_every_verdict(comparison):
 
 def test_verdicts_match_matrix_oracle(comparison):
     mismatches = [
-        (row.point.as_tuple(), row.verdict, verdict)
+        (row[:3], row.verdict, verdict)
         for row, verdict, _, _ in comparison
         if row.verdict is not verdict
     ]

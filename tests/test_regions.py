@@ -32,7 +32,6 @@ from magicsimplex.regions import (
     Classification,
     build_polygon,
     classify,
-    grid_points,
     l_a,
     l_b,
     parse_grid,
@@ -360,7 +359,7 @@ def test_facet_agreement_with_pipeline():
         g = float(rng.uniform(0.0, 1.0))
         b = float(rng.uniform(-1.0 / 3.0, 0.1))
         analytic = boundary_plane_region(g, b)
-        piped = classify(analytic.point)
+        piped = classify(analytic[:3])
         if analytic.verdict is Verdict.UNDETERMINED:
             continue
         assert piped.verdict is analytic.verdict, (g, b)
@@ -430,7 +429,7 @@ def test_grid_size_is_capped_before_expansion():
         parse_grid("0:1:1e-12")
     # each axis is small, the product is not
     with pytest.raises(ValueError, match="points"):
-        grid_points("0:1:0.001", "0:1:0.001", "0:1:0.001")
+        regions._grid(("0:1:0.001", "0:1:0.001", "0:1:0.001"))
     with pytest.raises(ValueError, match="points"):
         plane_grid_points("0:1:1e-4", "0:1:1e-4")
     with pytest.raises(ValueError, match="finite"):
@@ -446,13 +445,17 @@ def test_single_value_grid_spec_must_be_finite(value):
 
 
 def test_grid_points_order():
-    pts = grid_points("0:1:1", "0:0:1", "0:1:1")
-    assert [p.as_tuple() for p in pts] == [
+    # Both grids yield plain tuples: box alpha outermost, facet gamma outermost.
+    box = list(regions._grid(("0:1:1", "0:0:1", "0:1:1"))[1])
+    assert box == [
         (0.0, 0.0, 0.0),
         (0.0, 0.0, 1.0),
         (1.0, 0.0, 0.0),
         (1.0, 0.0, 1.0),
     ]
+    facet = plane_grid_points("0:1:1", "-0.5:0:0.5")
+    assert facet == [(-0.75, -0.5, 0.0), (1.0, 0.0, 0.0), (-1.75, -0.5, 1.0), (0.0, 0.0, 1.0)]
+    assert {type(p) for p in box + facet} == {tuple}
 
 
 def test_scan_rejects_empty():
@@ -490,7 +493,6 @@ def test_scan_rows_equal_classify_bit_for_bit():
     assert len(scanned) == len(points)
     for p, row in zip(points, scanned):
         single = classify(p)
-        assert type(row.point) is FamilyPoint
         for field in Classification._fields:
             assert _bits(getattr(row, field)) == _bits(getattr(single, field)), (p, field)
 
@@ -498,7 +500,7 @@ def test_scan_rows_equal_classify_bit_for_bit():
 def test_records_refuse_attribute_assignment():
     row = classify(horodecki_point(2.5))
     records = [
-        (row.point, "alpha"),
+        (horodecki_point(2.5), "alpha"),
         (row, "verdict"),
         (witness_planes()[0][1], "offset"),
         (build_polygon(), "halfspaces"),
@@ -578,7 +580,6 @@ def _assert_pinned(points) -> list[Classification]:
     rows = regions._classify_rows(points)
     assert len(rows) == len(points)
     for p, row in zip(points, rows):
-        assert type(row.point) is FamilyPoint, p
         # repr prints every float round-trip exactly, -0.0 included
         assert repr(row) == repr(_reference_row(p)), p
     return rows
@@ -628,7 +629,7 @@ def test_witness_ties_keep_battery_order():
     assert len(rows) == 14
     nb, ng, c, k = pl3m
     for row in rows:
-        a, b, g = row.point
+        a, b, g = row[:3]
         tied = k * (a - (nb * b + ng * g + c))
         assert _bits(tied) == _bits(row.witness_value), row
         assert row.witness_name == "Pl3", row
@@ -685,17 +686,17 @@ def test_list_and_generator_inputs():
     assert regions._classify_rows(iter(coords)) == expected
 
 
-def test_a_row_point_is_a_plain_family_point_equal_to_the_input():
-    # A row keeps the coordinates, not the input object: ``point`` builds a
-    # new FamilyPoint, so a subclass comes back as a plain FamilyPoint.
+def test_a_row_keeps_the_coordinates_not_the_input_object():
+    # A row's first three fields are the input's coordinates, whatever held
+    # them: a tuple, a list, a FamilyPoint or a subclass of it.
     class Labelled(FamilyPoint):
         __slots__ = ()
 
     coords = horodecki_point(1.5)
     for p in (tuple(coords), list(coords), FamilyPoint(*coords), Labelled(*coords)):
         for row in (classify(p), scan([p, (0.0, 0.0, 0.0)]).rows[0]):
-            assert row.point == tuple(p)  # a list never equals a tuple
-            assert type(row.point) is FamilyPoint
+            assert type(row) is Classification
+            assert row[:3] == tuple(coords)
         assert classify(p) == classify(tuple(p))
 
 
