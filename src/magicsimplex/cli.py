@@ -106,10 +106,28 @@ def format_number(x: float | str | bool | None) -> str:
 
 
 def csv_row(row: Classification) -> str:
-    """The :data:`CSV_HEADER` cells of one row; a stage never reached is empty."""
-    cells = (*row[:3], row.verdict.value, row.pt_min_eig)
-    cells += (row.witness_name, row.witness_value, row.polygon_member)
-    return ",".join(map(format_number, cells))
+    """The :data:`CSV_HEADER` cells of one row, as :func:`format_number` prints them.
+
+    Each field of a stage the pipeline never reached is ``None`` and prints
+    empty, so the first ``None`` among ``pt_min_eig``, ``witness_name`` and
+    ``polygon_member`` names the row's exit stage; each exit stage has one
+    ``%`` template.
+    """
+    a, b, g, verdict, _, eig, name, value, member, _ = row
+    if eig is None:
+        return "%.12g,%.12g,%.12g,%s,,,," % (a + 0.0, b + 0.0, g + 0.0, verdict.value)
+    if name is None:
+        return "%.12g,%.12g,%.12g,%s,%.12g,,," % (
+            a + 0.0, b + 0.0, g + 0.0, verdict.value, eig + 0.0
+        )
+    if member is None:
+        return "%.12g,%.12g,%.12g,%s,%.12g,%s,%.12g," % (
+            a + 0.0, b + 0.0, g + 0.0, verdict.value, eig + 0.0, name, value + 0.0
+        )
+    return "%.12g,%.12g,%.12g,%s,%.12g,%s,%.12g,%s" % (
+        a + 0.0, b + 0.0, g + 0.0, verdict.value, eig + 0.0, name, value + 0.0,
+        "true" if member else "false",
+    )
 
 
 def _json_round(value: Any) -> Any:

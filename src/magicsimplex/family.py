@@ -234,7 +234,7 @@ def pyramid_slacks(
     matches the spectrum's exactly.  Given ``Fraction`` coordinates, the
     slacks are exact.  An ``(N, 3)`` coordinate array gives four ``(N,)``
     arrays, row for row the floats of the one-point call.
-    ``regions._classify_rows`` evaluates a copy inline.
+    ``regions._classify_rows`` computes the same values inline in floats.
     """
     a, b, g = _coordinates(p)
     s1 = 7 * b / 2 + 1 - g - a

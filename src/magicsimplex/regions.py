@@ -23,10 +23,12 @@ flat row, the point's coordinates first: ``row[:3]``), :class:`ScanResult`
 and :class:`SeparablePolygon` -- are immutable named tuples with no
 per-row method; the module defines no output format (:mod:`.cli` writes
 every row and number).  All four stages evaluate their closed forms
-inline, stage 1 as a copy of :func:`~.family.pyramid_slacks` and stage 2
-as ``min(e0, e_minus)`` of :func:`~.family.pt_block_eigenvalues`
-(``e_plus`` is never smaller), with the same operations in the same
-order; a pin test in ``tests/test_regions.py`` holds every row bit for
+inline: stage 1 the values of :func:`~.family.pyramid_slacks` computed in
+floats, and stage 2 ``min(e0, e_minus)`` of
+:func:`~.family.pt_block_eigenvalues` (``e_plus`` is never smaller), each
+with the same operations in the same order, so a float point gives the
+same bits; an int or ``Fraction`` coordinate is computed as its float
+value.  A pin test in ``tests/test_regions.py`` holds every row bit for
 bit to those functions and to the witness-plane and facet fields.  The
 grids behind ``scan --grid`` and :func:`plane_grid_points` yield plain
 ``(alpha, beta, gamma)`` tuples, each axis checked finite once, before
@@ -189,14 +191,20 @@ def _classify_rows(
     per call, the polytope only once a point reaches stage 4.
 
     All four stages evaluate their closed forms inline rather than through
-    calls: the slacks of :func:`~.family.pyramid_slacks` and ``min(e0,
-    e_minus)`` of :func:`~.family.pt_block_eigenvalues` with the same
-    operations in the same order, then each witness plane and each polytope
-    facet read as a plain tuple; ``tuple.__new__`` builds each row as one flat
-    tuple from the coordinates.  A finite plain 3-tuple is read as it is;
-    anything else goes through the ``FamilyPoint`` constructor and raises as
-    it does.  A pin test in ``tests/test_regions.py`` holds every row bit for
-    bit to the ``family`` functions and the plane and facet fields.
+    calls: the slacks of :func:`~.family.pyramid_slacks` computed in floats
+    and ``min(e0, e_minus)`` of :func:`~.family.pt_block_eigenvalues`, each
+    with the same operations in the same order, then each witness plane and
+    each polytope facet read as a plain tuple; ``tuple.__new__`` builds each
+    row as one flat tuple from the coordinates.  A float point gives the bits of the ``family``
+    functions; an int or ``Fraction`` coordinate is computed as its float
+    value (stage 2 adds and squares two ``Fraction`` coordinates exactly
+    before it rounds).  A plain 3-tuple is read as it is once its
+    coordinate sum is finite; if the sum is not, the ``FamilyPoint``
+    constructor raises for a non-finite coordinate and passes a sum that
+    only overflowed.  Anything else goes through that constructor and
+    raises as it does.  A pin test in ``tests/test_regions.py`` holds every
+    row bit for bit to the ``family`` functions and the plane and facet
+    fields.
     """
     planes = witness_planes()
     halfspaces = None
@@ -208,19 +216,22 @@ def _classify_rows(
     for p in points:
         if type(p) is tuple and len(p) == 3:
             a, b, g = p
-            if not (isfinite(a) and isfinite(b) and isfinite(g)):
-                FamilyPoint(*p)  # raises its ValueError
+            if not isfinite(a + b + g):
+                FamilyPoint(*p)  # raises its ValueError, or the sum overflowed
         else:
             a, b, g = p if isinstance(p, FamilyPoint) else FamilyPoint(*p)
-        # Stage 1: min(family.pyramid_slacks(p)), the min as comparisons.
-        margin = 7 * b / 2 + 1 - g - a
-        s = -b + 1 - g - a
+        # Stage 1: min(family.pyramid_slacks(p)) in floats, the min as
+        # comparisons.  Float literals keep every operation float-only,
+        # which CPython runs faster than a mixed int/float one.
+        margin = 7.0 * b / 2.0 + 1.0 - g - a
+        t = -b + 1.0
+        s = t - g - a
         if s < margin:
             margin = s
-        s = -b + 1 + 2 * g - a
+        s = t + 2.0 * g - a
         if s < margin:
             margin = s
-        s = a - (b - 1 + g) / 8
+        s = a - (b - 1.0 + g) / 8.0
         if s < margin:
             margin = s
         if margin < STATE_TOL:

@@ -1,8 +1,11 @@
 """Region machinery tests: facet curves, polytope, classifier, scans."""
 
+import ast
 import gc
+import inspect
 import itertools
 import math
+import textwrap
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +15,7 @@ from hypothesis import strategies as st
 
 from magicsimplex import planes, regions, weyl
 from magicsimplex.checks import CheckResult
-from magicsimplex.cli import CSV_HEADER, csv_row
+from magicsimplex.cli import CSV_HEADER, csv_row, format_number
 from magicsimplex.family import (
     PPT_TOL,
     STATE_TOL,
@@ -332,6 +335,18 @@ def test_csv_row_shapes():
     assert full.count(",") == CSV_HEADER.count(",")
     empty_tail = csv_row(classify((2.0, 0.0, 0.0)))
     assert empty_tail.endswith(",NotAState,,,,")
+
+
+def test_csv_row_prints_each_cell_as_format_number_does():
+    # The row writer's templates match format_number on every exit stage,
+    # -0.0 coordinates included.
+    points = _box_points(3000, 9) + [(-0.0, -0.0, 0.25), horodecki_point(2.75)]
+    rows = scan(points).rows
+    assert {row.verdict for row in rows} == set(Verdict)
+    for row in rows:
+        cells = (*row[:3], row.verdict.value, row.pt_min_eig)
+        cells += (row.witness_name, row.witness_value, row.polygon_member)
+        assert csv_row(row) == ",".join(map(format_number, cells)), row
 
 
 # ---------------------------------------------------------------------------
@@ -729,8 +744,33 @@ def test_no_field_of_a_row_is_a_tuple():
 
 
 def test_integer_coordinates_give_the_row_of_their_float_values():
-    points = [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0)]
+    # The loop computes an int, or a Fraction that holds a float exactly, as
+    # that float: every field after the coordinates has the float row's type
+    # and bits.  (Stage 2 adds and squares two Fractions exactly before it
+    # rounds, so a Fraction such as 1/3 can move pt_min_eig by an ulp.)
+    fractions = [
+        (Fraction(1, 8), Fraction(-1, 16), Fraction(1, 4)),
+        tuple(map(Fraction, horodecki_point(1.5))),
+    ]
+    points = [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), *fractions]
+    verdicts = set()
     for p in points:
         row, floats = _both(p), _both(tuple(float(x) for x in p))
-        assert row == floats, p
+        assert row[:3] == p, p
+        assert [_bits(x) for x in row[3:]] == [_bits(x) for x in floats[3:]], p
         assert csv_row(row) == csv_row(floats), p
+        verdicts.add(row.verdict)
+    assert verdicts == set(Verdict) - {Verdict.UNDETERMINED}
+
+
+def test_the_classification_loop_has_no_int_literal_operand():
+    # An int literal in a float expression, as in ``7 * b``, makes CPython
+    # skip its float-specialised BINARY_OP: stage 1 writes ``7.0 * b``.
+    tree = ast.parse(textwrap.dedent(inspect.getsource(regions._classify_rows)))
+    ops = [n for n in ast.walk(tree) if isinstance(n, (ast.BinOp, ast.UnaryOp))]
+    assert len(ops) > 20
+    for node in ops:
+        operands = (node.operand,) if isinstance(node, ast.UnaryOp) else (node.left, node.right)
+        for x in operands:
+            is_int = isinstance(x, ast.Constant) and type(x.value) is int
+            assert not is_int, f"line {node.lineno}: {ast.unparse(node)}"
