@@ -79,6 +79,7 @@ from .regions import (
     l_b,
     scan,
 )
+from .verdicts import Verdict
 
 if TYPE_CHECKING:
     import logging
@@ -105,6 +106,11 @@ def format_number(x: float | str | bool | None) -> str:
     return "%.12g" % (x + 0.0)  # + 0.0 drops -0.0
 
 
+#: Each verdict's CSV text: on Python 3.11 ``Verdict.value`` goes through
+#: enum's Python-level descriptor, a dict lookup does not.
+_VERDICT_TEXT = {verdict: verdict.value for verdict in Verdict}
+
+
 def csv_row(row: Classification) -> str:
     """The :data:`CSV_HEADER` cells of one row, as :func:`format_number` prints them.
 
@@ -114,18 +120,19 @@ def csv_row(row: Classification) -> str:
     ``%`` template.
     """
     a, b, g, verdict, _, eig, name, value, member, _ = row
+    verdict_text = _VERDICT_TEXT[verdict]
     if eig is None:
-        return "%.12g,%.12g,%.12g,%s,,,," % (a + 0.0, b + 0.0, g + 0.0, verdict.value)
+        return "%.12g,%.12g,%.12g,%s,,,," % (a + 0.0, b + 0.0, g + 0.0, verdict_text)
     if name is None:
         return "%.12g,%.12g,%.12g,%s,%.12g,,," % (
-            a + 0.0, b + 0.0, g + 0.0, verdict.value, eig + 0.0
+            a + 0.0, b + 0.0, g + 0.0, verdict_text, eig + 0.0
         )
     if member is None:
         return "%.12g,%.12g,%.12g,%s,%.12g,%s,%.12g," % (
-            a + 0.0, b + 0.0, g + 0.0, verdict.value, eig + 0.0, name, value + 0.0
+            a + 0.0, b + 0.0, g + 0.0, verdict_text, eig + 0.0, name, value + 0.0
         )
     return "%.12g,%.12g,%.12g,%s,%.12g,%s,%.12g,%s" % (
-        a + 0.0, b + 0.0, g + 0.0, verdict.value, eig + 0.0, name, value + 0.0,
+        a + 0.0, b + 0.0, g + 0.0, verdict_text, eig + 0.0, name, value + 0.0,
         "true" if member else "false",
     )
 
@@ -384,7 +391,7 @@ def _cmd_witness(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     return 0, [
         "%-4s alpha = %s beta + %s gamma + %s   (trace scale %s)"
         % (name, *map(format_number, plane))
-        for name, plane in witness_planes()
+        for name, *plane in witness_planes()
     ]
 
 
@@ -533,8 +540,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         code, lines = args.handler(args)
         with _open_out(args.out) as out:
             for line in lines:
-                out.write(line)
-                out.write("\n")
+                out.write(line + "\n")
         sys.stdout.flush()  # a closed pipe shows here, not at shutdown
         return code
     except BrokenPipeError:

@@ -5,7 +5,11 @@ distinguished PPT start at its onset, and ``Tr(W rho_p)`` is affine in the
 family coordinates, so each is a plane ``alpha = b * beta + g * gamma + c``.
 That plane is a rational function of the start and the onset
 (:func:`_line_plane`), and the starts and onsets are closed forms, so
-:func:`witness_planes` builds no matrix.  The battery holds three
+:func:`witness_planes` builds no matrix.  It gives each plane as one plain
+row ``(name, beta_coeff, gamma_coeff, offset, trace_scale)``, a sign test
+read like the polytope's facet rows; :class:`PlaneCoefficients` is the
+record of the oracle (:func:`~.witness.witness_plane`) and of
+:func:`_line_plane`.  The battery holds three
 constructed witnesses -- ``Pl1`` (tangent at the flat face), ``Pl2`` (from
 the deepest detectable start), ``Pl3`` (from where ``Pl1`` meets the PPT
 cone edge) -- each followed by the same construction from the
@@ -270,25 +274,23 @@ def _battery_lines() -> Iterator[tuple[str, FamilyPoint, float]]:
 
 
 @lru_cache(maxsize=1)
-def witness_planes() -> tuple[tuple[str, PlaneCoefficients], ...]:
+def witness_planes() -> tuple[tuple[str, float, float, float, float], ...]:
     """The six witness planes the classifier reads, in closed form, built once.
 
-    In battery order ``Pl1, Pl1m, Pl2, Pl2m, Pl3, Pl3m``; no matrix is
-    built.  :func:`~.witness.deployed_witnesses` is the oracle that checks
-    them.
+    Each plane is one plain row ``(name, beta_coeff, gamma_coeff, offset,
+    trace_scale)``: the name, then the fields of the member's
+    :class:`PlaneCoefficients`.  In battery order ``Pl1, Pl1m, Pl2, Pl2m,
+    Pl3, Pl3m``; no matrix is built.  :func:`~.witness.deployed_witnesses`
+    is the oracle that checks them.
     """
     battery = tuple(
-        (name, _line_plane(start, onset)) for name, start, onset in _battery_lines()
+        (name, *_line_plane(start, onset)) for name, start, onset in _battery_lines()
     )
-    for name, plane in battery[::2]:  # the three unmirrored members
+    for row in battery[::2]:  # the three unmirrored members
         _log(
             __name__,
             _INFO,
             "witness %s: alpha = %.9f beta + %.9f gamma + %.9f (k=%.6f)",
-            name,
-            plane.beta_coeff,
-            plane.gamma_coeff,
-            plane.offset,
-            plane.trace_scale,
+            *row,
         )
     return battery

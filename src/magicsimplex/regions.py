@@ -27,12 +27,15 @@ inline: stage 1 the values of :func:`~.family.pyramid_slacks` computed in
 floats, and stage 2 ``min(e0, e_minus)`` of
 :func:`~.family.pt_block_eigenvalues` (``e_plus`` is never smaller), each
 with the same operations in the same order, so a float point gives the
-same bits; an int or ``Fraction`` coordinate is computed as its float
-value.  A pin test in ``tests/test_regions.py`` holds every row bit for
-bit to those functions and to the witness-plane and facet fields.  The
-grids behind ``scan --grid`` and :func:`plane_grid_points` yield plain
-``(alpha, beta, gamma)`` tuples, each axis checked finite once, before
-the first point.
+same bits.  An int coordinate, or a ``Fraction`` one outside stage 2, is
+computed as its float value; stage 2 adds and squares two ``Fraction``
+coordinates exactly before it rounds, so its ``pt_min_eig`` can sit a few
+ulps from the float row's.  Stage 3 reads each witness plane as one plain
+row of :func:`~.planes.witness_planes`.  A pin test in
+``tests/test_regions.py`` holds every row bit for bit to those functions
+and to the witness-plane and facet fields.  The grids behind ``scan
+--grid`` and :func:`plane_grid_points` yield plain ``(alpha, beta,
+gamma)`` tuples, each axis checked finite once, before the first point.
 
 On the positivity facet ``alpha = 7 beta / 2 + 1 - gamma`` everything is
 available in closed form.  Two curves organize that facet in the
@@ -76,6 +79,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
+from math import isfinite, sqrt
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .family import (
@@ -180,6 +184,10 @@ _NOT_A_STATE, _NPT_ENTANGLED, _BOUND_ENTANGLED = (
 )
 _SEPARABLE, _UNDETERMINED = Verdict.SEPARABLE, Verdict.UNDETERMINED
 
+#: Builds a :class:`Classification` from one flat tuple without the
+#: generated ``__new__``'s keyword handling.
+_new = tuple.__new__
+
 
 def _classify_rows(
     points: Iterable[FamilyPoint | tuple[float, float, float]],
@@ -193,12 +201,17 @@ def _classify_rows(
     All four stages evaluate their closed forms inline rather than through
     calls: the slacks of :func:`~.family.pyramid_slacks` computed in floats
     and ``min(e0, e_minus)`` of :func:`~.family.pt_block_eigenvalues`, each
-    with the same operations in the same order, then each witness plane and
-    each polytope facet read as a plain tuple; ``tuple.__new__`` builds each
-    row as one flat tuple from the coordinates.  A float point gives the bits of the ``family``
-    functions; an int or ``Fraction`` coordinate is computed as its float
-    value (stage 2 adds and squares two ``Fraction`` coordinates exactly
-    before it rounds).  A plain 3-tuple is read as it is once its
+    with the same operations in the same order, then each witness plane as
+    the plain row ``(name, beta_coeff, gamma_coeff, offset, trace_scale)``
+    of :func:`~.planes.witness_planes` and each polytope facet as a plain
+    tuple; ``tuple.__new__`` builds each row as one flat tuple from the
+    coordinates.  A float point gives the bits of the ``family`` functions.
+    An int coordinate, or a ``Fraction`` one in stages 1, 3 and 4, is
+    computed as its float value; stage 2 adds and squares two ``Fraction``
+    coordinates exactly before it rounds, so such a point can read a
+    ``pt_min_eig`` a few ulps from its float row.  Every field keeps the
+    type its arithmetic gives: ``numpy.float64`` coordinates give
+    ``numpy.float64`` fields.  A plain 3-tuple is read as it is once its
     coordinate sum is finite; if the sum is not, the ``FamilyPoint``
     constructor raises for a non-finite coordinate and passes a sum that
     only overflowed.  Anything else goes through that constructor and
@@ -210,9 +223,6 @@ def _classify_rows(
     halfspaces = None
     rows: list[Classification] = []
     append = rows.append
-    new = tuple.__new__
-    isfinite = math.isfinite
-    sqrt = math.sqrt
     for p in points:
         if type(p) is tuple and len(p) == 3:
             a, b, g = p
@@ -236,9 +246,9 @@ def _classify_rows(
             margin = s
         if margin < STATE_TOL:
             row = (a, b, g, _NOT_A_STATE, margin, None, None, None, None, "")
-            append(new(Classification, row))
+            append(_new(Classification, row))
             continue
-        # Stage 2: float(min(family.pt_block_eigenvalues(p))), the same way;
+        # Stage 2: min(family.pt_block_eigenvalues(p)), the same way;
         # e_plus adds the root that e_minus subtracts, so it is never smaller.
         w = (1.0 - a - b - g) / 9.0
         y = a - b / 2.0
@@ -246,20 +256,19 @@ def _classify_rows(
         s = w + g / 6.0 - sqrt(g * g / 36.0 + y * y / 9.0)
         if s < pt_eig:
             pt_eig = s
-        pt_eig = float(pt_eig)
         if pt_eig < PPT_TOL:
             row = (a, b, g, _NPT_ENTANGLED, margin, pt_eig, None, None, None, "")
-            append(new(Classification, row))
+            append(_new(Classification, row))
             continue
         # Stage 3: Tr(W rho) = k * (alpha - (b beta + g gamma + c)); ties keep battery order.
         name = value = None
-        for plane_name, (nb, ng, c, k) in planes:
+        for plane_name, nb, ng, c, k in planes:
             v = k * (a - (nb * b + ng * g + c))
             if value is None or v < value:
                 name, value = plane_name, v
         if value < DETECTION_TOL:
             row = (a, b, g, _BOUND_ENTANGLED, margin, pt_eig, name, value, None, "")
-            append(new(Classification, row))
+            append(_new(Classification, row))
             continue
         # Stage 4: inside the polytope's three rows (stage 1 decided the
         # positivity facets), to MEMBERSHIP_TOL.
@@ -271,7 +280,7 @@ def _classify_rows(
                 verdict, member = _UNDETERMINED, False
                 break
         row = (a, b, g, verdict, margin, pt_eig, name, value, member, "")
-        append(new(Classification, row))
+        append(_new(Classification, row))
     return rows
 
 

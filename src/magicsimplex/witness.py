@@ -297,7 +297,7 @@ def deployed_witnesses() -> tuple[DeployedWitness, ...]:
     product-state sweep.
     """
     battery: list[DeployedWitness] = []
-    for (name, start, onset), (_, closed) in zip(_battery_lines(), witness_planes()):
+    for (name, start, onset), (_, *closed) in zip(_battery_lines(), witness_planes()):
         lam = lambda_min(start)
         if lam is None or abs(lam - onset) > _ORACLE_TOL:
             raise ArithmeticError(

@@ -41,7 +41,7 @@ from magicsimplex.regions import (
     plane_grid_points,
     scan,
 )
-from magicsimplex.planes import witness_planes
+from magicsimplex.planes import PlaneCoefficients, witness_planes
 from magicsimplex.verdicts import Verdict
 from magicsimplex.witness import deployed_witnesses
 
@@ -517,7 +517,7 @@ def test_records_refuse_attribute_assignment():
     records = [
         (horodecki_point(2.5), "alpha"),
         (row, "verdict"),
-        (witness_planes()[0][1], "offset"),
+        (witness_planes()[0], "offset"),
         (build_polygon(), "halfspaces"),
         (scan([horodecki_point(2.5)]), "rows"),
         (CheckResult(4, "facet-curve-crossings", 0.0, 0.0, 1e-12, True), "passed"),
@@ -527,6 +527,16 @@ def test_records_refuse_attribute_assignment():
             setattr(record, name, 0.0)
         with pytest.raises(AttributeError):
             record.extra = 0.0
+
+
+def test_witness_planes_are_plain_rows_in_battery_order():
+    # Stage 3 unpacks each plane in place, which CPython specialises only
+    # for an exact tuple.
+    rows = witness_planes()
+    assert [row[0] for row in rows] == ["Pl1", "Pl1m", "Pl2", "Pl2m", "Pl3", "Pl3m"]
+    for row in rows:
+        assert type(row) is tuple and len(row) == 5, row
+        assert type(row[0]) is str and all(type(x) is float for x in row[1:]), row
 
 
 def test_classify_reads_a_rebuilt_witness_table(monkeypatch):
@@ -576,7 +586,8 @@ def _reference_row(p) -> Classification:
         return Classification(*pt, Verdict.NPT_ENTANGLED, margin, pt_eig)
     a, b, g = pt
     name = value = None
-    for plane_name, plane in witness_planes():
+    for plane_name, *fields in witness_planes():
+        plane = PlaneCoefficients(*fields)
         v = plane.trace_scale * (
             a - (plane.beta_coeff * b + plane.gamma_coeff * g + plane.offset)
         )
@@ -634,7 +645,9 @@ def test_loop_rows_are_the_family_closed_forms_bit_for_bit():
 def test_witness_ties_keep_battery_order():
     # At gamma = 0 the Pl3 and Pl3m planes differ only in gamma_coeff, so
     # every stage-3 value ties exactly; the first in battery order wins.
-    pl3, pl3m = (plane for name, plane in witness_planes() if name in ("Pl3", "Pl3m"))
+    pl3, pl3m = (
+        PlaneCoefficients(*plane) for name, *plane in witness_planes() if name in ("Pl3", "Pl3m")
+    )
     assert (pl3.beta_coeff, pl3.offset, pl3.trace_scale) == (
         pl3m.beta_coeff, pl3m.offset, pl3m.trace_scale
     )
@@ -761,6 +774,36 @@ def test_integer_coordinates_give_the_row_of_their_float_values():
         assert csv_row(row) == csv_row(floats), p
         verdicts.add(row.verdict)
     assert verdicts == set(Verdict) - {Verdict.UNDETERMINED}
+
+
+def test_fraction_coordinates_round_only_in_stage_2():
+    # Stage 2 adds and squares two Fractions exactly before it rounds, so
+    # this point's pt_min_eig is an ulp off its float row; every other field
+    # has the float row's type and bits.
+    p = (Fraction(-4, 43), Fraction(-6, 47), Fraction(-21, 65))
+    row, floats = _both(p), _both(tuple(map(float, p)))
+    assert row.witness_name is not None, row  # the point reaches stage 3
+    for field in Classification._fields[3:]:
+        if field != "pt_min_eig":
+            assert _bits(getattr(row, field)) == _bits(getattr(floats, field)), field
+    assert type(row.pt_min_eig) is float
+    assert abs(row.pt_min_eig - floats.pt_min_eig) <= 4 * math.ulp(floats.pt_min_eig)
+
+
+def test_numpy_float64_coordinates_give_numpy_float64_fields():
+    # No field is converted: every number of the row has the coordinates'
+    # type, pt_min_eig included, and the float row's value.
+    for p in [(0.9, 0.0, 0.0), (0.0, 0.0, 0.0), horodecki_point(1.5), (0.1, 0.3, 0.2)]:
+        row = _both(tuple(map(np.float64, p)))
+        floats = _both(tuple(map(float, p)))
+        assert row.pt_min_eig is not None, row
+        for field in Classification._fields:
+            x, want = getattr(row, field), getattr(floats, field)
+            if isinstance(want, float):
+                assert type(x) is np.float64, (p, field)
+                assert float(x).hex() == want.hex(), (p, field)
+            else:
+                assert _bits(x) == _bits(want), (p, field)
 
 
 def test_the_classification_loop_has_no_int_literal_operand():

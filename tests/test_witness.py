@@ -37,6 +37,7 @@ from magicsimplex.planes import (
     OPTIMAL_EPSILON,
     OPTIMAL_GAMMA,
     OPTIMAL_LAMBDA,
+    PlaneCoefficients,
     optimal_plane_start,
     pl1_cone_start,
     plane_tip_start,
@@ -356,7 +357,7 @@ def test_cone_start_closed_form_beta():
     assert start.beta == pytest.approx(want, abs=1e-9)
     assert start.gamma == pytest.approx(2.0 / 7.0, abs=1e-15)
     # the point sits on the flat witness plane
-    pl1 = dict(witness_planes())["Pl1"]
+    pl1 = next(PlaneCoefficients(*p) for name, *p in witness_planes() if name == "Pl1")
     a, b, g = start
     assert abs(a - (pl1.beta_coeff * b + pl1.gamma_coeff * g + pl1.offset)) <= 1e-12
 
@@ -398,7 +399,7 @@ def test_battery_membership_and_planes():
     battery = deployed_witnesses()
     names = ["Pl1", "Pl1m", "Pl2", "Pl2m", "Pl3", "Pl3m"]
     assert [w.name for w in battery] == names
-    assert [name for name, _ in witness_planes()] == names
+    assert [row[0] for row in witness_planes()] == names
     for w in battery:
         assert w.candidate.feasible
     # mirroring preserves the beta coefficient, offset, and trace scale
@@ -420,10 +421,10 @@ def test_battery_tangent_at_shared_corner():
 
 
 def test_closed_form_planes_match_the_oracle():
-    for (name, closed), w in zip(witness_planes(), deployed_witnesses()):
+    for (name, *closed), w in zip(witness_planes(), deployed_witnesses()):
         assert name == w.name
         probed = witness_plane(w.candidate)._asdict()
-        for field, value in closed._asdict().items():
+        for field, value in PlaneCoefficients(*closed)._asdict().items():
             assert abs(probed[field] - value) <= 1e-12, (name, field)
 
 
@@ -468,7 +469,7 @@ def test_battery_build_samples_no_product_state(monkeypatch):
     monkeypatch.setattr(witness, "min_product_expectation", refuse)
     monkeypatch.setattr(witness, "_draw_normals", refuse)
     battery = _rebuild_oracle(monkeypatch)
-    assert [w.name for w in battery] == [name for name, _ in witness_planes()]
+    assert [w.name for w in battery] == [row[0] for row in witness_planes()]
 
 
 def test_planes_are_logged_once_per_battery_build(caplog):
@@ -485,7 +486,7 @@ def test_planes_are_logged_once_per_battery_build(caplog):
 def test_plane_residual_examples():
     # alpha - (b beta + g gamma + c) of Pl1 vanishes at (0.4, 0, 0) and is
     # -0.4 at the origin
-    pl1 = dict(witness_planes())["Pl1"]
+    pl1 = next(PlaneCoefficients(*p) for name, *p in witness_planes() if name == "Pl1")
     for (a, b, g), want in (((0.4, 0.0, 0.0), 0.0), (ORIGIN, -0.4)):
         got = a - (pl1.beta_coeff * b + pl1.gamma_coeff * g + pl1.offset)
         assert got == pytest.approx(want, abs=1e-12)
