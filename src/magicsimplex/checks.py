@@ -25,6 +25,11 @@ Stacked kernels, array closed forms and blocks give each member
 bit-identical results to the one-point, whole-sweep call, so every check
 reads the same numbers as a point-by-point loop would.
 
+Check 6 forms its 1,000 line operators by :func:`~.witness.line_operator`
+one :data:`_STACK` chunk at a time, then replays the two identities
+member by member; checks 6 and 8 read only those matrices, so neither
+runs a Weyl decomposition or a safety verdict.
+
 A check passes by the rule its record prints: ``abs(computed - expected)
 <= tolerance``.  Checks 3 and 7 also need the count their detail reports
 (band mislabels, sign mismatches) to be zero.  Two checks are one-sided
@@ -80,6 +85,7 @@ from .witness import (
     deployed_witness,
     deployed_witnesses,
     lambda_min,
+    line_operator,
     min_product_expectation,
 )
 
@@ -260,17 +266,19 @@ def _check_flat_face_functional(seed: int) -> dict:
 
 def _check_line_identities(seed: int) -> dict:
     rng = np.random.default_rng(seed + 6)
-    starts = _ppt_starts(rng, 1000)
+    starts = np.array(_ppt_starts(rng, 1000))
+    lams = rng.uniform(0.0, 1.0 - 1e-12, len(starts))
     mixed = np.eye(9, dtype=complex) / 9.0
     worst = 0.0
-    for start, rho in zip(starts, _states(np.array(starts))):
-        lam = float(rng.uniform(0.0, 1.0 - 1e-12))
-        cand = c_lambda(start, lam)
-        rho_l = lam * rho + (1.0 - lam) * mixed
-        on_line = abs(hs_inner(cand.matrix, rho_l).real)
-        dist_sq = float(np.linalg.norm(rho_l - rho)) ** 2
-        at_start = abs(hs_inner(cand.matrix, rho).real + dist_sq)
-        worst = max(worst, on_line, at_start)
+    for lo in range(0, len(starts), _STACK):
+        chunk, chunk_lams = starts[lo : lo + _STACK], lams[lo : lo + _STACK]
+        ops = line_operator(chunk, chunk_lams)
+        for rho, op, lam in zip(family_state(chunk), ops, chunk_lams.tolist()):
+            rho_l = lam * rho + (1.0 - lam) * mixed
+            on_line = abs(hs_inner(op, rho_l).real)
+            dist_sq = float(np.linalg.norm(rho_l - rho)) ** 2
+            at_start = abs(hs_inner(op, rho).real + dist_sq)
+            worst = max(worst, on_line, at_start)
     detail = "max |Tr(C rho_line)| and |Tr(C rho) + dist^2| over 1000 draws"
     return _fields(0.0, worst, 1e-12, detail)
 
@@ -300,12 +308,11 @@ def _check_limit_law(seed: int) -> dict:
     starts = _ppt_starts(rng, 10)
     worst_ratio = 0.0
     for start in starts:
-        rho = family_state(start)
-        limit = c_lambda(start, 1.0).matrix
+        limit = line_operator(start, 1.0)
         for k in range(3, 7):
             lam = 1.0 - 10.0**-k
-            cand = c_lambda(start, lam)
-            gap = float(np.linalg.norm(cand.matrix / (lam * (1.0 - lam)) - limit))
+            op = line_operator(start, lam)
+            gap = float(np.linalg.norm(op / (lam * (1.0 - lam)) - limit))
             worst_ratio = max(worst_ratio, gap / (10.0 * (1.0 - lam)))
     expected = 1.0
     detail = "max ||C/(l(1-l)) - C_limit|| / (10(1-l)), l = 1-10^-k, k=3..6"

@@ -34,6 +34,12 @@ closed form from the start's coefficient table
 oracle.  The ``l -> 1`` limit of ``C_l / (l (1 - l))`` is the tangent-plane
 witness ``purity * 1 - rho``, which :func:`c_lambda` returns at ``l = 1``.
 
+:func:`line_operator` forms the matrix alone, for one start and one ``l``
+or for an ``(N, 3)`` array of starts and an ``(N,)`` array of parameters,
+each member of the ``(N, 9, 9)`` stack bit-identical to the one-point
+call; :func:`c_lambda` is its :func:`witness_candidate`, the matrix with
+its Weyl table and safety verdict.
+
 Geometrically each witness is an affine functional of the family
 coordinates, i.e. a plane ``alpha = b * beta + g * gamma + c``.  The six
 planes the classifier reads are closed forms in :mod:`.planes`, which
@@ -79,6 +85,7 @@ __all__ = [
     "deployed_witness",
     "deployed_witnesses",
     "lambda_min",
+    "line_operator",
     "min_product_expectation",
     "witness_candidate",
     "witness_plane",
@@ -155,15 +162,66 @@ def witness_candidate(matrix: Array) -> WitnessCandidate:
 # ---------------------------------------------------------------------------
 
 
-def _scaled_line_operator(rho: Array, lam: float) -> Array:
+def _scaled_line_operator(rho: Array, lam: float | Array) -> Array:
     """``C_l / (1 - l) = (l * purity + (1 - l) / 9) * 1 - rho``.
 
     A positive multiple of ``C_l``, hence the same safety verdict, without
     the cancellation in ``rho_l - rho`` as ``l -> 1``; at ``l = 1`` it is
-    the endpoint limit ``purity * 1 - rho``.
+    the endpoint limit ``purity * 1 - rho``.  An ``(N, 9, 9)`` stack of
+    states with an ``(N, 1, 1)`` array of parameters gives the stack of
+    their operators.  Each purity is :func:`~.qmat.hs_inner` of one member
+    (``np.vdot``); a stacked sum would add in another order and change the
+    bits, so each member is the one-state result bit for bit.
     """
-    purity = hs_inner(rho, rho).real
+    purity = (
+        hs_inner(rho, rho).real
+        if rho.ndim == 2
+        else np.array([hs_inner(r, r).real for r in rho])[:, None, None]
+    )
     return (lam * purity + (1.0 - lam) / 9.0) * np.eye(9, dtype=complex) - rho
+
+
+def _require_line_start(
+    start: FamilyPoint | tuple[float, float, float], lam: float
+) -> None:
+    """:func:`c_lambda`'s checks: ``lam`` in ``[0, 1]`` (not NaN), then a PPT start."""
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"line parameter must lie in [0, 1], got {lam}")
+    _require_ppt(start)
+
+
+def line_operator(
+    start: FamilyPoint | tuple[float, float, float] | Array, lam: float | Array
+) -> Array:
+    """The matrix of :func:`c_lambda` at one start or at a stack of them.
+
+    One start and a float give one ``9x9`` matrix: ``(1 - lam)`` times the
+    rescaled operator, or the rescaled operator itself at ``lam == 1``.  An
+    ``(N, 3)`` array of starts and an ``(N,)`` array of parameters give the
+    ``(N, 9, 9)`` stack, the same rule applied member by member, and each
+    member is bit-identical to the one-point call.
+
+    Before any matrix forms, each member in turn gets the one-point checks
+    and messages: ``ValueError`` for its ``lam`` outside ``[0, 1]`` (NaN
+    included), then for its start unless it is a PPT state.  Starts and
+    parameters of different shapes raise ``ValueError`` too.
+    """
+    if getattr(start, "ndim", None) == 2:
+        lams = np.asarray(lam, dtype=float)
+        if lams.shape != start.shape[:1]:
+            raise ValueError(
+                f"{len(start)} starts need {len(start)} line parameters, "
+                f"got shape {lams.shape}"
+            )
+        for row, value in zip(start.tolist(), lams.tolist()):
+            _require_line_start(row, value)
+        lam = lams[:, None, None]
+    elif getattr(lam, "ndim", 0):
+        raise ValueError(f"one start takes one line parameter, got shape {lam.shape}")
+    else:
+        _require_line_start(start, lam)
+    op = _scaled_line_operator(family_state(start), lam)
+    return np.where(lam == 1.0, op, (1.0 - lam) * op)
 
 
 def c_lambda(start: FamilyPoint, lam: float) -> WitnessCandidate:
@@ -179,12 +237,9 @@ def c_lambda(start: FamilyPoint, lam: float) -> WitnessCandidate:
     its far end (``Tr(C rho) = 0`` exactly); :func:`~.planes._line_plane`
     uses the same convention.  Raises ``ValueError`` for ``lam`` outside
     ``[0, 1]`` (NaN included), then for a start that is not a PPT state.
+    The matrix is :func:`line_operator`'s; this adds its candidate.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"line parameter must lie in [0, 1], got {lam}")
-    _require_ppt(start)
-    op = _scaled_line_operator(family_state(start), lam)
-    return witness_candidate(op if lam == 1.0 else (1.0 - lam) * op)
+    return witness_candidate(line_operator(start, lam))
 
 
 def lambda_min(start: FamilyPoint) -> float | None:

@@ -54,6 +54,7 @@ from magicsimplex.witness import (
     deployed_witness,
     deployed_witnesses,
     lambda_min,
+    line_operator,
     min_product_expectation,
     witness_candidate,
     witness_plane,
@@ -142,6 +143,60 @@ def test_c_lambda_is_the_line_formula_bit_for_bit(lam):
         scaled = _scaled_line_operator(family_state(start), lam)
         ref = scaled if lam == 1.0 else (1.0 - lam) * scaled
         assert np.array_equal(c_lambda(start, lam).matrix, ref)
+
+
+def test_line_operator_stack_is_c_lambda_bit_for_bit():
+    # Every start at every parameter, in one stack that mixes the endpoint
+    # with interior values; the int64 view also compares signed zeros.
+    lams = (0.0, 0.25, 0.7, 1.0 - 1e-9, 1.0)
+    pairs = [
+        (start, lam)
+        for start in seeded_ppt_starts(8, seed=23) + [plane_tip_start()]
+        for lam in lams
+    ]
+    stack = line_operator(np.array([s for s, _ in pairs]), np.array([l for _, l in pairs]))
+    assert stack.shape == (len(pairs), 9, 9)
+    for member, (start, lam) in zip(stack, pairs):
+        ref = c_lambda(start, lam).matrix.view(np.int64)
+        assert np.array_equal(member.view(np.int64), ref)
+        assert np.array_equal(line_operator(start, lam).view(np.int64), ref)
+
+
+@pytest.mark.parametrize(
+    "bad_start, bad_lam",
+    [
+        ((0.0, 0.0, 0.0), math.nan),
+        ((0.0, 0.0, 0.0), 1.01),
+        ((1.0, 0.0, 0.0), 0.5),
+        ((3.0, 0.0, 0.0), 0.5),
+        # the parameter is checked before the start
+        ((1.0, 0.0, 0.0), 1.01),
+    ],
+)
+def test_line_operator_stack_raises_c_lambdas_error_before_any_matrix(
+    monkeypatch, bad_start, bad_lam
+):
+    with pytest.raises(ValueError) as single:
+        c_lambda(bad_start, bad_lam)
+    starts = np.array([horodecki_point(1.5), bad_start, (1.0, 0.0, 0.0)])
+    lams = np.array([0.5, bad_lam, 1.01])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a matrix was formed")
+
+    monkeypatch.setattr(witness, "family_state", refuse)
+    with pytest.raises(ValueError) as stacked:
+        line_operator(starts, lams)
+    assert str(stacked.value) == str(single.value)
+
+
+def test_line_operator_rejects_mismatched_shapes():
+    starts = np.array(seeded_ppt_starts(3, seed=23))
+    for lams in (np.full(2, 0.5), np.full(4, 0.5), 0.5, np.full((3, 1), 0.5)):
+        with pytest.raises(ValueError, match="line parameters"):
+            line_operator(starts, lams)
+    with pytest.raises(ValueError, match="one line parameter"):
+        line_operator(starts[0], np.full(3, 0.5))
 
 
 def _line_state(start: FamilyPoint, lam: float) -> np.ndarray:
@@ -615,6 +670,16 @@ def test_product_sweep_check_runs_in_bounded_memory():
     assert _traced_peak(checks._check_product_safety, DEFAULT_SEED) <= 4 * 2**20
 
 
+def test_line_identities_check_runs_in_bounded_memory(monkeypatch):
+    # The 256-row chunks peak near 2.0 MB; one 1,000-member stack of
+    # operators and states peaks near 4.2 MB, so the bound tells them apart.
+    bound = 3 * 2**20
+    checks._check_line_identities(DEFAULT_SEED)  # build the cached tables first
+    assert _traced_peak(checks._check_line_identities, DEFAULT_SEED) <= bound
+    monkeypatch.setattr(checks, "_STACK", 1000)
+    assert _traced_peak(checks._check_line_identities, DEFAULT_SEED) > bound
+
+
 def test_gamma_zero_slice_check_runs_in_bounded_memory():
     checks._check_gamma_zero_slice(DEFAULT_SEED)  # build the cached tables first
     assert _traced_peak(checks._check_gamma_zero_slice, DEFAULT_SEED) <= 2**20
@@ -711,6 +776,30 @@ def test_ppt_starts_match_a_point_by_point_loop():
         assert checks._ppt_starts(rng, count) == reference(ref_rng, count)
         # Both leave the generator at the same place for the draws that follow.
         assert rng.uniform() == ref_rng.uniform()
+
+
+def _line_identities_point_by_point(seed):
+    """Check 6 as one loop: one draw, one ``c_lambda`` and one state per start."""
+    rng = np.random.default_rng(seed + 6)
+    starts = checks._ppt_starts(rng, 1000)
+    mixed = np.eye(9, dtype=complex) / 9.0
+    worst = 0.0
+    for start in starts:
+        rho = family_state(start)
+        lam = float(rng.uniform(0.0, 1.0 - 1e-12))
+        cand = c_lambda(start, lam)
+        rho_l = lam * rho + (1.0 - lam) * mixed
+        on_line = abs(hs_inner(cand.matrix, rho_l).real)
+        dist_sq = float(np.linalg.norm(rho_l - rho)) ** 2
+        at_start = abs(hs_inner(cand.matrix, rho).real + dist_sq)
+        worst = max(worst, on_line, at_start)
+    detail = "max |Tr(C rho_line)| and |Tr(C rho) + dist^2| over 1000 draws"
+    return checks._fields(0.0, worst, 1e-12, detail)
+
+
+@pytest.mark.parametrize("seed", [1, 3, DEFAULT_SEED])
+def test_line_identities_check_matches_a_point_by_point_loop(seed):
+    assert checks._check_line_identities(seed) == _line_identities_point_by_point(seed)
 
 
 def test_ppt_samplers_run_no_eigensolver(monkeypatch):
