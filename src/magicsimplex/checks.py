@@ -14,21 +14,30 @@ The matrix sweeps form their states and hand the oracle kernels stacks of
 at most :data:`_STACK` matrices (one LAPACK call per chunk, not per
 point), and the production closed forms of :mod:`.family` take the same
 chunks as ``(N, 3)`` arrays.  The PPT samplers accept a point by those
-closed forms, the test their consumer :func:`c_lambda` applies, and run
-no eigensolver.  The product-state check draws the normals of each seeded
-chunk of 20,000 product vectors, then forms and evaluates the vectors in
-blocks of 2,000 rows, once for all six witnesses, with one BLAS product
-per witness and block; its memory grows neither with the number of
-vectors nor with the number of witnesses.  The gamma = 0 slice scans one
-alpha row of 200 points at a time and keeps only the verdict tally.
+closed forms, the test their consumer :func:`~.witness.c_lambda`
+applies, and run no eigensolver.  The product-state check draws the
+normals of each seeded chunk of 20,000 product vectors, then forms and
+evaluates the vectors in blocks of 2,000 rows, once for all six
+witnesses, with one BLAS product per witness and block; its memory grows
+neither with the number of vectors nor with the number of witnesses.
+The gamma = 0 slice scans one alpha row of 200 points at a time and
+keeps only the verdict tally.
 Stacked kernels, array closed forms and blocks give each member
 bit-identical results to the one-point, whole-sweep call, so every check
 reads the same numbers as a point-by-point loop would.
 
 Check 6 forms its 1,000 line operators by :func:`~.witness.line_operator`
-one :data:`_STACK` chunk at a time, then replays the two identities
-member by member; checks 6 and 8 read only those matrices, so neither
-runs a Weyl decomposition or a safety verdict.
+one :data:`_STACK` chunk at a time, with each chunk's line points and
+their gaps to the starts as two elementwise stack operations, then
+replays the two identities member by member; checks 6 and 8 read only
+those matrices, so neither runs a Weyl decomposition or a safety verdict.
+Check 10 draws its 100 accepted samples first, in the order a sample
+loop draws them, then forms their 200 operators with two
+:func:`~.witness.line_operator` stack calls and reads their coefficient
+tables from one stacked :func:`~.weyl.weyl_tensor_decompose`; like
+checks 6 and 8 it runs no safety verdict.  Every family matrix these
+sweeps hand to :func:`~.qmat.hermitian_eigenvalues` is exactly
+Hermitian, so the eigensolver takes it without a symmetrised copy.
 
 A check passes by the rule its record prints: ``abs(computed - expected)
 <= tolerance``.  Checks 3 and 7 also need the count their detail reports
@@ -80,8 +89,8 @@ from .planes import (
 from .qmat import hermitian_eigenvalues, hs_inner
 from .regions import l_a, l_b, parse_grid, plane_grid_points, scan
 from .verdicts import Verdict
+from .weyl import weyl_tensor_decompose
 from .witness import (
-    c_lambda,
     deployed_witness,
     deployed_witnesses,
     lambda_min,
@@ -167,8 +176,8 @@ def _ppt_starts(rng: np.random.Generator, count: int) -> list[FamilyPoint]:
     whose smallest :func:`pt_block_eigenvalues` value clears
     :data:`PPT_TOL`, each from one call on the round's array.  That is the
     test :func:`~.planes._require_ppt` applies to a start, so every point
-    returned is a valid start of :func:`c_lambda`, and the accepted points
-    are exactly those of a point-by-point loop.
+    returned is a valid start of :func:`~.witness.c_lambda`, and the
+    accepted points are exactly those of a point-by-point loop.
     """
     out: list[FamilyPoint] = []
     while len(out) < count:
@@ -273,10 +282,12 @@ def _check_line_identities(seed: int) -> dict:
     for lo in range(0, len(starts), _STACK):
         chunk, chunk_lams = starts[lo : lo + _STACK], lams[lo : lo + _STACK]
         ops = line_operator(chunk, chunk_lams)
-        for rho, op, lam in zip(family_state(chunk), ops, chunk_lams.tolist()):
-            rho_l = lam * rho + (1.0 - lam) * mixed
+        rhos = family_state(chunk)
+        lam = chunk_lams[:, None, None]
+        rho_ls = lam * rhos + (1.0 - lam) * mixed
+        for rho, op, rho_l, gap in zip(rhos, ops, rho_ls, rho_ls - rhos):
             on_line = abs(hs_inner(op, rho_l).real)
-            dist_sq = float(np.linalg.norm(rho_l - rho)) ** 2
+            dist_sq = float(np.linalg.norm(gap)) ** 2
             at_start = abs(hs_inner(op, rho).real + dist_sq)
             worst = max(worst, on_line, at_start)
     detail = "max |Tr(C rho_line)| and |Tr(C rho) + dist^2| over 1000 draws"
@@ -335,9 +346,8 @@ def _check_product_safety(seed: int) -> dict:
 
 def _check_mirror_conjugation(seed: int) -> dict:
     rng = np.random.default_rng(seed + 10)
-    worst = 0.0
-    accepted = 0
-    while accepted < 100:
+    pluses, minuses, lams = [], [], []
+    while len(lams) < 100:
         eps = float(rng.uniform(-0.3, 0.15))
         gamma = float(rng.uniform(0.02, 0.45))
         plus = plane_point(eps, gamma)
@@ -346,13 +356,19 @@ def _check_mirror_conjugation(seed: int) -> dict:
             continue
         if not (is_ppt(plus).is_ppt and is_ppt(minus).is_ppt):
             continue
-        lam = float(rng.uniform(0.05, 0.999))
-        table_plus = c_lambda(plus, lam).coeffs
-        table_minus = c_lambda(minus, lam).coeffs
+        pluses.append(plus)
+        minuses.append(minus)
+        lams.append(float(rng.uniform(0.05, 0.999)))
+    lams = np.array(lams)
+    ops = np.concatenate(
+        [line_operator(np.array(pluses), lams), line_operator(np.array(minuses), lams)]
+    )
+    tables = weyl_tensor_decompose(ops)
+    worst = 0.0
+    for table_plus, table_minus in zip(tables[: len(lams)], tables[len(lams) :]):
         for key, value in table_plus.coeffs.items():
             gap = abs(value - np.conj(table_minus.coeffs[key]))
             worst = max(worst, float(gap))
-        accepted += 1
     detail = "coefficients at (eps, +g) vs conjugate at (eps, -g), 100 samples"
     return _fields(0.0, worst, 1e-12, detail)
 

@@ -11,7 +11,11 @@ of matrices, so an oracle sweep makes one call per chunk instead of one
 per matrix.  A stack is not a looser contract: the Hermiticity and
 finiteness checks and the trace-moment posts are applied to every matrix
 in it, each with its own tolerance, and a single matrix is just the
-one-member case with bit-identical results.
+one-member case with bit-identical results.  Input that equals its
+conjugate transpose entry for entry, as every family state, its partial
+transpose and every line operator do, has no asymmetry to measure: the
+eigensolver hands it to LAPACK as it is, where symmetrising it would
+give the same values.
 
 Conventions
 -----------
@@ -85,9 +89,11 @@ def hermitian_eigenvalues(m: Array) -> Array:
 
     The input is checked, symmetrised and handed to ``np.linalg.eigvalsh``;
     the returned spectrum must then reproduce the trace moments ``Tr M``
-    and ``Tr M^2`` of the input.  A stack ``(..., n, n)`` gives the
-    spectra ``(..., n)`` from one LAPACK call, with every check and post
-    applied to each matrix on its own.
+    and ``Tr M^2`` of the input.  Input that equals its conjugate
+    transpose entry for entry goes to ``eigvalsh`` as it is, with no
+    asymmetry measured.  A stack ``(..., n, n)`` gives the spectra
+    ``(..., n)`` from one LAPACK call, with every check and post applied
+    to each matrix on its own.
 
     Raises ``ValueError`` for non-Hermitian input (with the max asymmetry in
     the message) or non-finite entries, and ``ArithmeticError`` if the
@@ -101,19 +107,24 @@ def hermitian_eigenvalues(m: Array) -> Array:
     if not finite.all():
         raise ValueError(f"matrix{_member(a, int(finite.argmin()))} has non-finite entries")
     a_h = a.conj().swapaxes(-1, -2)
-    defect = np.abs(a - a_h).max(axis=(-2, -1), initial=0.0)
-    asymmetric = defect > HERMITICITY_TOL
-    if asymmetric.any():
-        k = int(asymmetric.argmax())
-        raise ValueError(
-            f"matrix{_member(a, k)} is not Hermitian: "
-            f"max asymmetry {defect.flat[k]:.3e}"
-        )
+    if (a == a_h).all():
+        # No defect to measure, and ``0.5 * (a + a_h)`` would equal ``a``.
+        sym = a
+    else:
+        defect = np.abs(a - a_h).max(axis=(-2, -1), initial=0.0)
+        asymmetric = defect > HERMITICITY_TOL
+        if asymmetric.any():
+            k = int(asymmetric.argmax())
+            raise ValueError(
+                f"matrix{_member(a, k)} is not Hermitian: "
+                f"max asymmetry {defect.flat[k]:.3e}"
+            )
+        sym = 0.5 * (a + a_h)
 
     tr_in = a.diagonal(0, -2, -1).real.sum(-1)
     tr2_in = (np.abs(a) ** 2).sum(axis=(-2, -1))  # Tr M^2 for Hermitian M
 
-    eigs = np.linalg.eigvalsh(0.5 * (a + a_h))
+    eigs = np.linalg.eigvalsh(sym)
 
     # Consistency posts, per matrix: eigenvalues must reproduce Tr M and Tr M^2.
     tol = 1e-9 * np.maximum(1.0, np.sqrt(tr2_in))

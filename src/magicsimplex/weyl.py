@@ -12,6 +12,9 @@ the simplex of states this package studies.
 The two-sided basis used for decompositions is ``W(n, m) (x) W(-n, m)``,
 which is closed under Hermitian conjugation: an operator is Hermitian iff
 its coefficient table satisfies ``t[-n, -m] == conj(t[n, m])``.
+:func:`weyl_tensor_decompose` also takes an ``(N, 9, 9)`` stack and
+returns its ``N`` tables, each the one-matrix call's bit for bit, so an
+oracle sweep decomposes a chunk of operators with one projection.
 """
 
 from __future__ import annotations
@@ -116,21 +119,34 @@ class WeylCoefficients:
         )
 
 
-def weyl_tensor_decompose(c: Array) -> WeylCoefficients:
+def weyl_tensor_decompose(
+    c: Array,
+) -> WeylCoefficients | list[WeylCoefficients]:
     """Expand a two-qutrit operator over ``W(n, m) (x) W(-n, m)``.
 
     Coefficients are Hilbert-Schmidt projections ``<B_nm, C> / 9``; the
     reported residual measures the component of ``C`` outside the span (the
     span is 9-dimensional inside an 81-dimensional space, so a generic
     two-qutrit operator has a large residual).
+
+    An ``(N, 9, 9)`` stack gives the list of its ``N`` tables from one
+    stacked projection and one stacked reconstruction; each residual is
+    the norm of one member, so every table is the one-matrix call's bit
+    for bit.  Any other shape raises ``ValueError``.
     """
     a = np.asarray(c, dtype=complex)
-    if a.shape != (9, 9):
-        raise ValueError(f"expected shape (9, 9), got {a.shape}")
+    if a.ndim not in (2, 3) or a.shape[-2:] != (9, 9):
+        raise ValueError(f"expected shape (9, 9) or (N, 9, 9), got {a.shape}")
+    if a.ndim == 2:
+        return weyl_tensor_decompose(a[None])[0]
     rows, rows_conj, index = _stacked_basis()
-    flat = a.reshape(81)
-    t = (rows_conj @ flat) / 9
-    resid = float(np.linalg.norm(flat - rows.T @ t))
-    coeffs = {key: complex(t[i]) for i, key in enumerate(index)}
-    return WeylCoefficients(coeffs=coeffs, residual=resid)
-
+    flat = a.reshape(len(a), 81)
+    t = (rows_conj @ flat[..., None])[..., 0] / 9
+    outside = flat - (rows.T @ t[..., None])[..., 0]
+    # ``np.linalg.norm`` per member: an axis-wise norm adds in another order.
+    return [
+        WeylCoefficients(
+            coeffs=dict(zip(index, row)), residual=float(np.linalg.norm(r))
+        )
+        for row, r in zip(t.tolist(), outside)
+    ]

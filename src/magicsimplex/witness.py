@@ -38,7 +38,10 @@ witness ``purity * 1 - rho``, which :func:`c_lambda` returns at ``l = 1``.
 or for an ``(N, 3)`` array of starts and an ``(N,)`` array of parameters,
 each member of the ``(N, 9, 9)`` stack bit-identical to the one-point
 call; :func:`c_lambda` is its :func:`witness_candidate`, the matrix with
-its Weyl table and safety verdict.
+its Weyl table and safety verdict.  A stack validates its starts with one
+array test of the closed forms :func:`c_lambda` applies, and only a
+member that fails it goes through the one-point checks, which raise that
+member's own message.
 
 Geometrically each witness is an affine functional of the family
 coordinates, i.e. a plane ``alpha = b * beta + g * gamma + c``.  The six
@@ -63,7 +66,14 @@ from functools import lru_cache
 import numpy as np
 
 from . import planes
-from .family import FamilyPoint, family_state
+from .family import (
+    PPT_TOL,
+    STATE_TOL,
+    FamilyPoint,
+    family_state,
+    pt_block_eigenvalues,
+    pyramid_slacks,
+)
 from .planes import (
     DEFAULT_SEED,
     FEASIBLE_SLACK,
@@ -190,6 +200,30 @@ def _require_line_start(
     _require_ppt(start)
 
 
+def _require_line_starts(starts: Array, lams: Array) -> None:
+    """:func:`_require_line_start` on every row, in one pass over the arrays.
+
+    A row passes when its ``lam`` lies in ``[0, 1]``, its coordinates are
+    finite and the closed forms :func:`~.family.pyramid_slacks` and
+    :func:`~.family.pt_block_eigenvalues` clear :data:`~.family.STATE_TOL`
+    and :data:`~.family.PPT_TOL`: the floats of the one-point test.  A
+    non-finite row is read as the origin, so that the array closed forms
+    take the others.  The rows that fail get the one-point checks in
+    order, so the first of them raises its own message.
+    """
+    finite = np.isfinite(starts).all(axis=1)
+    coords = np.where(finite[:, None], starts, 0.0)
+    ok = (
+        (lams >= 0.0)
+        & (lams <= 1.0)
+        & finite
+        & (np.minimum.reduce(pyramid_slacks(coords)) >= STATE_TOL)
+        & (np.minimum.reduce(pt_block_eigenvalues(coords)) >= PPT_TOL)
+    )
+    for k in np.flatnonzero(~ok).tolist():
+        _require_line_start(starts[k].tolist(), float(lams[k]))
+
+
 def line_operator(
     start: FamilyPoint | tuple[float, float, float] | Array, lam: float | Array
 ) -> Array:
@@ -203,8 +237,10 @@ def line_operator(
 
     Before any matrix forms, each member in turn gets the one-point checks
     and messages: ``ValueError`` for its ``lam`` outside ``[0, 1]`` (NaN
-    included), then for its start unless it is a PPT state.  Starts and
-    parameters of different shapes raise ``ValueError`` too.
+    included), then for its start unless it is a PPT state.  A stack takes
+    them as one array test of the closed forms (:func:`_require_line_starts`),
+    so its members that pass log no DEBUG line of :func:`~.family.is_ppt`.
+    Starts and parameters of different shapes raise ``ValueError`` too.
     """
     if getattr(start, "ndim", None) == 2:
         lams = np.asarray(lam, dtype=float)
@@ -213,8 +249,7 @@ def line_operator(
                 f"{len(start)} starts need {len(start)} line parameters, "
                 f"got shape {lams.shape}"
             )
-        for row, value in zip(start.tolist(), lams.tolist()):
-            _require_line_start(row, value)
+        _require_line_starts(start, lams)
         lam = lams[:, None, None]
     elif getattr(lam, "ndim", 0):
         raise ValueError(f"one start takes one line parameter, got shape {lam.shape}")

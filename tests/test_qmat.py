@@ -14,13 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magicsimplex.family import family_state, pt_block_eigenvalues, pyramid_slacks
 from magicsimplex.qmat import (
+    HERMITICITY_TOL,
     hermitian_eigenvalues,
     hs_inner,
     matrix_to_json,
     partial_transpose,
 )
 from magicsimplex.weyl import bell_projector
+from magicsimplex.witness import line_operator
 
 
 def two_by_two(a, d, re, im):
@@ -171,6 +174,60 @@ def test_rejects_non_square_stack():
         hermitian_eigenvalues(np.zeros((3, 9, 8)))
     with pytest.raises(ValueError, match="9x9"):
         partial_transpose(np.zeros((3, 4, 4)))
+
+
+# ---------------------------------------------------------------------------
+# Exactly Hermitian input
+# ---------------------------------------------------------------------------
+
+
+def symmetrised_bits(a):
+    """The spectrum of the symmetrised input, as the solver's int64 bits."""
+    return np.linalg.eigvalsh(0.5 * (a + a.conj().swapaxes(-1, -2))).view(np.int64)
+
+
+def family_stacks():
+    """A ``family_state`` stack, its partial transpose and a line-operator stack."""
+    rng = np.random.default_rng(27)
+    rows = rng.uniform((-0.5, -1.0, -1.0), (1.5, 1.0, 1.2), size=(256, 3))
+    states = family_state(rows)
+    near = rng.uniform(-0.2, 0.3, size=(256, 3))  # mostly PPT states
+    ppt = (np.minimum.reduce(pyramid_slacks(near)) >= 0.0) & (
+        np.minimum.reduce(pt_block_eigenvalues(near)) >= 0.0
+    )
+    starts = near[ppt]
+    lams = np.append(rng.uniform(0.0, 1.0, len(starts) - 1), 1.0)
+    return states, partial_transpose(states), line_operator(starts, lams)
+
+
+def test_family_stacks_get_the_bits_of_the_symmetrised_solve():
+    for stack in family_stacks():
+        assert len(stack) >= 10
+        assert (stack == stack.conj().swapaxes(-1, -2)).all()
+        assert np.array_equal(
+            hermitian_eigenvalues(stack).view(np.int64), symmetrised_bits(stack)
+        )
+
+
+def test_only_an_exactly_hermitian_stack_skips_the_symmetrising_copy(monkeypatch):
+    states = family_stacks()[0][:5]
+    nearly = states.copy()
+    nearly[2, 0, 1] += 1e-13  # within HERMITICITY_TOL, but not exact
+    assert 0.0 < abs(nearly[2, 0, 1] - np.conj(nearly[2, 1, 0])) <= HERMITICITY_TOL
+    expected = [symmetrised_bits(stack) for stack in (states, nearly)]
+    exact, seen = np.linalg.eigvalsh, []
+
+    def spy(m):
+        seen.append(m.copy())
+        return exact(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    for stack, bits in zip((states, nearly), expected):
+        assert np.array_equal(hermitian_eigenvalues(stack).view(np.int64), bits)
+    symmetrised = 0.5 * (nearly + nearly.conj().swapaxes(-1, -2))
+    assert np.array_equal(seen[0].view(np.int64), states.view(np.int64))
+    assert np.array_equal(seen[1].view(np.int64), symmetrised.view(np.int64))
+    assert not np.array_equal(seen[1], nearly)
 
 
 # ---------------------------------------------------------------------------

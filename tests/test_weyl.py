@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magicsimplex.family import family_state
 from magicsimplex.qmat import hs_inner
 from magicsimplex.weyl import (
     bell_projector,
@@ -151,3 +152,28 @@ def test_hermitian_coefficient_defect():
         abs(np.conj(v) - t[(minus_index(n), minus_index(m))]) for (n, m), v in t.items()
     )
     assert defect <= 1e-12
+
+
+def table_bits(table):
+    """A coefficient table's keys, coefficient bits and residual bits."""
+    values = np.array(list(table.coeffs.values())).view(np.int64).tolist()
+    return list(table.coeffs), values, np.float64(table.residual).view(np.int64)
+
+
+def test_stacked_decompose_is_the_one_matrix_call_bit_for_bit():
+    rng = np.random.default_rng(5)
+    rows = rng.uniform((-0.5, -1.0, -1.0), (1.5, 1.0, 1.2), size=(40, 3))
+    states = family_state(rows)
+    generic = rng.standard_normal((10, 9, 9)) + 1j * rng.standard_normal((10, 9, 9))
+    stack = np.concatenate([states, generic])
+    tables = weyl_tensor_decompose(stack)
+    assert len(tables) == len(stack)
+    for member, table in zip(stack, tables):
+        assert table_bits(table) == table_bits(weyl_tensor_decompose(member))
+    assert weyl_tensor_decompose(stack[:0]) == []
+
+
+@pytest.mark.parametrize("shape", [(81,), (8, 8), (9, 8), (2, 9, 8), (2, 2, 9, 9)])
+def test_decompose_rejects_other_shapes(shape):
+    with pytest.raises(ValueError, match=r"expected shape \(9, 9\) or \(N, 9, 9\)"):
+        weyl_tensor_decompose(np.zeros(shape, dtype=complex))

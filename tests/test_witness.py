@@ -171,6 +171,9 @@ def test_line_operator_stack_is_c_lambda_bit_for_bit():
         ((3.0, 0.0, 0.0), 0.5),
         # the parameter is checked before the start
         ((1.0, 0.0, 0.0), 1.01),
+        # ... also before a non-finite coordinate, which FamilyPoint names
+        ((0.0, math.nan, 0.0), 1.01),
+        ((math.nan, 0.0, 0.0), 0.5),
     ],
 )
 def test_line_operator_stack_raises_c_lambdas_error_before_any_matrix(
@@ -178,7 +181,9 @@ def test_line_operator_stack_raises_c_lambdas_error_before_any_matrix(
 ):
     with pytest.raises(ValueError) as single:
         c_lambda(bad_start, bad_lam)
-    starts = np.array([horodecki_point(1.5), bad_start, (1.0, 0.0, 0.0)])
+    # The last member fails too, and by a non-finite coordinate: only the
+    # first failing member may name the error.
+    starts = np.array([horodecki_point(1.5), bad_start, (math.nan, 0.0, 0.0)])
     lams = np.array([0.5, bad_lam, 1.01])
 
     def refuse(*args, **kwargs):
@@ -188,6 +193,15 @@ def test_line_operator_stack_raises_c_lambdas_error_before_any_matrix(
     with pytest.raises(ValueError) as stacked:
         line_operator(starts, lams)
     assert str(stacked.value) == str(single.value)
+
+
+def test_line_operator_stack_logs_no_ppt_line_for_its_valid_members(caplog):
+    starts = np.array(seeded_ppt_starts(4, seed=23))
+    with caplog.at_level(logging.DEBUG, logger="magicsimplex.family"):
+        line_operator(starts, np.full(len(starts), 0.5))
+        assert caplog.records == []
+        line_operator(starts[0], 0.5)
+        assert len(caplog.records) == 1
 
 
 def test_line_operator_rejects_mismatched_shapes():
@@ -800,6 +814,37 @@ def _line_identities_point_by_point(seed):
 @pytest.mark.parametrize("seed", [1, 3, DEFAULT_SEED])
 def test_line_identities_check_matches_a_point_by_point_loop(seed):
     assert checks._check_line_identities(seed) == _line_identities_point_by_point(seed)
+
+
+def _mirror_conjugation_point_by_point(seed):
+    """Check 10 as one loop: two ``c_lambda`` calls per accepted sample."""
+    rng = np.random.default_rng(seed + 10)
+    worst = 0.0
+    accepted = 0
+    while accepted < 100:
+        eps = float(rng.uniform(-0.3, 0.15))
+        gamma = float(rng.uniform(0.02, 0.45))
+        plus = plane_point(eps, gamma)
+        minus = mirror(plus)
+        if pyramid_margin(plus) < STATE_TOL or pyramid_margin(minus) < STATE_TOL:
+            continue
+        if not (is_ppt(plus).is_ppt and is_ppt(minus).is_ppt):
+            continue
+        lam = float(rng.uniform(0.05, 0.999))
+        table_plus = c_lambda(plus, lam).coeffs
+        table_minus = c_lambda(minus, lam).coeffs
+        for key, value in table_plus.coeffs.items():
+            gap = abs(value - np.conj(table_minus.coeffs[key]))
+            worst = max(worst, float(gap))
+        accepted += 1
+    detail = "coefficients at (eps, +g) vs conjugate at (eps, -g), 100 samples"
+    return checks._fields(0.0, worst, 1e-12, detail)
+
+
+@pytest.mark.parametrize("seed", [1, 3, DEFAULT_SEED])
+def test_mirror_conjugation_check_matches_a_point_by_point_loop(seed):
+    expected = _mirror_conjugation_point_by_point(seed)
+    assert checks._check_mirror_conjugation(seed) == expected
 
 
 def test_ppt_samplers_run_no_eigensolver(monkeypatch):
