@@ -14,28 +14,29 @@ The matrix sweeps form their states and hand the oracle kernels stacks of
 at most :data:`_STACK` matrices (one LAPACK call per chunk, not per
 point), and the production closed forms of :mod:`.family` take the same
 chunks as ``(N, 3)`` arrays.  The PPT samplers accept a point by those
-closed forms, the test their consumer :func:`~.witness.c_lambda`
-applies, and run no eigensolver.  The product-state check draws the
-normals of each seeded chunk of 20,000 product vectors, then forms and
-evaluates the vectors in blocks of 2,000 rows, once for all six
-witnesses, with one BLAS product per witness and block; its memory grows
-neither with the number of vectors nor with the number of witnesses.
+closed forms, the test :func:`~.witness.line_operator` applies to its
+starts (the box sampler takes its very mask), and run no eigensolver.
+The product-state check draws the normals of each seeded chunk of 20,000
+product vectors, then forms and evaluates the vectors in blocks of 2,000
+rows, once for all six witnesses, with one BLAS product per witness and
+block; its memory grows neither with the number of vectors nor with the
+number of witnesses.
 The gamma = 0 slice scans one alpha row of 200 points at a time and
 keeps only the verdict tally.
 Stacked kernels, array closed forms and blocks give each member
 bit-identical results to the one-point, whole-sweep call, so every check
 reads the same numbers as a point-by-point loop would.
 
-Check 6 forms its 1,000 line operators by :func:`~.witness.line_operator`
-one :data:`_STACK` chunk at a time, with each chunk's line points and
-their gaps to the starts as two elementwise stack operations, then
-replays the two identities member by member; checks 6 and 8 read only
-those matrices, so neither runs a Weyl decomposition or a safety verdict.
-Check 10 draws its 100 accepted samples first, in the order a sample
-loop draws them, then forms their 200 operators with two
-:func:`~.witness.line_operator` stack calls and reads their coefficient
-tables from one stacked :func:`~.weyl.weyl_tensor_decompose`; like
-checks 6 and 8 it runs no safety verdict.  Every family matrix these
+Checks 6, 8 and 10 form their line operators as stacks of
+:func:`~.witness.line_operator`: check 6 its 1,000 one :data:`_STACK`
+chunk at a time, check 8 its 50 and check 10 its 200 in one call each.
+Check 6 forms each chunk's line points and their gaps to the starts as
+two elementwise stack operations, then replays the two identities member
+by member; checks 6 and 8 read only the matrices, so neither runs a Weyl
+decomposition.  Check 10 draws its 100 accepted samples first, point by
+point in the order a sample loop draws them, and reads their tables from
+one stacked :func:`~.weyl.weyl_tensor_decompose`.  None of the three
+runs a safety verdict.  Every family matrix these
 sweeps hand to :func:`~.qmat.hermitian_eigenvalues` is exactly
 Hermitian, so the eigensolver takes it without a symmetrised copy.
 
@@ -72,7 +73,6 @@ from .family import (
     is_ppt,
     mirror,
     plane_point,
-    pt_block_eigenvalues,
     pt_min_eigenvalue,
     pyramid_margin,
     pyramid_slacks,
@@ -91,6 +91,7 @@ from .regions import l_a, l_b, parse_grid, plane_grid_points, scan
 from .verdicts import Verdict
 from .weyl import weyl_tensor_decompose
 from .witness import (
+    _ppt_rows,
     deployed_witness,
     deployed_witnesses,
     lambda_min,
@@ -158,34 +159,26 @@ def _box_points(rng: np.random.Generator, count: int) -> np.ndarray:
     return rng.uniform(_BOX_LOW, _BOX_HIGH, size=(count, 3))
 
 
-def _family_points(rows: np.ndarray) -> list[FamilyPoint]:
-    return [FamilyPoint(*row) for row in rows.tolist()]
-
-
 def _states(rows: np.ndarray) -> Iterator[np.ndarray]:
     """:func:`family_state` of each row, formed :data:`_STACK` rows at a time."""
     for lo in range(0, len(rows), _STACK):
         yield from family_state(rows[lo : lo + _STACK])
 
 
-def _ppt_starts(rng: np.random.Generator, count: int) -> list[FamilyPoint]:
-    """Rejection-sample PPT states from the standard box, in draw order.
+def _ppt_starts(rng: np.random.Generator, count: int) -> np.ndarray:
+    """Rejection-sample ``count`` PPT states from the standard box, in draw order.
 
-    Each round draws :data:`_STACK` points, keeps those whose smallest
-    :func:`pyramid_slacks` value clears :data:`STATE_TOL` and then those
-    whose smallest :func:`pt_block_eigenvalues` value clears
-    :data:`PPT_TOL`, each from one call on the round's array.  That is the
-    test :func:`~.planes._require_ppt` applies to a start, so every point
-    returned is a valid start of :func:`~.witness.c_lambda`, and the
-    accepted points are exactly those of a point-by-point loop.
+    Each round draws :data:`_STACK` points and keeps the rows of
+    :func:`~.witness._ppt_rows`, the test :func:`~.witness.line_operator`
+    applies to its starts, so every row returned is a valid start and the
+    ``(count, 3)`` array returned holds exactly the rows a point-by-point
+    loop would accept.
     """
-    out: list[FamilyPoint] = []
-    while len(out) < count:
+    rounds = []
+    while sum(map(len, rounds)) < count:
         draws = _box_points(rng, _STACK)
-        states = draws[np.minimum.reduce(pyramid_slacks(draws)) >= STATE_TOL]
-        ppt = np.minimum.reduce(pt_block_eigenvalues(states)) >= PPT_TOL
-        out += _family_points(states[ppt][: count - len(out)])
-    return out
+        rounds.append(draws[_ppt_rows(draws)])
+    return np.concatenate(rounds)[:count]
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +268,7 @@ def _check_flat_face_functional(seed: int) -> dict:
 
 def _check_line_identities(seed: int) -> dict:
     rng = np.random.default_rng(seed + 6)
-    starts = np.array(_ppt_starts(rng, 1000))
+    starts = _ppt_starts(rng, 1000)
     lams = rng.uniform(0.0, 1.0 - 1e-12, len(starts))
     mixed = np.eye(9, dtype=complex) / 9.0
     worst = 0.0
@@ -317,12 +310,14 @@ def _check_spectrum_pyramid(seed: int) -> dict:
 def _check_limit_law(seed: int) -> dict:
     rng = np.random.default_rng(seed + 8)
     starts = _ppt_starts(rng, 10)
+    lams = [1.0 - 10.0**-k for k in range(3, 7)]
+    # Each start's endpoint limit, then its four operators near it.
+    ops = line_operator(
+        np.repeat(starts, 5, axis=0), np.tile([1.0] + lams, len(starts))
+    ).reshape(len(starts), 5, 9, 9)
     worst_ratio = 0.0
-    for start in starts:
-        limit = line_operator(start, 1.0)
-        for k in range(3, 7):
-            lam = 1.0 - 10.0**-k
-            op = line_operator(start, lam)
+    for limit, *near in ops:
+        for op, lam in zip(near, lams):
             gap = float(np.linalg.norm(op / (lam * (1.0 - lam)) - limit))
             worst_ratio = max(worst_ratio, gap / (10.0 * (1.0 - lam)))
     expected = 1.0
@@ -359,11 +354,7 @@ def _check_mirror_conjugation(seed: int) -> dict:
         pluses.append(plus)
         minuses.append(minus)
         lams.append(float(rng.uniform(0.05, 0.999)))
-    lams = np.array(lams)
-    ops = np.concatenate(
-        [line_operator(np.array(pluses), lams), line_operator(np.array(minuses), lams)]
-    )
-    tables = weyl_tensor_decompose(ops)
+    tables = weyl_tensor_decompose(line_operator(pluses + minuses, lams + lams))
     worst = 0.0
     for table_plus, table_minus in zip(tables[: len(lams)], tables[len(lams) :]):
         for key, value in table_plus.coeffs.items():

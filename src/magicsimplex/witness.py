@@ -34,14 +34,14 @@ closed form from the start's coefficient table
 oracle.  The ``l -> 1`` limit of ``C_l / (l (1 - l))`` is the tangent-plane
 witness ``purity * 1 - rho``, which :func:`c_lambda` returns at ``l = 1``.
 
-:func:`line_operator` forms the matrix alone, for one start and one ``l``
-or for an ``(N, 3)`` array of starts and an ``(N,)`` array of parameters,
-each member of the ``(N, 9, 9)`` stack bit-identical to the one-point
-call; :func:`c_lambda` is its :func:`witness_candidate`, the matrix with
-its Weyl table and safety verdict.  A stack validates its starts with one
-array test of the closed forms :func:`c_lambda` applies, and only a
-member that fails it goes through the one-point checks, which raise that
-member's own message.
+:func:`line_operator` forms the matrix alone, by one code path: an
+``(N, 3)`` array of starts and an ``(N,)`` array of parameters give the
+``(N, 9, 9)`` stack, and one start with one ``l`` is the one-member stack,
+reshaped to its ``9x9`` matrix.  Its starts are validated by one array test
+of the closed forms, and only a member that fails it is checked again on
+its own, which raises that member's own message.  :func:`c_lambda` is its
+:func:`witness_candidate`, the matrix with its Weyl table and safety
+verdict.
 
 Geometrically each witness is an affine functional of the family
 coordinates, i.e. a plane ``alpha = b * beta + g * gamma + c``.  The six
@@ -173,55 +173,51 @@ def witness_candidate(matrix: Array) -> WitnessCandidate:
 
 
 def _scaled_line_operator(rho: Array, lam: float | Array) -> Array:
-    """``C_l / (1 - l) = (l * purity + (1 - l) / 9) * 1 - rho``.
+    """``C_l / (1 - l) = (l * purity + (1 - l) / 9) * 1 - rho`` for each state.
 
     A positive multiple of ``C_l``, hence the same safety verdict, without
     the cancellation in ``rho_l - rho`` as ``l -> 1``; at ``l = 1`` it is
-    the endpoint limit ``purity * 1 - rho``.  An ``(N, 9, 9)`` stack of
-    states with an ``(N, 1, 1)`` array of parameters gives the stack of
-    their operators.  Each purity is :func:`~.qmat.hs_inner` of one member
+    the endpoint limit ``purity * 1 - rho``.  ``rho`` is an ``(N, 9, 9)``
+    stack of states and ``lam`` a float or an ``(N, 1, 1)`` array of
+    parameters.  Each purity is :func:`~.qmat.hs_inner` of one member
     (``np.vdot``); a stacked sum would add in another order and change the
-    bits, so each member is the one-state result bit for bit.
+    bits, so no member's bits depend on the rest of the stack.
     """
-    purity = (
-        hs_inner(rho, rho).real
-        if rho.ndim == 2
-        else np.array([hs_inner(r, r).real for r in rho])[:, None, None]
-    )
+    purity = np.array([hs_inner(r, r).real for r in rho])[:, None, None]
     return (lam * purity + (1.0 - lam) / 9.0) * np.eye(9, dtype=complex) - rho
 
 
-def _require_line_start(
-    start: FamilyPoint | tuple[float, float, float], lam: float
-) -> None:
-    """:func:`c_lambda`'s checks: ``lam`` in ``[0, 1]`` (not NaN), then a PPT start."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"line parameter must lie in [0, 1], got {lam}")
-    _require_ppt(start)
+def _ppt_rows(rows: Array) -> Array:
+    """Which rows of a finite ``(N, 3)`` array are PPT states.
+
+    A row passes when the closed forms :func:`~.family.pyramid_slacks` and
+    :func:`~.family.pt_block_eigenvalues` clear :data:`~.family.STATE_TOL`
+    and :data:`~.family.PPT_TOL`: the floats of
+    :func:`~.planes._require_ppt`.  The spectrum is formed for the states
+    only.
+    """
+    ok = np.minimum.reduce(pyramid_slacks(rows)) >= STATE_TOL
+    ok[ok] = np.minimum.reduce(pt_block_eigenvalues(rows[ok])) >= PPT_TOL
+    return ok
 
 
 def _require_line_starts(starts: Array, lams: Array) -> None:
-    """:func:`_require_line_start` on every row, in one pass over the arrays.
+    """:func:`c_lambda`'s checks on every row, in one pass over the arrays.
 
     A row passes when its ``lam`` lies in ``[0, 1]``, its coordinates are
-    finite and the closed forms :func:`~.family.pyramid_slacks` and
-    :func:`~.family.pt_block_eigenvalues` clear :data:`~.family.STATE_TOL`
-    and :data:`~.family.PPT_TOL`: the floats of the one-point test.  A
-    non-finite row is read as the origin, so that the array closed forms
-    take the others.  The rows that fail get the one-point checks in
-    order, so the first of them raises its own message.
+    finite and it is one of :func:`_ppt_rows`; a non-finite row is read as
+    the origin for that test, so that the array closed forms take the
+    others.  The rows that fail are checked again in order, each ``lam``
+    (not NaN) and then :func:`~.planes._require_ppt`, so the first of them
+    raises its own message.
     """
     finite = np.isfinite(starts).all(axis=1)
-    coords = np.where(finite[:, None], starts, 0.0)
-    ok = (
-        (lams >= 0.0)
-        & (lams <= 1.0)
-        & finite
-        & (np.minimum.reduce(pyramid_slacks(coords)) >= STATE_TOL)
-        & (np.minimum.reduce(pt_block_eigenvalues(coords)) >= PPT_TOL)
-    )
-    for k in np.flatnonzero(~ok).tolist():
-        _require_line_start(starts[k].tolist(), float(lams[k]))
+    ppt = _ppt_rows(np.where(finite[:, None], starts, 0.0))
+    for k in np.flatnonzero(~((lams >= 0.0) & (lams <= 1.0) & finite & ppt)).tolist():
+        lam = float(lams[k])
+        if not 0.0 <= lam <= 1.0:
+            raise ValueError(f"line parameter must lie in [0, 1], got {lam}")
+        _require_ppt(starts[k].tolist())
 
 
 def line_operator(
@@ -229,34 +225,33 @@ def line_operator(
 ) -> Array:
     """The matrix of :func:`c_lambda` at one start or at a stack of them.
 
-    One start and a float give one ``9x9`` matrix: ``(1 - lam)`` times the
-    rescaled operator, or the rescaled operator itself at ``lam == 1``.  An
-    ``(N, 3)`` array of starts and an ``(N,)`` array of parameters give the
-    ``(N, 9, 9)`` stack, the same rule applied member by member, and each
-    member is bit-identical to the one-point call.
+    Each member is ``(1 - lam)`` times the rescaled operator, or the
+    rescaled operator itself at ``lam == 1``.  An ``(N, 3)`` array-like of
+    starts and an ``(N,)`` array of parameters give the ``(N, 9, 9)``
+    stack; one ``(3,)`` start and a float are the one-member stack and give
+    its ``9x9`` matrix, so a member is the same bits whichever way it comes.
 
-    Before any matrix forms, each member in turn gets the one-point checks
-    and messages: ``ValueError`` for its ``lam`` outside ``[0, 1]`` (NaN
-    included), then for its start unless it is a PPT state.  A stack takes
-    them as one array test of the closed forms (:func:`_require_line_starts`),
-    so its members that pass log no DEBUG line of :func:`~.family.is_ppt`.
-    Starts and parameters of different shapes raise ``ValueError`` too.
+    Before any matrix forms, each member in turn gets :func:`c_lambda`'s
+    checks and messages: ``ValueError`` for its ``lam`` outside ``[0, 1]``
+    (NaN included), then for its start unless it is a PPT state.  They run
+    as one array test of the closed forms (:func:`_require_line_starts`),
+    so a member that passes logs no DEBUG line of :func:`~.family.is_ppt`.
+    Starts and parameters of any other shapes raise ``ValueError`` naming
+    both shapes.
     """
-    if getattr(start, "ndim", None) == 2:
-        lams = np.asarray(lam, dtype=float)
-        if lams.shape != start.shape[:1]:
-            raise ValueError(
-                f"{len(start)} starts need {len(start)} line parameters, "
-                f"got shape {lams.shape}"
-            )
-        _require_line_starts(start, lams)
-        lam = lams[:, None, None]
-    elif getattr(lam, "ndim", 0):
-        raise ValueError(f"one start takes one line parameter, got shape {lam.shape}")
-    else:
-        _require_line_start(start, lam)
-    op = _scaled_line_operator(family_state(start), lam)
-    return np.where(lam == 1.0, op, (1.0 - lam) * op)
+    starts = np.asarray(start, dtype=float)
+    lams = np.asarray(lam, dtype=float)
+    if starts.ndim > 2 or starts.shape[-1:] != (3,) or lams.shape != starts.shape[:-1]:
+        raise ValueError(
+            "expected a (3,) start with one line parameter or (N, 3) starts "
+            f"with (N,) line parameters, got shapes {starts.shape} and {lams.shape}"
+        )
+    shape = lams.shape + (9, 9)
+    starts, lams = starts.reshape(-1, 3), lams.reshape(-1)
+    _require_line_starts(starts, lams)
+    lams = lams[:, None, None]
+    op = _scaled_line_operator(family_state(starts), lams)
+    return np.where(lams == 1.0, op, (1.0 - lams) * op).reshape(shape)
 
 
 def c_lambda(start: FamilyPoint, lam: float) -> WitnessCandidate:
@@ -271,8 +266,10 @@ def c_lambda(start: FamilyPoint, lam: float) -> WitnessCandidate:
     the rescaled endpoint limit ``purity * 1 - rho``, tangent to the line at
     its far end (``Tr(C rho) = 0`` exactly); :func:`~.planes._line_plane`
     uses the same convention.  Raises ``ValueError`` for ``lam`` outside
-    ``[0, 1]`` (NaN included), then for a start that is not a PPT state.
-    The matrix is :func:`line_operator`'s; this adds its candidate.
+    ``[0, 1]`` (NaN included), then for a start that is not a PPT state,
+    and a start that passes logs no DEBUG line of :func:`~.family.is_ppt`.
+    The matrix is :func:`line_operator`'s, the one-member stack reshaped to
+    ``9x9``; this adds its candidate.
     """
     return witness_candidate(line_operator(start, lam))
 
@@ -309,7 +306,8 @@ def lambda_min(start: FamilyPoint) -> float | None:
         lam = None
     else:
         lam = min(lam, 1.0)
-        if not witness_candidate(_scaled_line_operator(rho, lam)).feasible:
+        op = _scaled_line_operator(rho[None], lam)[0]
+        if not witness_candidate(op).feasible:
             raise ArithmeticError(
                 f"the line operator at the closed-form onset {lam!r} is not product-safe"
             )

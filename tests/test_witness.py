@@ -5,6 +5,7 @@ and the closed-form battery against its matrix oracle."""
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -140,9 +141,10 @@ def test_c_lambda_is_the_line_formula_bit_for_bit(lam):
     # (1 - l) times the rescaled operator below the endpoint, the rescaled
     # operator itself at l = 1: the same operations, so the same bits.
     for start in seeded_ppt_starts(8, seed=23) + [plane_tip_start()]:
-        scaled = _scaled_line_operator(family_state(start), lam)
+        scaled = _scaled_line_operator(family_state(np.array([start])), lam)[0]
         ref = scaled if lam == 1.0 else (1.0 - lam) * scaled
-        assert np.array_equal(c_lambda(start, lam).matrix, ref)
+        matrix = c_lambda(start, lam).matrix
+        assert np.array_equal(matrix.view(np.int64), ref.view(np.int64))
 
 
 def test_line_operator_stack_is_c_lambda_bit_for_bit():
@@ -199,18 +201,38 @@ def test_line_operator_stack_logs_no_ppt_line_for_its_valid_members(caplog):
     starts = np.array(seeded_ppt_starts(4, seed=23))
     with caplog.at_level(logging.DEBUG, logger="magicsimplex.family"):
         line_operator(starts, np.full(len(starts), 0.5))
-        assert caplog.records == []
+        # One start is the one-member stack: it logs nothing either.
         line_operator(starts[0], 0.5)
+        c_lambda(tuple(starts[0]), 0.5)
+        assert caplog.records == []
+        # is_ppt still logs its line, and so does lambda_min, which runs it.
+        is_ppt(tuple(starts[0]))
         assert len(caplog.records) == 1
+        lambda_min(tuple(starts[0]))
+        assert len(caplog.records) > 1
 
 
 def test_line_operator_rejects_mismatched_shapes():
     starts = np.array(seeded_ppt_starts(3, seed=23))
-    for lams in (np.full(2, 0.5), np.full(4, 0.5), 0.5, np.full((3, 1), 0.5)):
-        with pytest.raises(ValueError, match="line parameters"):
-            line_operator(starts, lams)
-    with pytest.raises(ValueError, match="one line parameter"):
-        line_operator(starts[0], np.full(3, 0.5))
+    bad = [
+        (starts, lams)
+        for lams in (np.full(2, 0.5), np.full(4, 0.5), 0.5, np.full((3, 1), 0.5))
+    ] + [
+        (starts[0], np.full(3, 0.5)),
+        ((0.1, 0.0), 0.5),
+        (starts[:, :2], np.full(3, 0.5)),
+        (starts[None], np.full((1, 3), 0.5)),
+        (0.1, 0.5),
+    ]
+    for start, lams in bad:
+        shapes = f"got shapes {np.shape(start)} and {np.shape(lams)}"
+        with pytest.raises(ValueError, match=re.escape(shapes)):
+            line_operator(start, lams)
+    # Any (3,) or (N, 3) array-like is a start: lists and tuples too.
+    ref = line_operator(starts[:2], np.full(2, 0.5))
+    rows = [FamilyPoint(*row) for row in starts[:2].tolist()]
+    assert np.array_equal(line_operator(rows, np.array([0.5, 0.5])), ref)
+    assert np.array_equal(line_operator(tuple(starts[0]), 0.5), ref[0])
 
 
 def _line_state(start: FamilyPoint, lam: float) -> np.ndarray:
@@ -359,7 +381,7 @@ def test_mirror_starts_share_the_onset():
 def _agreement_starts():
     """Seeded PPT starts: 1,000 from the box, the rest from the facet patch."""
     rng = np.random.default_rng(12345)
-    box = checks._ppt_starts(rng, 1000)
+    box = [FamilyPoint(*row) for row in checks._ppt_starts(rng, 1000).tolist()]
     patch = [plane_point(*row) for row in rng.uniform((-0.05, -0.6), (0.3, 0.6), (2400, 2))]
     return box + [p for p in patch if pyramid_margin(p) >= STATE_TOL and is_ppt(p).is_ppt]
 
@@ -787,7 +809,9 @@ def test_ppt_starts_match_a_point_by_point_loop():
 
     for count in (1, 37, 120):
         rng, ref_rng = np.random.default_rng(count), np.random.default_rng(count)
-        assert checks._ppt_starts(rng, count) == reference(ref_rng, count)
+        starts = checks._ppt_starts(rng, count)
+        assert starts.shape == (count, 3)
+        assert starts.tolist() == [list(p) for p in reference(ref_rng, count)]
         # Both leave the generator at the same place for the draws that follow.
         assert rng.uniform() == ref_rng.uniform()
 
@@ -795,7 +819,7 @@ def test_ppt_starts_match_a_point_by_point_loop():
 def _line_identities_point_by_point(seed):
     """Check 6 as one loop: one draw, one ``c_lambda`` and one state per start."""
     rng = np.random.default_rng(seed + 6)
-    starts = checks._ppt_starts(rng, 1000)
+    starts = checks._ppt_starts(rng, 1000).tolist()
     mixed = np.eye(9, dtype=complex) / 9.0
     worst = 0.0
     for start in starts:
@@ -814,6 +838,33 @@ def _line_identities_point_by_point(seed):
 @pytest.mark.parametrize("seed", [1, 3, DEFAULT_SEED])
 def test_line_identities_check_matches_a_point_by_point_loop(seed):
     assert checks._check_line_identities(seed) == _line_identities_point_by_point(seed)
+
+
+def _limit_law_point_by_point(seed):
+    """Check 8 as one loop: five ``c_lambda`` calls per start."""
+    rng = np.random.default_rng(seed + 8)
+    worst_ratio = 0.0
+    for start in checks._ppt_starts(rng, 10).tolist():
+        limit = c_lambda(start, 1.0).matrix
+        for k in range(3, 7):
+            lam = 1.0 - 10.0**-k
+            op = c_lambda(start, lam).matrix
+            gap = float(np.linalg.norm(op / (lam * (1.0 - lam)) - limit))
+            worst_ratio = max(worst_ratio, gap / (10.0 * (1.0 - lam)))
+    detail = "max ||C/(l(1-l)) - C_limit|| / (10(1-l)), l = 1-10^-k, k=3..6"
+    return checks._fields(1.0, worst_ratio, 1.0, detail, passed=worst_ratio <= 1.0)
+
+
+@pytest.mark.parametrize("seed", [1, 3, DEFAULT_SEED])
+def test_limit_law_check_matches_a_point_by_point_loop(seed):
+    assert checks._check_limit_law(seed) == _limit_law_point_by_point(seed)
+
+
+def test_limit_law_and_mirror_checks_form_their_operators_in_one_call(monkeypatch):
+    rows = _count_rows(monkeypatch, "line_operator")
+    assert checks._check_limit_law(1)["passed"]
+    assert checks._check_mirror_conjugation(1)["passed"]
+    assert rows == [50, 200]
 
 
 def _mirror_conjugation_point_by_point(seed):
@@ -859,7 +910,7 @@ def test_ppt_samplers_run_no_eigensolver(monkeypatch):
 
 
 def test_ppt_starts_are_accepted_as_line_starts():
-    for start in checks._ppt_starts(np.random.default_rng(6), 2000):
+    for start in checks._ppt_starts(np.random.default_rng(6), 2000).tolist():
         planes._require_ppt(start)
 
 
@@ -867,9 +918,9 @@ def _count_rows(monkeypatch, name):
     """Wrap ``checks.<name>``; return the list of row counts it was called on."""
     real, rows = getattr(checks, name), []
 
-    def counted(p):
+    def counted(p, *args):
         rows.append(len(p))
-        return real(p)
+        return real(p, *args)
 
     monkeypatch.setattr(checks, name, counted)
     return rows
