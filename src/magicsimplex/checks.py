@@ -3,11 +3,11 @@
 Twelve numbered checks tie the package's outputs to independently stated
 targets: closed-form surd values for the two line crossings, the published
 Horodecki-line segmentation, exact facet-curve crossings, and a set of
-property sweeps (operator identities, spectrum agreement, product-state
-safety, mirror symmetry, region layout).  ``run_all`` executes them and
-returns structured :class:`CheckResult` records, each with its wall time;
-the CLI ``verify`` subcommand renders those one line per check, or as
-JSON.
+property sweeps (operator identities, spectrum agreement, mirror
+symmetry, region layout) and the exact minimum of each witness over
+product states.  ``run_all`` executes them and returns structured
+:class:`CheckResult` records, each with its wall time; the CLI ``verify``
+subcommand renders those one line per check, or as JSON.
 
 Every sweep runs in bounded memory, in fixed blocks, whatever its size.
 The matrix sweeps form their states and hand the oracle kernels stacks of
@@ -16,11 +16,10 @@ point), and the production closed forms of :mod:`.family` take the same
 chunks as ``(N, 3)`` arrays.  The PPT samplers accept a point by those
 closed forms, the test :func:`~.witness.line_operator` applies to its
 starts (the box sampler takes its very mask), and run no eigensolver.
-The product-state check draws the normals of each seeded chunk of 20,000
-product vectors, then forms and evaluates the vectors in blocks of 2,000
-rows, once for all six witnesses, with one BLAS product per witness and
-block; its memory grows neither with the number of vectors nor with the
-number of witnesses.
+The product-state check samples no product state: it takes the six
+witnesses' exact minima from one :func:`~.witness.product_minima` call on
+their stack, which solves ``3x3`` eigenproblems, and fails, with the
+reason in its detail, when a witness's minimum is not proven.
 The gamma = 0 slice scans one alpha row of 200 points at a time and
 keeps only the verdict tally.
 Stacked kernels, array closed forms and blocks give each member
@@ -96,7 +95,7 @@ from .witness import (
     deployed_witnesses,
     lambda_min,
     line_operator,
-    min_product_expectation,
+    product_minima,
 )
 
 __all__ = ["CheckResult", "CHECK_NAMES", "run_all"]
@@ -123,8 +122,7 @@ _BOX_LOW = (-0.5, -1.0, -1.0)
 _BOX_HIGH = (1.5, 1.0, 1.2)
 
 #: Most matrices handed to a stacked kernel at once, which keeps peak memory
-#: flat however many points a sweep covers; the product-state sweep blocks
-#: its vectors the same way inside :func:`~.witness.min_product_expectation`.
+#: flat however many points a sweep covers.
 _STACK = 256
 
 
@@ -328,13 +326,23 @@ def _check_limit_law(seed: int) -> dict:
 
 def _check_product_safety(seed: int) -> dict:
     battery = deployed_witnesses()
-    minima = min_product_expectation(
-        np.stack([w.candidate.matrix for w in battery]), count=100_000
-    ).tolist()
-    worst = min(minima)
-    details = [f"{w.name}:{value:.2e}" for w, value in zip(battery, minima)]
-    detail = "min over 10^5 product states: " + " ".join(details)
-    tolerance = 1e-10
+    tolerance = 1e-12
+    try:
+        values, us, vs = product_minima(np.stack([w.candidate.matrix for w in battery]))
+    except ValueError as exc:
+        # An unproven reduction proves no minimum, so the check fails on it.
+        detail = f"no exact minimum over product states: {exc}"
+        return _fields(0.0, math.nan, tolerance, detail, passed=False)
+    worst = float(values.min())
+
+    def ket(x: np.ndarray) -> str:
+        return "(" + ",".join(f"{c:.3f}" for c in x.tolist()) + ")"
+
+    details = [
+        f"{w.name}:{value + 0.0:.2e} at {ket(u)}{ket(v)}"
+        for w, value, u, v in zip(battery, values.tolist(), us, vs)
+    ]
+    detail = "min of <uv|W|uv> over product states, at |u>|v>: " + " ".join(details)
     # One-sided: a witness may be as positive as it likes on product states.
     return _fields(0.0, worst, tolerance, detail, passed=worst >= -tolerance)
 
@@ -466,9 +474,8 @@ def run_all(
     seeds are non-negative).  Each result carries the wall time of its
     check in ``seconds``.
 
-    ``seed`` drives checks 5-8 and 10 only.  Check 9 always sweeps the
-    product states of :data:`~.planes.DEFAULT_SEED`, and checks 1-4, 11 and
-    12 take no random input.
+    ``seed`` drives checks 5-8 and 10 only; checks 1-4, 9, 11 and 12 take
+    no random input.
     """
     if seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {seed}")

@@ -50,9 +50,11 @@ builds no matrix.  This module is their matrix oracle:
 :func:`deployed_witnesses` runs the same six lines through
 :func:`c_lambda` and probes each plane with :func:`witness_plane`; it
 raises unless every onset matches its closed form, every operator passes
-the safety criterion and every plane matches its closed form.  Product
-states are sampled only by check 9 of :mod:`.checks`, through
-:func:`min_product_expectation`.  Like :mod:`.qmat`, :mod:`.weyl` and
+the safety criterion and every plane matches its closed form.
+:func:`product_minima` takes an operator in the family's span to its
+exact minimum over product states: there it is a ``3x3`` eigenvalue
+problem in one factor, minimised over the other, and only check 9 of
+:mod:`.checks` calls it.  Like :mod:`.qmat`, :mod:`.weyl` and
 :mod:`.checks` it imports numpy, so the command line loads it only for
 ``witness --name`` and ``verify``.
 """
@@ -70,12 +72,12 @@ from .family import (
     PPT_TOL,
     STATE_TOL,
     FamilyPoint,
+    _building_blocks,
     family_state,
     pt_block_eigenvalues,
     pyramid_slacks,
 )
 from .planes import (
-    DEFAULT_SEED,
     FEASIBLE_SLACK,
     PlaneCoefficients,
     _battery_lines,
@@ -96,7 +98,7 @@ __all__ = [
     "deployed_witnesses",
     "lambda_min",
     "line_operator",
-    "min_product_expectation",
+    "product_minima",
     "witness_candidate",
     "witness_plane",
 ]
@@ -294,7 +296,7 @@ def lambda_min(start: FamilyPoint) -> float | None:
     ``ArithmeticError``.  Raises ``ValueError`` for a start that is not a
     PPT state.
     """
-    _require_ppt(start)
+    closed = planes.lambda_min(start)  # raises for a start that is not PPT
     rho = family_state(start)
     coeffs = weyl_tensor_decompose(rho)
     slope = 9.0 * sum(
@@ -311,7 +313,6 @@ def lambda_min(start: FamilyPoint) -> float | None:
             raise ArithmeticError(
                 f"the line operator at the closed-form onset {lam!r} is not product-safe"
             )
-    closed = planes.lambda_min(start)
     if (lam is None) != (closed is None) or (
         lam is not None and abs(lam - closed) > _ORACLE_TOL
     ):
@@ -380,9 +381,9 @@ def deployed_witnesses() -> tuple[DeployedWitness, ...]:
     its closed form to 1e-12, its operator must pass the safety criterion,
     and all four plane fields must match their closed forms to 1e-12;
     otherwise ``ArithmeticError`` for the first failing member.  The
-    criterion certifies product safety, so no product state is sampled
+    criterion certifies product safety, so no product state is looked at
     here: check 9 of :mod:`.checks` (``product-state-safety``) is the one
-    product-state sweep.
+    minimisation over product states (:func:`product_minima`).
     """
     battery: list[DeployedWitness] = []
     for (name, start, onset), (_, *closed) in zip(_battery_lines(), witness_planes()):
@@ -415,85 +416,134 @@ def deployed_witness(name: str) -> DeployedWitness:
 
 
 # ---------------------------------------------------------------------------
-# Product-state sampling
+# The minimum over product states
 # ---------------------------------------------------------------------------
 
 
-#: Rows of product vectors formed and evaluated at once by
-#: :func:`min_product_expectation`; every step is row-wise, so the size
-#: changes no value, only how much of a chunk is held as complex arrays.
-_BLOCK = 2_000
+#: Largest distance from the family span, relative to the Frobenius norm, at
+#: which :func:`product_minima` accepts an operator's reduction.
+_REDUCTION_TOL = 1e-12
+
+#: The search grid holds each ``u`` along integer weights ``(i, j, k)`` with
+#: ``i + j + k = _GRID``, a multiple of 3, so ``|+>`` and the corners are on
+#: it.  The pattern search refines the ``_STARTS`` best cells of each
+#: operator; its step halves, from one grid step, until it is below
+#: ``_STEP_FLOOR``, and it takes at most ``_ROUNDS`` rounds.
+_GRID = 24
+_STARTS = 2
+_STEP_FLOOR = 1e-9
+_ROUNDS = 200
 
 
-def _draw_normals(count: int, rng: np.random.Generator) -> tuple[Array, Array]:
-    """The real normals, then the imaginary ones, of ``count`` product vectors."""
-    return rng.standard_normal((count, 2, 3)), rng.standard_normal((count, 2, 3))
+def _family_coefficients(ops: Array) -> Array:
+    """``(c_I, c_A, c_B, c_C)`` of each operator of an ``(N, 9, 9)`` stack.
 
-
-def _product_vectors(re: Array, im: Array) -> Array:
-    """Haar-random product vectors, one per row, from :func:`_draw_normals`.
-
-    Each factor ``re + i im`` on C^3 is normalised and the two factors of a
-    row form its Kronecker product on C^3 (x) C^3.  Row ``n`` depends only on
-    row ``n`` of the normals.
+    Each row is the Hilbert-Schmidt least-squares projection, operator by
+    operator, onto the span of :func:`~.family._building_blocks`
+    ``(1, A, B, C)``; on ``|u>|v>`` it reads
+    ``c_I + c_A p00 + c_B (Q_0 - p00) / 2 + c_C Q_1 / 3``, with
+    ``p00 = |u . v|^2 / 3`` and ``Q_m = sum_k |u_k|^2 |v_(k+m)|^2``.
+    Raises ``ValueError`` naming the first operator for which that reading
+    does not prove its minimum: a non-finite entry, a norm or coefficients
+    that overflow, a residual above :data:`_REDUCTION_TOL` times the norm,
+    or a positive ``u u^T`` coefficient ``(c_A - c_B / 2) / 3``.
     """
-    raw = re + 1j * im
-    raw /= np.linalg.norm(raw, axis=2, keepdims=True)
-    return np.einsum("ni,nj->nij", raw[:, 0, :], raw[:, 1, :]).reshape(len(raw), 9)
+    blocks = _building_blocks()
+    gram = [[hs_inner(x, y).real for y in blocks] for x in blocks]
+    rows = []
+    for k, op in enumerate(ops):
+        if not np.isfinite(op).all():
+            raise ValueError(f"operator {k} has a non-finite entry")
+        with np.errstate(over="ignore", invalid="ignore"):
+            row = np.linalg.solve(gram, [hs_inner(x, op).real for x in blocks])
+            norm = float(np.linalg.norm(op))
+            residual = float(np.linalg.norm(op - sum(c * x for c, x in zip(row, blocks))))
+        if not (math.isfinite(norm) and np.isfinite(row).all()):
+            raise ValueError(f"operator {k} is too large: its reduction overflows")
+        if not residual <= _REDUCTION_TOL * norm:
+            raise ValueError(
+                f"operator {k} is outside the family span "
+                f"(residual {residual:.2e}, norm {norm:.2e})"
+            )
+        outer = (row[1] - row[2] / 2.0) / 3.0
+        if outer > 0.0:
+            raise ValueError(
+                f"operator {k} has a positive u u^T coefficient {outer:.2e}, "
+                "so real product vectors need not reach its minimum"
+            )
+        rows.append(row)
+    return np.array(rows).reshape(-1, 4)
 
 
-def min_product_expectation(w: Array, count: int = 100_000) -> float | Array:
-    """Smallest ``<v| W |v>`` over ``count`` product vectors.
+def _reduced_matrices(coeffs: Array, u: Array) -> Array:
+    """The ``(N, K, 3, 3)`` matrices ``M(u)`` with ``<u v|W|u v> = v . M(u) v``,
 
-    The vectors are seeded with :data:`DEFAULT_SEED`, so the result is
-    reproducible.  Their normals are drawn in chunks of 20,000, all real
-    parts of a chunk before its imaginary parts; the chunk size is fixed
-    because it decides which normals become real and which imaginary parts,
-    so another size would sweep other vectors.  Each chunk's vectors are
-    Haar-random product vectors, ``_product_vectors(*_draw_normals(n, rng))``
-    for a chunk of ``n`` on one generator.
+        M(u) = c_I 1 + ((c_A - c_B / 2) / 3) u u^T
+               + diag_j(c_B / 2 u_j^2 + c_C / 3 u_(j - 1)^2),
 
-    Each chunk's vectors are then formed and evaluated in blocks of
-    :data:`_BLOCK` rows, so memory stays bounded: the sweep holds one
-    chunk's normals and one block's complex vectors, however large
-    ``count`` is.  For each block ``v`` and operator ``W`` the kernel forms
-    ``Wv`` as one BLAS product ``v @ W.T`` and reads ``<v|W|v>`` as the real
-    part of ``conj(v) . Wv``, i.e. ``Re v . Re Wv + Im v . Im Wv``, through
-    views of ``v`` rather than a conjugate copy.  Every step is row-wise, so
-    each value, and each minimum, is bit-identical to evaluating whole
-    chunks.
-
-    A ``(k, 9, 9)`` stack of operators gives their ``k`` minima from one
-    sweep: each block of vectors is formed once and the operators take it
-    in turn, so each minimum equals the single-operator call bit for bit
-    and peak memory does not grow with ``k``.
-
-    Raises ``ValueError`` before any draw for ``count < 1``, which would
-    sweep nothing and read ``+inf``, and for an operator with a non-finite
-    entry, whose NaN expectations the minimum would drop, so that it too
-    would read as safe.  Raises ``ArithmeticError`` when a finite operator
-    is so large that its expectations overflow.
+    for ``(N, 4)`` coefficients and ``(N, K, 3)`` real unit vectors ``u``.
     """
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
-    mats = np.asarray(w, dtype=complex)
-    if not np.isfinite(mats).all():
-        raise ValueError("operator has a non-finite entry")
-    stack = mats.reshape((-1,) + mats.shape[-2:])
-    rng = np.random.default_rng(DEFAULT_SEED)
-    worst = np.full(len(stack), math.inf)
-    chunk = 20_000
-    for first in range(0, count, chunk):
-        re, im = _draw_normals(min(chunk, count - first), rng)
-        for lo in range(0, len(re), _BLOCK):
-            v = _product_vectors(re[lo : lo + _BLOCK], im[lo : lo + _BLOCK])
-            for k, mat in enumerate(stack):
-                wv = v @ mat.T
-                vals = np.einsum("ni,ni->n", v.real, wv.real)
-                vals += np.einsum("ni,ni->n", v.imag, wv.imag)
-                # ``np.minimum`` keeps a NaN, which the builtin ``min`` drops.
-                worst[k] = np.minimum(worst[k], vals.min())
-        del re, im  # else they stay live through the next chunk's draw
-    if not np.isfinite(worst).all():
-        raise ArithmeticError("the product-state expectations overflowed")
-    return worst if mats.ndim > 2 else float(worst[0])
+    c_i, c_a, c_b, c_c = (c[:, None, None] for c in coeffs.T)
+    sq = u * u
+    diag = c_i + c_b / 2.0 * sq + c_c / 3.0 * np.roll(sq, 1, axis=-1)
+    mats = ((c_a - c_b / 2.0) / 3.0)[..., None] * u[..., :, None] * u[..., None, :]
+    mats[..., [0, 1, 2], [0, 1, 2]] += diag
+    return mats
+
+
+def product_minima(ops: Array) -> tuple[Array, Array, Array]:
+    """The minimum of ``<u v|W|u v>`` over product states, for each operator.
+
+    ``ops`` is an ``(N, 9, 9)`` stack, or one ``9x9`` operator as its
+    one-member stack.  Returns ``(values, u, v)``: each ``<u v|W|u v>``,
+    evaluated through the ``9x9`` matrix, at the minimiser ``|u>|v>``, with
+    ``u`` and ``v`` as ``(N, 3)`` real unit vectors.  The premises of
+    :func:`_family_coefficients` raise ``ValueError``.  Given them, the
+    moduli of ``u`` and ``v`` never raise the value, and ``M(u)`` has no
+    positive off-diagonal entry, so its lowest eigenvector can be taken
+    non-negative: the minimum over ``v`` is its lowest eigenvalue, exactly.
+    That is minimised over ``u``, first on the grid as one stacked
+    ``eigvalsh`` (only cells whose first weight is largest: a cyclic shift
+    of both factors changes no value), then by a pattern search from the
+    best cells, which tries the six moves of one step that keep the
+    weights' sum and halves the step when none lowers the value.  Unlike
+    alternating between the factors, it cannot stop at a pair where each is
+    merely the best for the other, such as two basis vectors.  Each member
+    is the one-operator call bit for bit.
+    """
+    stack = np.asarray(ops, dtype=complex).reshape((-1, 9, 9))
+    coeffs = _family_coefficients(stack)
+
+    def lowest(weights: Array) -> Array:  # (N, ..., 3) weights, operator first
+        u = weights / np.linalg.norm(weights, axis=-1, keepdims=True)
+        mats = _reduced_matrices(coeffs, u.reshape(len(u), -1, 3))
+        return np.linalg.eigvalsh(mats)[..., 0].reshape(u.shape[:-1])
+
+    i, j = np.triu_indices(_GRID + 1)
+    grid = np.stack([i, j - i, _GRID - j], axis=1) / _GRID
+    grid = grid[grid.argmax(axis=1) == 0]
+    cells = lowest(np.broadcast_to(grid, (len(stack),) + grid.shape))
+    order = np.argsort(cells, axis=1, kind="stable")[:, :_STARTS]
+    weights, value = grid[order], np.take_along_axis(cells, order, axis=1)
+    step = np.full(value.shape, 1.0 / _GRID)
+    moves = np.array([[1, -1, 0], [-1, 1, 0], [0, 1, -1], [0, -1, 1], [-1, 0, 1], [1, 0, -1]])
+    for _ in range(_ROUNDS):
+        live = step >= _STEP_FLOOR
+        if not live.any():
+            break
+        trials = np.maximum(weights[..., None, :] + step[..., None, None] * moves, 0.0)
+        trial_values = lowest(trials)
+        k = trial_values.argmin(axis=-1)[..., None]
+        low = np.take_along_axis(trial_values, k, axis=-1)[..., 0]
+        moved = live & (low < value)
+        chosen = np.take_along_axis(trials, k[..., None], axis=-2)[..., 0, :]
+        weights = np.where(moved[..., None], chosen, weights)
+        value = np.where(moved, low, value)
+        step = np.where(live & ~moved, step / 2.0, step)
+    best = np.take_along_axis(weights, value.argmin(axis=1)[:, None, None], axis=1)[:, 0]
+    u = best / np.linalg.norm(best, axis=1, keepdims=True)
+    _, vectors = np.linalg.eigh(_reduced_matrices(coeffs, u[:, None]))
+    v = np.abs(vectors[:, 0, :, 0])
+    x = np.einsum("ni,nj->nij", u, v).reshape(-1, 9)
+    values = np.array([hs_inner(y, op @ y).real for y, op in zip(x, stack)])
+    return values, u, v

@@ -573,10 +573,10 @@ def test_every_verify_record_passes_by_the_rule_it_prints():
             assert r.passed == (within and count == 0), r
         else:
             assert r.passed == within, r
-    # Check 9's minimum is positive, well outside its printed tolerance:
-    # the one-sided rule is what passes it.
+    # Check 9 reads the exact minimum, 0 to rounding for every deployed
+    # witness, since each one touches the separable set.
     product = results[8]
-    assert product.passed and product.computed > product.tolerance
+    assert product.passed and abs(product.computed) <= product.tolerance
 
 
 def test_a_check_fails_when_its_measurement_exceeds_its_printed_tolerance(monkeypatch):
@@ -886,12 +886,12 @@ def test_logging_handler_attached_once(capsys, monkeypatch):
 def test_production_commands_build_no_witness_matrix(capsys, monkeypatch):
     # classify, scan, lambda-min, horodecki and the witness table read
     # closed forms; the matrix battery, the Weyl decomposition and the
-    # product-state sweeps belong to the oracle.
+    # minimisation over product states belong to the oracle.
     def forbidden(*args, **kwargs):
         raise AssertionError("the production path reached the witness oracle")
 
     for module in (cli, regions, weyl, witness):  # every import site
-        for name in ("deployed_witnesses", "min_product_expectation", "weyl_tensor_decompose"):
+        for name in ("deployed_witnesses", "product_minima", "weyl_tensor_decompose"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
     witness_planes.cache_clear()

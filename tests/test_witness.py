@@ -2,6 +2,7 @@
 closed-form crossings against in-test bisection oracles, plane extraction,
 and the closed-form battery against its matrix oracle."""
 
+import dataclasses
 import logging
 import math
 import os
@@ -23,6 +24,7 @@ from magicsimplex.family import (
     PPT_TOL,
     STATE_TOL,
     FamilyPoint,
+    _building_blocks,
     family_state,
     horodecki_point,
     is_ppt,
@@ -45,7 +47,7 @@ from magicsimplex.planes import (
     witness_planes,
 )
 from magicsimplex.qmat import hs_inner
-from magicsimplex.weyl import bell_projector
+from magicsimplex.weyl import bell_projector, tensor_basis_element
 from magicsimplex.witness import (
     FEASIBLE,
     INFEASIBLE,
@@ -56,7 +58,7 @@ from magicsimplex.witness import (
     deployed_witnesses,
     lambda_min,
     line_operator,
-    min_product_expectation,
+    product_minima,
     witness_candidate,
     witness_plane,
 )
@@ -210,6 +212,16 @@ def test_line_operator_stack_logs_no_ppt_line_for_its_valid_members(caplog):
         assert len(caplog.records) == 1
         lambda_min(tuple(starts[0]))
         assert len(caplog.records) > 1
+
+
+def test_lambda_min_validates_its_start_once(caplog):
+    # The closed form validates the start; the matrix oracle does not again.
+    with caplog.at_level(logging.DEBUG, logger="magicsimplex.family"):
+        lambda_min(horodecki_point(1.5))
+    lines = [r.getMessage() for r in caplog.records]
+    assert [m.split(":")[0] for m in lines if m.startswith("is_ppt")] == [
+        "is_ppt" + str(horodecki_point(1.5).as_tuple())
+    ]
 
 
 def test_line_operator_rejects_mismatched_shapes():
@@ -553,12 +565,12 @@ def test_oracle_raises_when_a_start_leaves_its_closed_form(
 
 def test_battery_build_samples_no_product_state(monkeypatch):
     # The safety criterion certifies every member; verify check 9 is the one
-    # product-state sweep.
+    # minimisation over product states.
     def refuse(*args, **kwargs):
-        raise AssertionError("the battery build sampled product states")
+        raise AssertionError("the battery build minimised over product states")
 
-    monkeypatch.setattr(witness, "min_product_expectation", refuse)
-    monkeypatch.setattr(witness, "_draw_normals", refuse)
+    monkeypatch.setattr(witness, "product_minima", refuse)
+    monkeypatch.setattr(witness, "_family_coefficients", refuse)
     battery = _rebuild_oracle(monkeypatch)
     assert [w.name for w in battery] == [row[0] for row in witness_planes()]
 
@@ -607,74 +619,183 @@ def test_mirror_detects_mirrored_bound_point():
 
 
 # ---------------------------------------------------------------------------
-# Product-state sampling
+# The minimum over product states
 # ---------------------------------------------------------------------------
 
 
-def product_state_vectors(count, seed):
-    """``count`` product vectors, drawn as :func:`min_product_expectation` draws them."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return witness._product_vectors(*witness._draw_normals(count, rng))
+def _haar_factors(count, rng):
+    """``count`` pairs of complex Haar-random unit vectors on C^3."""
+    raw = rng.standard_normal((2, count, 3)) + 1j * rng.standard_normal((2, count, 3))
+    return raw / np.linalg.norm(raw, axis=2, keepdims=True)
 
 
-def test_product_vectors_are_deterministic():
-    a = product_state_vectors(64, seed=5)
-    b = product_state_vectors(64, seed=5)
-    assert np.array_equal(a, b)
-    c = product_state_vectors(64, seed=6)
-    assert not np.array_equal(a, c)
+def _battery_stack():
+    return np.stack([w.candidate.matrix for w in deployed_witnesses()])
 
 
-def test_product_vectors_are_normalized_rank_one():
-    vecs = product_state_vectors(32, seed=DEFAULT_SEED)
-    norms = np.linalg.norm(vecs, axis=1)
-    assert np.max(np.abs(norms - 1.0)) <= 1e-12
-    for v in vecs[:8]:
-        second_sv = np.linalg.svd(v.reshape(3, 3), compute_uv=False)[1]
-        assert second_sv <= 1e-12
+def _family_operators(count, seed):
+    """Random operators in the family span whose ``u u^T`` coefficient is not positive."""
+    rng = np.random.default_rng(seed)
+    c_i, c_a, c_b, c_c = rng.uniform(-1.0, 1.0, (4, count))
+    c_a = np.minimum(c_a, c_b / 2.0 - 0.01)
+    blocks = np.stack(_building_blocks())
+    return np.einsum("kn,kij->nij", np.stack([c_i, c_a, c_b, c_c]), blocks)
 
 
-def test_min_product_expectation_sweeps_a_stack_once():
-    # 30_000 vectors span two chunks; each witness must see the same vectors
-    # as its own call and get the same minimum to the last bit.
-    battery = deployed_witnesses()
-    minima = min_product_expectation(
-        np.stack([w.candidate.matrix for w in battery]), count=30_000
+def test_product_reduction_is_the_trace_on_complex_product_states():
+    # c_I + c_A p00 + c_B (Q0 - p00)/2 + c_C Q1/3 on complex vectors, and
+    # v.M(u)v on their moduli, against Tr(W |uv><uv|).
+    u, v = _haar_factors(2_000, np.random.default_rng(2024))
+    x = np.einsum("ni,nj->nij", u, v).reshape(-1, 9)
+    au, av = np.abs(u), np.abs(v)
+    ax = np.einsum("ni,nj->nij", au, av).reshape(-1, 9)
+    p00 = np.abs((u * v).sum(axis=1)) ** 2 / 3.0
+    su, sv = au**2, av**2
+    q0, q1 = (su * sv).sum(axis=1), (su * np.roll(sv, -1, axis=1)).sum(axis=1)
+    stack = _battery_stack()
+    coeffs = witness._family_coefficients(stack)
+    for op, (c_i, c_a, c_b, c_c), row in zip(stack, coeffs, coeffs[:, None]):
+        trace = np.einsum("ni,ij,nj->n", x.conj(), op, x).real
+        reduced = c_i + c_a * p00 + c_b * (q0 - p00) / 2.0 + c_c * q1 / 3.0
+        assert np.max(np.abs(reduced - trace)) <= 1e-15
+        trace = np.einsum("ni,ij,nj->n", ax, op, ax).real
+        m_u = witness._reduced_matrices(row, au[None])[0]
+        assert np.max(np.abs(np.einsum("ni,nij,nj->n", av, m_u, av) - trace)) <= 1e-15
+
+
+def test_deployed_product_minima_are_zero_at_their_minimisers():
+    stack = _battery_stack()
+    values, u, v = product_minima(stack)
+    assert values.shape == (6,) and u.shape == v.shape == (6, 3)
+    assert np.all(np.abs(values) <= 1e-12)
+    for vec in (u, v):
+        assert np.all(vec >= 0.0)
+        assert np.max(np.abs(np.linalg.norm(vec, axis=1) - 1.0)) <= 1e-15
+    x = np.einsum("ni,nj->nij", u, v).reshape(-1, 9)
+    assert np.max(np.abs(np.einsum("ni,nij,nj->n", x, stack, x).real - values)) <= 1e-16
+    record = checks._check_product_safety(DEFAULT_SEED)
+    assert record["passed"] and record["computed"] == values.min()
+    for w, value, a, b in zip(deployed_witnesses(), values.tolist(), u, v):
+        ket = lambda y: "(" + ",".join(f"{c:.3f}" for c in y) + ")"
+        assert f"{w.name}:{value + 0.0:.2e} at {ket(a)}{ket(b)}" in record["detail"]
+
+
+def test_product_minima_lie_below_every_sampled_product_state():
+    # Off the grid too: random family operators, against 2,000 complex
+    # Haar product states each.
+    stack = _family_operators(40, seed=5)
+    values, _, _ = product_minima(stack)
+    u, v = _haar_factors(2_000, np.random.default_rng(6))
+    x = np.einsum("ni,nj->nij", u, v).reshape(-1, 9)
+    sampled = np.einsum("ni,kij,nj->kn", x.conj(), stack, x).real.min(axis=1)
+    assert np.all(values <= sampled + 1e-15)
+
+
+@pytest.mark.parametrize(
+    "row", [(-0.01, -0.185, 0.738, 0.848), (0.505, -0.543, 0.398, -0.877)]
+)
+def test_product_minima_leave_a_corner_that_is_only_a_partial_optimum(row):
+    # At a pair of basis vectors |i>|j> each factor is the best for the
+    # other, so alternating between the factors stops there; these two
+    # minima lie within one grid step of a corner, 4e-7 and 4e-5 below it.
+    op = np.einsum("k,kij->ij", row, np.stack(_building_blocks()))
+    coeffs = witness._family_coefficients(op[None])
+    (values,), _, _ = product_minima(op)
+    corners = np.linalg.eigvalsh(witness._reduced_matrices(coeffs, np.eye(3)[None]))
+    assert values < corners[..., 0].min() - 3e-7
+    i, j = np.triu_indices(241)
+    dense = np.stack([i, j - i, 240 - j], axis=1).astype(float)
+    dense /= np.linalg.norm(dense, axis=1, keepdims=True)
+    dense_values = np.linalg.eigvalsh(witness._reduced_matrices(coeffs, dense[None]))
+    assert values <= dense_values[..., 0].min() + 1e-15
+
+
+def test_product_minima_of_a_stack_are_each_members_own():
+    stack = np.concatenate([_battery_stack(), _family_operators(10, seed=7)])
+    values, u, v = product_minima(stack)
+    for k, op in enumerate(stack):
+        single = product_minima(op)
+        assert [a.tolist() for a in single] == [[values[k]], [u[k].tolist()], [v[k].tolist()]]
+
+
+def _planted_battery(monkeypatch, index, matrix):
+    """``checks`` sees the battery with member ``index``'s matrix replaced."""
+    battery = list(deployed_witnesses())
+    w = battery[index]
+    battery[index] = dataclasses.replace(
+        w, candidate=dataclasses.replace(w.candidate, matrix=matrix)
     )
-    assert minima.shape == (len(battery),)
-    for w, value in zip(battery, minima):
-        single = min_product_expectation(w.candidate.matrix, count=30_000)
-        assert isinstance(single, float)
-        assert value == single
+    monkeypatch.setattr(checks, "deployed_witnesses", lambda: tuple(battery))
 
 
-def _three_operand_minima(stack, count):
-    """The sweep with the generic ``<v|W|v>`` einsum, chunked and seeded alike."""
-    rng = np.random.default_rng(DEFAULT_SEED)
-    worst = np.full(len(stack), math.inf)
-    remaining = count
-    while remaining > 0:
-        take = min(20_000, remaining)
-        v = product_state_vectors(take, rng)
-        bra = v.conj()
-        for k, mat in enumerate(stack):
-            vals = np.einsum("ni,ij,nj->n", bra, mat, v).real
-            worst[k] = min(worst[k], vals.min())
-        remaining -= take
-    return worst
+@pytest.mark.parametrize("index", range(6))
+def test_a_witness_shifted_below_zero_fails_the_product_check(monkeypatch, index):
+    w = deployed_witnesses()[index]
+    _planted_battery(monkeypatch, index, w.candidate.matrix - 1e-9 * np.eye(9))
+    record = checks._check_product_safety(DEFAULT_SEED)
+    assert not record["passed"]
+    assert record["computed"] == pytest.approx(-1e-9, abs=1e-12)
+    assert f"{w.name}:-1.00e-09 at " in record["detail"]
 
 
-def test_min_product_expectation_matches_the_three_operand_kernel():
-    rng = np.random.default_rng(2024)
-    raw = rng.standard_normal((20, 9, 9)) + 1j * rng.standard_normal((20, 9, 9))
-    hermitian = raw + raw.conj().transpose(0, 2, 1)
-    stack = np.concatenate(
-        [np.stack([w.candidate.matrix for w in deployed_witnesses()]), hermitian]
-    )
-    minima = min_product_expectation(stack, count=30_000)
-    for mat, value, ref in zip(stack, minima, _three_operand_minima(stack, 30_000)):
-        bound = 81 * np.finfo(float).eps * max(1.0, float(np.linalg.norm(mat)))
-        assert abs(value - ref) <= bound
+def _off_family(op):
+    t = tensor_basis_element(0, 1)
+    return op + 1e-6 * (t + t.conj().T)
+
+
+def _with_nan(op):
+    op = op.copy()
+    op[4, 7] = math.nan
+    return op
+
+
+@pytest.mark.parametrize(
+    "plant, reason",
+    [
+        (_off_family, "is outside the family span"),
+        (np.negative, "has a positive u u^T coefficient"),
+        (_with_nan, "has a non-finite entry"),
+    ],
+    ids=["out-of-span", "negated", "nan"],
+)
+def test_an_unproven_reduction_fails_the_product_check(monkeypatch, plant, reason):
+    for index, w in enumerate(deployed_witnesses()):
+        _planted_battery(monkeypatch, index, plant(w.candidate.matrix))
+        record = checks._check_product_safety(DEFAULT_SEED)
+        assert not record["passed"]
+        assert math.isnan(record["computed"])
+        assert f"operator {index} {reason}" in record["detail"]
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_product_minima_rejects_a_non_finite_operator(bad):
+    op = np.eye(9, dtype=complex)
+    op[4, 7] = bad
+    with pytest.raises(ValueError, match="operator 0 has a non-finite entry"):
+        product_minima(op)
+    # The first operator that fails, in stack order, is named.
+    with pytest.raises(ValueError, match="operator 1 has a non-finite entry"):
+        product_minima(np.stack([np.eye(9), op, -np.eye(9) + bell_projector(0, 0)]))
+
+
+def test_product_minima_refuse_an_operator_whose_reduction_overflows():
+    # Finite entries, but a norm beyond the largest float: no residual is
+    # then small enough to trust, so the operator must not read as safe.
+    with pytest.raises(ValueError, match="operator 1 is too large"):
+        product_minima(np.stack([np.eye(9), -1e308 * np.eye(9)]))
+
+
+def test_product_minimum_of_the_identity_is_one():
+    values, _, _ = product_minima(np.eye(9, dtype=complex))
+    assert values.tolist() == [pytest.approx(1.0, abs=1e-15)]
+
+
+def test_product_minima_refuse_the_bell_projector():
+    # <uv|P_00|uv> = |u . v|^2 / 3: its u u^T coefficient is positive, so
+    # the moduli of a complex product state need not reach its minimum.
+    with pytest.raises(ValueError, match=r"operator 0 has a positive u u\^T coefficient"):
+        product_minima(bell_projector(0, 0))
 
 
 def _traced_peak(fn, *args, **kwargs):
@@ -687,18 +808,11 @@ def _traced_peak(fn, *args, **kwargs):
         tracemalloc.stop()
 
 
-def test_min_product_expectation_memory_does_not_grow_with_the_stack():
-    battery = np.stack([w.candidate.matrix for w in deployed_witnesses()])
-    stacked = _traced_peak(min_product_expectation, battery, count=40_000)
-    single = _traced_peak(min_product_expectation, battery[:1], count=40_000)
+def test_product_minima_memory_does_not_grow_with_the_stack():
+    battery = _battery_stack()
+    stacked = _traced_peak(product_minima, battery)
+    single = _traced_peak(product_minima, battery[:1])
     assert stacked <= single + 2**20
-
-
-def test_min_product_expectation_memory_does_not_grow_with_the_count():
-    battery = np.stack([w.candidate.matrix for w in deployed_witnesses()])
-    small = _traced_peak(min_product_expectation, battery, count=20_000)
-    large = _traced_peak(min_product_expectation, battery, count=100_000)
-    assert large <= small + 2**20
 
 
 def test_product_sweep_check_runs_in_bounded_memory():
@@ -719,58 +833,6 @@ def test_line_identities_check_runs_in_bounded_memory(monkeypatch):
 def test_gamma_zero_slice_check_runs_in_bounded_memory():
     checks._check_gamma_zero_slice(DEFAULT_SEED)  # build the cached tables first
     assert _traced_peak(checks._check_gamma_zero_slice, DEFAULT_SEED) <= 2**20
-
-
-def test_blocked_sweep_matches_whole_chunks_bit_for_bit():
-    # The same kernel on whole 20,000-vector chunks of product_state_vectors.
-    stack = np.stack([w.candidate.matrix for w in deployed_witnesses()])
-    rng = np.random.default_rng(DEFAULT_SEED)
-    reference = np.full(len(stack), math.inf)
-    for _ in range(5):
-        v = product_state_vectors(20_000, rng)
-        for k, mat in enumerate(stack):
-            wv = v @ mat.T
-            vals = np.einsum("ni,ni->n", v.real, wv.real)
-            vals += np.einsum("ni,ni->n", v.imag, wv.imag)
-            reference[k] = min(reference[k], vals.min())
-    assert min_product_expectation(stack, count=100_000).tolist() == reference.tolist()
-
-
-@pytest.fixture
-def no_draws(monkeypatch):
-    """Fail the test if any product vector is drawn."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("drew product vectors")
-
-    monkeypatch.setattr(np.random, "default_rng", refuse)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
-def test_min_product_expectation_rejects_a_non_finite_operator(no_draws, bad):
-    op = -np.eye(9, dtype=complex)
-    op[4, 7] = bad
-    with pytest.raises(ValueError, match="non-finite"):
-        min_product_expectation(op, count=10)
-    with pytest.raises(ValueError, match="non-finite"):
-        min_product_expectation(np.stack([-np.eye(9), op]), count=10)
-
-
-def test_min_product_expectation_raises_when_a_finite_operator_overflows():
-    # -1e308 times the all-ones matrix is negative on most product states,
-    # but its expectations overflow to NaN, which must not read as safe.
-    op = np.full((9, 9), -1e308, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ArithmeticError, match="overflowed"):
-            min_product_expectation(op, count=10)
-        with pytest.raises(ArithmeticError, match="overflowed"):
-            min_product_expectation(np.stack([np.eye(9), op]), count=10)
-
-
-@pytest.mark.parametrize("count", [0, -1])
-def test_min_product_expectation_rejects_an_empty_sweep(no_draws, count):
-    with pytest.raises(ValueError, match=f"count must be at least 1, got {count}"):
-        min_product_expectation(np.eye(9, dtype=complex), count=count)
 
 
 def test_product_sweep_is_the_same_for_any_blas_thread_count():
@@ -945,15 +1007,3 @@ def test_spectrum_check_fails_on_a_shifted_bell_weight(monkeypatch):
     result = checks._check_spectrum_pyramid(1)
     assert not result["passed"]
     assert result["computed"] == pytest.approx(1e-6, abs=1e-9)
-
-
-def test_min_product_expectation_on_identity():
-    assert min_product_expectation(np.eye(9, dtype=complex), count=500) == (
-        pytest.approx(1.0, abs=1e-12)
-    )
-
-
-def test_min_product_expectation_flags_bell_projector():
-    # <v|P_00|v> dips well below 1/9 on product states but stays positive
-    value = min_product_expectation(bell_projector(0, 0), count=2000)
-    assert 0.0 <= value < 0.05
