@@ -710,7 +710,7 @@ def test_product_minima_leave_a_corner_that_is_only_a_partial_optimum(row):
     assert values <= dense_values[..., 0].min() + 1e-15
 
 
-def test_product_minima_of_a_stack_are_each_members_own():
+def test_min_product_expectation_sweeps_a_stack_once():
     stack = np.concatenate([_battery_stack(), _family_operators(10, seed=7)])
     values, u, v = product_minima(stack)
     for k, op in enumerate(stack):
@@ -769,7 +769,7 @@ def test_an_unproven_reduction_fails_the_product_check(monkeypatch, plant, reaso
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
-def test_product_minima_rejects_a_non_finite_operator(bad):
+def test_min_product_expectation_rejects_a_non_finite_operator(bad):
     op = np.eye(9, dtype=complex)
     op[4, 7] = bad
     with pytest.raises(ValueError, match="operator 0 has a non-finite entry"):
@@ -779,19 +779,19 @@ def test_product_minima_rejects_a_non_finite_operator(bad):
         product_minima(np.stack([np.eye(9), op, -np.eye(9) + bell_projector(0, 0)]))
 
 
-def test_product_minima_refuse_an_operator_whose_reduction_overflows():
+def test_min_product_expectation_raises_when_a_finite_operator_overflows():
     # Finite entries, but a norm beyond the largest float: no residual is
     # then small enough to trust, so the operator must not read as safe.
     with pytest.raises(ValueError, match="operator 1 is too large"):
         product_minima(np.stack([np.eye(9), -1e308 * np.eye(9)]))
 
 
-def test_product_minimum_of_the_identity_is_one():
+def test_min_product_expectation_on_identity():
     values, _, _ = product_minima(np.eye(9, dtype=complex))
     assert values.tolist() == [pytest.approx(1.0, abs=1e-15)]
 
 
-def test_product_minima_refuse_the_bell_projector():
+def test_min_product_expectation_flags_bell_projector():
     # <uv|P_00|uv> = |u . v|^2 / 3: its u u^T coefficient is positive, so
     # the moduli of a complex product state need not reach its minimum.
     with pytest.raises(ValueError, match=r"operator 0 has a positive u u\^T coefficient"):
@@ -808,7 +808,7 @@ def _traced_peak(fn, *args, **kwargs):
         tracemalloc.stop()
 
 
-def test_product_minima_memory_does_not_grow_with_the_stack():
+def test_min_product_expectation_memory_does_not_grow_with_the_stack():
     battery = _battery_stack()
     stacked = _traced_peak(product_minima, battery)
     single = _traced_peak(product_minima, battery[:1])
