@@ -15,12 +15,13 @@ its modules: every name is imported from the module that defines it, e.g.
 The production modules (``verdicts``, ``family``, ``planes``, ``regions``,
 ``cli``) import only the standard library; none of them loads numpy, and
 no command but ``witness --name`` and ``verify`` does.  Nor do they load
-:mod:`logging`, :mod:`dataclasses`, :mod:`json` or :mod:`fractions`:
-``json`` loads only for JSON output, ``logging`` only under
-``MAGIC_SIMPLEX_LOG`` or once the host has imported it.  The package logs
-to the ``magicsimplex.*`` loggers at DEBUG and INFO, with no handler.  The
-matrix oracle (``qmat``, ``weyl``, ``witness``, ``checks``) needs numpy,
-e.g. ``from magicsimplex.witness import deployed_witnesses``.
+:mod:`logging`, :mod:`json` or :mod:`fractions`: ``json`` loads only for
+JSON output, ``logging`` only under ``MAGIC_SIMPLEX_LOG`` or once the
+host has imported it.  Every record is a ``NamedTuple``, so no module
+loads :mod:`dataclasses`.  The package logs to the ``magicsimplex.*``
+loggers at DEBUG and INFO, with no handler.  The matrix oracle
+(``qmat``, ``weyl``, ``witness``, ``checks``) needs numpy, e.g.
+``from magicsimplex.witness import deployed_witnesses``.
 """
 
 __version__ = "0.1.0"

@@ -19,8 +19,8 @@ oracle sweep decomposes a chunk of operators with one projection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,8 +97,7 @@ def _stacked_basis() -> tuple[Array, Array, tuple[tuple[int, int], ...]]:
     return rows, rows_conj, index
 
 
-@dataclass(frozen=True)
-class WeylCoefficients:
+class WeylCoefficients(NamedTuple):
     """Coefficient table of an operator over the two-sided basis.
 
     ``coeffs[(n, m)]`` multiplies ``W(n, m) (x) W(-n, m)``; ``residual`` is

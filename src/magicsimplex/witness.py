@@ -62,8 +62,8 @@ problem in one factor, minimised over the other, and only check 9 of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,8 +114,7 @@ INFEASIBLE = "infeasible"
 NOT_IN_SPAN = "not-in-span"
 
 
-@dataclass(frozen=True)
-class WitnessCandidate:
+class WitnessCandidate(NamedTuple):
     """An operator submitted to the product-safety criterion.
 
     ``status`` is one of :data:`FEASIBLE`, :data:`INFEASIBLE`,
@@ -363,8 +362,7 @@ def witness_plane(w: WitnessCandidate) -> PlaneCoefficients:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeployedWitness:
+class DeployedWitness(NamedTuple):
     name: str
     candidate: WitnessCandidate
     plane: PlaneCoefficients

@@ -1119,6 +1119,9 @@ def test_production_commands_load_only_what_they_use(argv):
     assert code == "0", proc.stderr
     allowed = {"json"} if "json" in argv else set()
     assert set(loaded) & _LAZY_STDLIB <= allowed, loaded
+    # Nothing outside the standard library and the package: no numpy, and
+    # no optional dependency, whatever the environment has installed.
+    assert set(loaded) - set(sys.stdlib_module_names) <= {"magicsimplex"}, loaded
 
 
 def test_logging_configured_after_import_still_reaches_the_package():

@@ -3,17 +3,19 @@
 The oracle verdict is rebuilt here from the matrix route: the pyramid
 slacks, the spectrum of the partial-transposed 9x9 state (LAPACK through
 ``qmat.hermitian_eigenvalues``), ``Tr(W rho)`` for every deployed witness
-and a non-negative least-squares hull test on the polytope's vertices.  ``classify`` must reproduce it on every point, and
-its evidence must match the oracle's numbers to 1e-12.
+and a hull test whose facets are derived from the polytope's vertices
+alone, not from the facet rows ``classify`` reads.  ``classify`` must
+reproduce it on every point, and its evidence must match the oracle's
+numbers to 1e-12.
 """
+
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-nnls = pytest.importorskip("scipy.optimize", exc_type=ImportError).nnls
-
-from conftest import witness_values  # noqa: E402
-from magicsimplex.family import (  # noqa: E402
+from conftest import witness_values
+from magicsimplex.family import (
     PPT_TOL,
     STATE_TOL,
     FamilyPoint,
@@ -22,7 +24,7 @@ from magicsimplex.family import (  # noqa: E402
     pt_min_eigenvalue,
     pyramid_margin,
 )
-from magicsimplex.regions import (  # noqa: E402
+from magicsimplex.regions import (
     DETECTION_TOL,
     MEMBERSHIP_TOL,
     build_polygon,
@@ -30,7 +32,7 @@ from magicsimplex.regions import (  # noqa: E402
     parse_grid,
     plane_grid_points,
 )
-from magicsimplex.verdicts import Verdict  # noqa: E402
+from magicsimplex.verdicts import Verdict
 
 #: Bounding box of the state pyramid (vertices (1,0,0), (0,1,0), (0,0,1)
 #: and (-1/3,-2/3,-1)), slightly enlarged.
@@ -73,7 +75,28 @@ def _points() -> list[FamilyPoint]:
     return pts
 
 
-def _oracle(p: FamilyPoint, hull: np.ndarray):
+def _hull_facets(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit outward normals ``n`` and offsets ``d`` of the hull of ``verts``.
+
+    Every plane through three vertices with all vertices on one side of it
+    is a facet; a point is inside when ``n . p <= d`` for every facet.
+    """
+    facets = set()
+    for tri in combinations(verts, 3):
+        n = np.cross(tri[1] - tri[0], tri[2] - tri[0])
+        n /= np.linalg.norm(n)
+        excess = verts @ n - n @ tri[0]
+        if excess.max() > 1e-12:
+            if excess.min() < -1e-12:
+                continue
+            n = -n
+        # A facet through four vertices is found once per triple of them.
+        facets.add(tuple(np.round([*n, n @ tri[0]], 12) + 0.0))
+    rows = np.array(sorted(facets))
+    return rows[:, :3], rows[:, 3]
+
+
+def _oracle(p: FamilyPoint, normals: np.ndarray, offsets: np.ndarray):
     """Verdict, PT minimum and witness expectations from the matrices."""
     if pyramid_margin(p) < STATE_TOL:
         return Verdict.NOT_A_STATE, None, None
@@ -83,22 +106,36 @@ def _oracle(p: FamilyPoint, hull: np.ndarray):
     values = dict(witness_values(family_state(p)))
     if min(values.values()) < DETECTION_TOL:
         return Verdict.BOUND_ENTANGLED, eig, values
-    _, rnorm = nnls(hull, np.array([p.alpha, p.beta, p.gamma, 1.0]))
-    verdict = Verdict.SEPARABLE if rnorm <= MEMBERSHIP_TOL else Verdict.UNDETERMINED
+    excess = (normals @ np.array(p) - offsets).max()
+    verdict = Verdict.SEPARABLE if excess <= MEMBERSHIP_TOL else Verdict.UNDETERMINED
     return verdict, eig, values
 
 
 @pytest.fixture(scope="module")
 def comparison():
-    verts = build_polygon().vertex_array()
-    hull = np.vstack([verts.T, np.ones((1, len(verts)))])
-    return [(classify(p), *_oracle(p, hull)) for p in _points()]
+    normals, offsets = _hull_facets(build_polygon().vertex_array())
+    # The three facet rows and the positivity facets s1 >= 0 and s4 >= 0.
+    assert len(offsets) == 5
+    return [(classify(p), *_oracle(p, normals, offsets)) for p in _points()]
 
 
 def test_sample_covers_every_verdict(comparison):
     assert len(comparison) >= 30_000
     seen = {row.verdict for row, *_ in comparison}
     assert seen == set(Verdict)
+    # Points the oracle takes to its hull test (PPT, no witness fires) lie
+    # within 1e-6 of each facet row on both sides: stage 4 decides there.
+    hull_tested = np.array(
+        [
+            row[:3]
+            for row, verdict, *_ in comparison
+            if verdict in (Verdict.SEPARABLE, Verdict.UNDETERMINED)
+        ]
+    )
+    for *normal, offset in build_polygon().halfspaces:
+        excess = hull_tested @ normal - offset
+        assert ((excess > 0) & (excess <= 1e-6)).any(), (normal, offset)
+        assert ((excess < 0) & (excess >= -1e-6)).any(), (normal, offset)
 
 
 def test_verdicts_match_matrix_oracle(comparison):

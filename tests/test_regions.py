@@ -514,6 +514,7 @@ def test_scan_rows_equal_classify_bit_for_bit():
 
 def test_records_refuse_attribute_assignment():
     row = classify(horodecki_point(2.5))
+    w = deployed_witnesses()[0]
     records = [
         (horodecki_point(2.5), "alpha"),
         (row, "verdict"),
@@ -521,6 +522,9 @@ def test_records_refuse_attribute_assignment():
         (build_polygon(), "halfspaces"),
         (scan([horodecki_point(2.5)]), "rows"),
         (CheckResult(4, "facet-curve-crossings", 0.0, 0.0, 1e-12, True), "passed"),
+        (w, "plane"),
+        (w.candidate, "status"),
+        (w.candidate.coeffs, "residual"),
     ]
     for record, name in records:
         with pytest.raises(AttributeError):

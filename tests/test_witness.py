@@ -2,7 +2,6 @@
 closed-form crossings against in-test bisection oracles, plane extraction,
 and the closed-form battery against its matrix oracle."""
 
-import dataclasses
 import logging
 import math
 import os
@@ -722,9 +721,7 @@ def _planted_battery(monkeypatch, index, matrix):
     """``checks`` sees the battery with member ``index``'s matrix replaced."""
     battery = list(deployed_witnesses())
     w = battery[index]
-    battery[index] = dataclasses.replace(
-        w, candidate=dataclasses.replace(w.candidate, matrix=matrix)
-    )
+    battery[index] = w._replace(candidate=w.candidate._replace(matrix=matrix))
     monkeypatch.setattr(checks, "deployed_witnesses", lambda: tuple(battery))
 
 
