@@ -13,9 +13,15 @@ Every sweep runs in bounded memory, in fixed blocks, whatever its size.
 The matrix sweeps form their states and hand the oracle kernels stacks of
 at most :data:`_STACK` matrices (one LAPACK call per chunk, not per
 point), and the production closed forms of :mod:`.family` take the same
-chunks as ``(N, 3)`` arrays.  The PPT samplers accept a point by those
-closed forms, the test :func:`~.witness.line_operator` applies to its
-starts (the box sampler takes its very mask), and run no eigensolver.
+chunks as ``(N, 3)`` arrays.  Check 7 hands the eigensolver each chunk's
+states with rows and columns in :data:`_SECTORS` order, where every
+family state is block diagonal: a permutation keeps the spectrum, and
+LAPACK's tridiagonalisation runs faster on the blocks.  The PPT samplers
+accept a point by those closed forms, the test
+:func:`~.witness.line_operator` applies to its starts, and run no
+eigensolver.  The box sampler takes that very mask on :data:`_BLOCK`
+rounds at once, and leaves the generator where a round-by-round loop
+would.
 The product-state check samples no product state: it takes the six
 witnesses' exact minima from one :func:`~.witness.product_minima` call on
 their stack, which solves ``3x3`` eigenproblems, and fails, with the
@@ -24,7 +30,8 @@ The gamma = 0 slice scans one alpha row of 200 points at a time and
 keeps only the verdict tally.
 Stacked kernels, array closed forms and blocks give each member
 bit-identical results to the one-point, whole-sweep call, so every check
-reads the same numbers as a point-by-point loop would.
+reads the same numbers as a point-by-point loop would (check 7's loop
+taking its states in the same order).
 
 Checks 6, 8 and 10 form their line operators as stacks of
 :func:`~.witness.line_operator`: check 6 its 1,000 one :data:`_STACK`
@@ -125,6 +132,19 @@ _BOX_HIGH = (1.5, 1.0, 1.2)
 #: flat however many points a sweep covers.
 _STACK = 256
 
+#: Rounds of :data:`_STACK` box points :func:`_ppt_starts` draws at once.
+_BLOCK = 16
+
+#: The basis indices ``3i + j`` of ``|i j>`` grouped by the sector
+#: ``(j - i) mod 3``.  A family state mixes Bell projectors onto
+#: ``(W(n, m) (x) 1) sum_j |j j>``, which stay inside one sector, so in this
+#: order it is block diagonal: three ``3x3`` blocks and exact zeros between.
+_SECTORS = (0, 4, 8, 1, 5, 6, 2, 3, 7)
+
+#: The flat indices that reorder the 81 entries of a ``9x9`` matrix by
+#: :data:`_SECTORS`, rows and columns alike.
+_SECTOR_ENTRIES = (9 * np.array(_SECTORS)[:, None] + _SECTORS).ravel()
+
 
 def _fields(
     expected: float,
@@ -166,17 +186,27 @@ def _states(rows: np.ndarray) -> Iterator[np.ndarray]:
 def _ppt_starts(rng: np.random.Generator, count: int) -> np.ndarray:
     """Rejection-sample ``count`` PPT states from the standard box, in draw order.
 
-    Each round draws :data:`_STACK` points and keeps the rows of
-    :func:`~.witness._ppt_rows`, the test :func:`~.witness.line_operator`
-    applies to its starts, so every row returned is a valid start and the
+    Rounds of :data:`_STACK` points are drawn :data:`_BLOCK` at a time, the
+    same numbers as one by one, and the rows of :func:`~.witness._ppt_rows`
+    (the test :func:`~.witness.line_operator` applies to its starts) are
+    kept.  The block that completes ``count`` resets the generator and
+    draws again only up to the round holding the last row kept.  So the
     ``(count, 3)`` array returned holds exactly the rows a point-by-point
-    loop would accept.
+    loop over rounds would accept, the generator is left where that loop
+    leaves it, and ``count`` 0 draws nothing.
     """
-    rounds = []
-    while sum(map(len, rounds)) < count:
-        draws = _box_points(rng, _STACK)
-        rounds.append(draws[_ppt_rows(draws)])
-    return np.concatenate(rounds)[:count]
+    kept = [np.empty((0, 3))]
+    found = 0
+    while found < count:
+        state = rng.bit_generator.state
+        draws = _box_points(rng, _BLOCK * _STACK)
+        accepted = np.flatnonzero(_ppt_rows(draws))[: count - found]
+        if found + len(accepted) == count:
+            rng.bit_generator.state = state
+            _box_points(rng, (int(accepted[-1]) // _STACK + 1) * _STACK)
+        kept.append(draws[accepted])
+        found += len(accepted)
+    return np.concatenate(kept)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +322,10 @@ def _check_spectrum_pyramid(seed: int) -> dict:
     sign_mismatch = 0
     for lo in range(0, len(draws), _STACK):
         chunk = draws[lo : lo + _STACK]
-        numeric = hermitian_eigenvalues(family_state(chunk))
+        # The same states under one symmetric permutation: the same spectra,
+        # but LAPACK's tridiagonalisation sees their blocks.
+        states = family_state(chunk).reshape(-1, 81).take(_SECTOR_ENTRIES, axis=1)
+        numeric = hermitian_eigenvalues(states.reshape(-1, 9, 9))
         # The closed forms under test are the production ones, on the chunk.
         closed = bell_spectrum(chunk).sorted_values()
         margin = np.minimum.reduce(pyramid_slacks(chunk))

@@ -507,9 +507,12 @@ def product_minima(ops: Array) -> tuple[Array, Array, Array]:
     weights' sum and halves the step when none lowers the value.  Unlike
     alternating between the factors, it cannot stop at a pair where each is
     merely the best for the other, such as two basis vectors.  Each member
-    is the one-operator call bit for bit.
+    is the one-operator call bit for bit, and an empty stack gives empty
+    arrays.
     """
     stack = np.asarray(ops, dtype=complex).reshape((-1, 9, 9))
+    if not len(stack):
+        return np.empty(0), np.empty((0, 3)), np.empty((0, 3))
     coeffs = _family_coefficients(stack)
 
     def lowest(weights: Array) -> Array:  # (N, ..., 3) weights, operator first

@@ -54,14 +54,16 @@ def _points() -> list[FamilyPoint]:
     beta = rng.uniform(-0.35, 0.05, 3_000)
     facet = np.column_stack([3.5 * beta + 1.0 - gamma, beta, gamma])
     # Points on the polytope's faces (and two interior diagonal planes),
-    # pushed in or out about its centroid, well clear of the MEMBERSHIP_TOL
-    # band.  Two side faces lie in positivity facets, so only their inner
-    # side holds states; the other three faces are tested from both sides.
+    # pushed in or out about its centroid.  The 1e-8 pushes leave a facet
+    # row by 1.4 to 2.1 times MEMBERSHIP_TOL, so a stage-4 threshold looser
+    # than that shows.  Two side faces lie in positivity facets, so only
+    # their inner side holds states; the other three faces are tested from
+    # both sides.
     verts = build_polygon().vertex_array()
-    triples = np.array([rng.choice(len(verts), 3, replace=False) for _ in range(4_000)])
-    on_faces = np.einsum("nk,nkd->nd", rng.dirichlet(np.ones(3), size=4_000), verts[triples])
+    triples = np.array([rng.choice(len(verts), 3, replace=False) for _ in range(6_000)])
+    on_faces = np.einsum("nk,nkd->nd", rng.dirichlet(np.ones(3), size=6_000), verts[triples])
     centroid = verts.mean(axis=0)
-    push = np.repeat([1e-3, -1e-3, 1e-6, -1e-6], 1_000)[:, None]
+    push = np.repeat([1e-3, -1e-3, 1e-6, -1e-6, 1e-8, -1e-8], 1_000)[:, None]
     near = centroid + (1.0 + push) * (on_faces - centroid)
     rows = np.vstack([box, inner, facet, near]).tolist()
     pts = [FamilyPoint(*row) for row in rows]

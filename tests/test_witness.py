@@ -45,7 +45,7 @@ from magicsimplex.planes import (
     plane_tip_start,
     witness_planes,
 )
-from magicsimplex.qmat import hs_inner
+from magicsimplex.qmat import hermitian_eigenvalues, hs_inner
 from magicsimplex.weyl import bell_projector, tensor_basis_element
 from magicsimplex.witness import (
     FEASIBLE,
@@ -788,6 +788,11 @@ def test_min_product_expectation_on_identity():
     assert values.tolist() == [pytest.approx(1.0, abs=1e-15)]
 
 
+def test_product_minima_of_an_empty_stack_are_empty():
+    values, us, vs = product_minima(np.zeros((0, 9, 9), dtype=complex))
+    assert (values.shape, us.shape, vs.shape) == ((0,), (0, 3), (0, 3))
+
+
 def test_min_product_expectation_flags_bell_projector():
     # <uv|P_00|uv> = |u . v|^2 / 3: its u u^T coefficient is positive, so
     # the moduli of a complex product state need not reach its minimum.
@@ -866,13 +871,32 @@ def test_ppt_starts_match_a_point_by_point_loop():
                         break
         return out
 
-    for count in (1, 37, 120):
+    # 240 (at this seed) ends on the last row of its round; 1,000 takes
+    # several blocks of rounds; 0 draws nothing.
+    for count in (0, 1, 37, 120, 240, 1000):
         rng, ref_rng = np.random.default_rng(count), np.random.default_rng(count)
         starts = checks._ppt_starts(rng, count)
         assert starts.shape == (count, 3)
         assert starts.tolist() == [list(p) for p in reference(ref_rng, count)]
         # Both leave the generator at the same place for the draws that follow.
         assert rng.uniform() == ref_rng.uniform()
+
+
+def test_ppt_starts_edge_count_ends_on_the_last_row_of_its_round():
+    # Why the test above samples 240: its 240th start is row 255 of a round.
+    rng, found = np.random.default_rng(240), 0
+    while found < 240:
+        accepted = np.flatnonzero(witness._ppt_rows(checks._box_points(rng, 256)))
+        found += len(accepted)
+    assert found == 240 and accepted[-1] == 255
+
+
+def test_ppt_starts_of_zero_leave_the_generator_untouched():
+    rng = np.random.default_rng(9)
+    state = rng.bit_generator.state
+    starts = checks._ppt_starts(rng, 0)
+    assert starts.shape == (0, 3)
+    assert rng.bit_generator.state == state
 
 
 def _line_identities_point_by_point(seed):
@@ -990,6 +1014,26 @@ def test_spectrum_check_evaluates_the_production_closed_forms_on_every_point(mon
     slack_rows = _count_rows(monkeypatch, "pyramid_slacks")
     assert checks._check_spectrum_pyramid(1)["passed"]
     assert sum(spectrum_rows) == sum(slack_rows) == 10_000
+
+
+def test_family_states_are_block_diagonal_in_sector_order():
+    # This order is what makes check 7's eigensolves cheaper; the check's
+    # soundness does not rest on it, since a permutation keeps the spectrum.
+    assert sorted(checks._SECTORS) == list(range(9))
+    sector = [(j - i) % 3 for i, j in (divmod(k, 3) for k in checks._SECTORS)]
+    off_sector = np.not_equal.outer(sector, sector)
+    for block in _building_blocks():
+        permuted = block.reshape(81)[checks._SECTOR_ENTRIES].reshape(9, 9)
+        assert np.array_equal(permuted, block[np.ix_(checks._SECTORS, checks._SECTORS)])
+        assert (permuted[off_sector] == 0).all()
+
+
+def test_sector_order_spectra_match_the_computational_order():
+    rng = np.random.default_rng(17)
+    states = family_state(checks._box_points(rng, 256))
+    permuted = states.reshape(-1, 81)[:, checks._SECTOR_ENTRIES].reshape(-1, 9, 9)
+    gap = np.abs(hermitian_eigenvalues(permuted) - hermitian_eigenvalues(states))
+    assert gap.max() <= 1e-14
 
 
 def test_spectrum_check_fails_on_a_shifted_bell_weight(monkeypatch):
